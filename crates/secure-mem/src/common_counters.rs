@@ -71,11 +71,6 @@ impl CommonCountersEngine {
             .unwrap()
             .contains(&Self::region_of(addr))
     }
-
-    /// The wrapped PSSM engine.
-    pub fn inner_mut(&mut self) -> &mut PssmEngine {
-        &mut self.inner
-    }
 }
 
 impl SecurityEngine for CommonCountersEngine {
@@ -94,13 +89,12 @@ impl SecurityEngine for CommonCountersEngine {
             // Counter is zero by construction: skip the counter/BMT path
             // entirely; only the MAC is fetched and checked.
             self.clean_hits += 1;
-            let mut plan = self.inner.fill_with_known_counter(addr, 0, mem);
+            let plan = self.inner.fill_with_known_counter(addr, 0, mem);
             debug_assert!(plan
                 .pre_chains
                 .iter()
                 .flatten()
                 .all(|r| r.class == gpu_sim::TrafficClass::Mac));
-            plan.crypto_latency = self.inner.latencies().mac_latency;
             return plan;
         }
         self.inner.on_fill(addr, mem)
@@ -174,7 +168,7 @@ impl SecurityEngine for CommonCountersEngine {
         else {
             return false;
         };
-        self.inner.revert_keeping_macs(&ck.inner);
+        self.inner.crash_revert(&ck.inner);
         self.clean_hits = ck.clean_hits;
         // Replace the shared table's *contents* in place so every partition
         // keeps pointing at the one GPU-level table.
@@ -193,7 +187,7 @@ impl SecurityEngine for CommonCountersEngine {
         // zero: re-dirty any region whose recovered counter says otherwise,
         // so post-recovery fills take the full verified path.
         for &s in sectors {
-            if self.inner.counters().peek_value(s) > 0 {
+            if self.inner.region.counters.peek_value(s) > 0 {
                 self.dirty_regions
                     .lock()
                     .unwrap()

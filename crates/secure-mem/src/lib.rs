@@ -12,6 +12,10 @@
 //!   updates.
 //! - [`mac_system::MacSystem`] — per-sector stateful MACs + sectored MAC
 //!   cache.
+//! - [`region::ProtectedRegion`] — the per-partition security state every
+//!   engine composes (cipher or tenant key table, counters, MACs) and the
+//!   operations they share: rotation walk, storm gate, group
+//!   re-encryption, and crash recovery.
 //! - [`pssm::PssmEngine`] — the paper's baseline engine (also realizes the
 //!   Fig. 16 granularity design points and the Fig. 20 no-tree mode).
 //! - [`common_counters::CommonCountersEngine`] — the Common Counters
@@ -46,6 +50,7 @@ pub mod layout;
 pub mod mac_store;
 pub mod mac_system;
 pub mod pssm;
+pub mod region;
 pub mod tenant;
 
 pub use cipher::DataCipher;
@@ -58,4 +63,5 @@ pub use layout::Layout;
 pub use mac_store::MacStore;
 pub use mac_system::{MacAccess, MacSystem};
 pub use pssm::{PssmEngine, PssmFactory};
+pub use region::{Candidate, ProtectedRegion, Settled, Vouch};
 pub use tenant::{RotationWalk, TenancyConfig, TenantCrypto};

@@ -283,11 +283,6 @@ impl TenantCrypto {
         self.walk.is_some()
     }
 
-    /// The live walk, if any.
-    pub fn walk(&self) -> Option<RotationWalk> {
-        self.walk
-    }
-
     /// `(frontier, end, sectors_per_step)` of the live walk.
     pub fn walk_window(&self) -> Option<(u64, u64, u32)> {
         self.walk
@@ -312,31 +307,11 @@ impl TenantCrypto {
             .collect()
     }
 
-    /// Functionally re-encrypts one sector from the old to the new
-    /// generation under its unchanged counter (the MAC needs no update:
-    /// MAC keys are generation-stable and the tag covers plaintext).
-    /// Returns whether memory changed.
-    pub fn rotate_sector(&mut self, addr: SectorAddr, ctr: u64, mem: &mut BackingMemory) -> bool {
-        let Some(w) = self.walk else {
-            return false;
-        };
-        let st = &self.ciphers[&w.tenant];
-        let Some(old) = &st.old else {
-            return false;
-        };
-        let Some(mut data) = mem.read(addr) else {
-            return false;
-        };
-        old.decrypt(&mut data, addr, ctr);
-        st.current.encrypt(&mut data, addr, ctr);
-        mem.write(addr, data);
-        self.rotated_sectors += 1;
-        true
-    }
-
-    /// Batch form of [`Self::rotate_sector`] for a whole walk step: one
-    /// batched decrypt under the old generation and one batched encrypt
-    /// under the new, instead of sector-at-a-time cipher calls. Returns
+    /// Functionally re-encrypts a walk step's sectors from the old to the
+    /// new generation under their unchanged counters (MACs need no
+    /// update: MAC keys are generation-stable and the tag covers
+    /// plaintext). One batched decrypt under the old generation and one
+    /// batched encrypt under the new cover the whole step. Returns
     /// per-sector "memory changed" flags in input order.
     pub fn rotate_sectors(
         &mut self,
@@ -559,7 +534,7 @@ mod tests {
         let mut mem = BackingMemory::new();
         mem.write(addr, ct);
         assert!(tc.start_rotation(1));
-        assert!(tc.rotate_sector(addr, 9, &mut mem));
+        assert_eq!(tc.rotate_sectors(&[(addr, 9)], &mut mem), vec![true]);
         tc.advance_frontier(addr.raw() + 32);
         // Decrypt through the effective cipher (now new-gen): bit-identical.
         let mut got = mem.read(addr).unwrap();

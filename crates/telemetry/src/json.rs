@@ -101,6 +101,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -191,11 +192,18 @@ fn write_seq(
     out.push(close);
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The reports the
+/// tools write nest a handful of levels; the bound keeps a hostile or
+/// corrupt document from overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over raw bytes (ASCII structure;
 /// multi-byte UTF-8 passes through inside strings untouched).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -237,12 +245,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object_value(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object_value),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object with `parse`, refusing to open more
+    /// than [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -532,6 +555,18 @@ mod tests {
         );
         assert_eq!(Json::parse("[]").unwrap(), Json::Array(vec![]));
         assert_eq!(Json::parse("{}").unwrap(), Json::object());
+    }
+
+    #[test]
+    fn parse_refuses_deep_nesting_without_overflowing() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "got: {err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

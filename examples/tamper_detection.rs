@@ -71,7 +71,7 @@ fn main() {
     for i in 1..64 {
         engine.on_fill(SectorAddr::new(0x8000 + i * 128 * 32), &mut mem);
     }
-    engine.counters_mut().tamper_minor(target, 1);
+    engine.region_mut().counters.tamper_minor(target, 1);
     let fill = engine.on_fill(target, &mut mem);
     println!(
         "counter rollback: {}",

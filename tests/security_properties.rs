@@ -113,7 +113,7 @@ fn mac_store_tampering_is_detected() {
     let mut mem = BackingMemory::new();
     let addr = SectorAddr::new(0);
     engine.on_writeback(addr, &[5; 32], &mut mem);
-    engine.macs_mut().tamper(addr);
+    engine.region_mut().macs.tamper(addr);
     let fill = engine.on_fill(addr, &mut mem);
     assert!(fill.violation.is_some(), "MAC tamper undetected");
 }
@@ -131,7 +131,7 @@ fn counter_rollback_is_detected_after_eviction() {
     for i in 1..80u64 {
         engine.on_fill(SectorAddr::new(i * 128 * 32), &mut mem);
     }
-    engine.counters_mut().tamper_minor(addr, 0);
+    engine.region_mut().counters.tamper_minor(addr, 0);
     let fill = engine.on_fill(addr, &mut mem);
     assert!(fill.violation.is_some(), "counter rollback undetected");
 }
