@@ -1,10 +1,10 @@
-//! The perf-regression baseline harness: canonical benchmark snapshots
-//! (`--bench-out`) and the tolerance-gated comparison (`--compare`) that
-//! CI runs against the committed `BENCH_<pr>.json`.
-//!
-//! Only regressions in the *bad* direction fail a comparison: an IPC
-//! drop, a traffic or overhead rise, a latency rise. Improvements pass
-//! silently — the snapshot is a floor, not a pin.
+//! The perf-regression baseline: canonical benchmark snapshots
+//! (`--bench-out`). `--compare` diffs one against the committed
+//! `BENCH_<pr>.json` through the obs-diff engine
+//! ([`crate::obsdiff::diff_documents`]), where only moves in a metric's
+//! *bad* direction fail: an IPC drop, a traffic or overhead rise, a
+//! latency rise. Improvements pass silently — the snapshot is a floor,
+//! not a pin.
 
 use crate::report::degenerate_workloads;
 use crate::runner::Measurement;
@@ -15,10 +15,10 @@ use plutus_telemetry::Json;
 pub const BENCH_SCHEMA: &str = "plutus-bench/v1";
 
 /// Provenance embedded in a snapshot by [`bench_snapshot_with`]: the
-/// knobs that make two snapshots comparable at all. [`compare_bench`]
-/// refuses to diff snapshots whose provenance disagrees — a scalar-vs-
-/// AES-NI comparison or a cross-seed comparison is not a regression
-/// signal, it is two different experiments.
+/// knobs that make two snapshots comparable at all. The diff engine
+/// refuses snapshots whose provenance disagrees — a scalar-vs-AES-NI
+/// comparison or a cross-seed comparison is not a regression signal, it
+/// is two different experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchProvenance {
     /// The `--seed` the run used.
@@ -44,8 +44,8 @@ impl BenchProvenance {
 /// regression gate compares. A top-level `degenerate_norm_ipc` array
 /// names every workload whose schemes all finished in an identical
 /// cycle count — the state where normalized IPC reads 1.0 everywhere
-/// and the snapshot carries no real signal. ([`compare_bench`] only
-/// reads known fields, so older baselines without it still compare.)
+/// and the snapshot carries no real signal. (It holds strings, not
+/// numeric leaves, so older baselines without it still compare.)
 pub fn bench_snapshot(measurements: &[Measurement]) -> Json {
     snapshot_impl(measurements, None)
 }
@@ -53,7 +53,7 @@ pub fn bench_snapshot(measurements: &[Measurement]) -> Json {
 /// [`bench_snapshot`] with embedded [`BenchProvenance`]. Snapshots
 /// without provenance (older baselines) still compare against anything;
 /// once both sides carry it, mismatched seeds or crypto backends make
-/// [`compare_bench`] fail loudly instead of reporting nonsense deltas.
+/// the comparison fail loudly instead of reporting nonsense deltas.
 pub fn bench_snapshot_with(measurements: &[Measurement], provenance: &BenchProvenance) -> Json {
     snapshot_impl(measurements, Some(provenance))
 }
@@ -106,201 +106,10 @@ fn overhead_pct(m: &Measurement) -> f64 {
     }
 }
 
-/// Compares a current snapshot against a baseline snapshot. Returns one
-/// human-readable line per regression beyond `tolerance` (a fraction:
-/// 0.02 = 2%); an empty vector means the gate passes. Baseline entries
-/// missing from the current snapshot are regressions (coverage loss);
-/// new entries in the current snapshot are not (the next snapshot
-/// refresh picks them up).
-///
-/// # Errors
-///
-/// Returns `Err` when either document fails to parse or does not carry
-/// the [`BENCH_SCHEMA`] layout.
-pub fn compare_bench(current: &str, baseline: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    check_provenance(current, baseline)?;
-    let cur = parse_snapshot(current, "current")?;
-    let base = parse_snapshot(baseline, "baseline")?;
-    let mut regressions = Vec::new();
-    for (key, base_entry) in &base {
-        let Some(cur_entry) = cur.iter().find(|(k, _)| k == key).map(|(_, e)| e) else {
-            regressions.push(format!("{key}: missing from current snapshot"));
-            continue;
-        };
-        // Higher is better.
-        for metric in ["ipc", "norm_ipc"] {
-            check(
-                &mut regressions,
-                key,
-                metric,
-                num(cur_entry, metric),
-                num(base_entry, metric),
-                tolerance,
-                Direction::HigherIsBetter,
-            );
-        }
-        // Lower is better.
-        for metric in [
-            "cycles",
-            "total_bytes",
-            "metadata_bytes",
-            "metadata_overhead_pct",
-            "avg_fill_latency",
-            "detection_latency_mean",
-        ] {
-            check(
-                &mut regressions,
-                key,
-                metric,
-                num(cur_entry, metric),
-                num(base_entry, metric),
-                tolerance,
-                Direction::LowerIsBetter,
-            );
-        }
-        if let (Some(Json::Object(base_classes)), cur_classes) =
-            (base_entry.get("class_bytes"), cur_entry.get("class_bytes"))
-        {
-            for (label, base_bytes) in base_classes {
-                let cur_bytes = cur_classes
-                    .and_then(|c| c.get(label))
-                    .and_then(Json::as_f64);
-                check(
-                    &mut regressions,
-                    key,
-                    &format!("class_bytes.{label}"),
-                    cur_bytes,
-                    base_bytes.as_f64(),
-                    tolerance,
-                    Direction::LowerIsBetter,
-                );
-            }
-        }
-    }
-    Ok(regressions)
-}
-
-#[derive(Clone, Copy)]
-enum Direction {
-    HigherIsBetter,
-    LowerIsBetter,
-}
-
-/// Appends a regression line when `cur` is worse than `base` by more
-/// than `tolerance` (relative to the baseline; a zero baseline only
-/// flags a lower-is-better metric that became nonzero).
-fn check(
-    out: &mut Vec<String>,
-    key: &str,
-    metric: &str,
-    cur: Option<f64>,
-    base: Option<f64>,
-    tolerance: f64,
-    dir: Direction,
-) {
-    let (Some(cur), Some(base)) = (cur, base) else {
-        if base.is_some() {
-            out.push(format!(
-                "{key}: metric '{metric}' missing from current snapshot"
-            ));
-        }
-        return;
-    };
-    // A NaN (or infinite) value compares false against every threshold,
-    // which would silently disarm the gate — treat it as a failure
-    // instead of a pass.
-    if !cur.is_finite() || !base.is_finite() {
-        out.push(format!(
-            "{key}: {metric} is not finite ({base} -> {cur}); \
-             refusing to gate on a NaN/infinite metric"
-        ));
-        return;
-    }
-    let regressed = match dir {
-        Direction::HigherIsBetter => cur < base * (1.0 - tolerance),
-        Direction::LowerIsBetter => {
-            if base == 0.0 {
-                cur > 0.0 && tolerance < 1.0
-            } else {
-                cur > base * (1.0 + tolerance)
-            }
-        }
-    };
-    if regressed {
-        let arrow = match dir {
-            Direction::HigherIsBetter => "dropped",
-            Direction::LowerIsBetter => "rose",
-        };
-        out.push(format!(
-            "{key}: {metric} {arrow} beyond {:.1}% tolerance ({base:.4} -> {cur:.4})",
-            tolerance * 100.0
-        ));
-    }
-}
-
-fn num(entry: &Json, metric: &str) -> Option<f64> {
-    entry.get(metric).and_then(Json::as_f64)
-}
-
-/// Refuses to compare snapshots whose embedded provenance disagrees on
-/// seed or crypto backend. A snapshot without provenance (pre-v1.1
-/// baselines) compares against anything — the check only arms once
-/// both documents carry it.
-fn check_provenance(current: &str, baseline: &str) -> Result<(), String> {
-    let (Ok(cur), Ok(base)) = (Json::parse(current), Json::parse(baseline)) else {
-        return Ok(()); // parse_snapshot reports the real error
-    };
-    let (Some(cur_p), Some(base_p)) = (cur.get("provenance"), base.get("provenance")) else {
-        return Ok(());
-    };
-    for field in ["seed", "crypto_backend"] {
-        let c = cur_p.get(field).cloned().unwrap_or(Json::Null);
-        let b = base_p.get(field).cloned().unwrap_or(Json::Null);
-        if c != b {
-            return Err(format!(
-                "provenance mismatch: {field} differs between snapshots \
-                 ({} vs {}); these runs are not comparable",
-                c.to_string_compact(),
-                b.to_string_compact()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Parses a snapshot document into `(workload/scheme, entry)` pairs.
-fn parse_snapshot(text: &str, what: &str) -> Result<Vec<(String, Json)>, String> {
-    let doc = Json::parse(text).map_err(|e| format!("{what} snapshot: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(BENCH_SCHEMA) => {}
-        other => {
-            return Err(format!(
-                "{what} snapshot: expected schema '{BENCH_SCHEMA}', found {other:?}"
-            ))
-        }
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{what} snapshot: missing 'entries' array"))?;
-    let mut out = Vec::new();
-    for e in entries {
-        let workload = e
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what} snapshot: entry missing 'workload'"))?;
-        let scheme = e
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what} snapshot: entry missing 'scheme'"))?;
-        out.push((format!("{workload}/{scheme}"), e.clone()));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obsdiff::diff_documents;
 
     fn sample_measurement(ipc: f64, total: u64, meta: u64) -> Measurement {
         Measurement {
@@ -347,89 +156,89 @@ mod tests {
         assert!(deg.is_empty());
     }
 
+    /// The `--compare` gate: the paths of every leaf of `cur` that
+    /// regressed against `base`.
+    fn compare(cur: &Json, base: &Json, tolerance: f64) -> Result<Vec<String>, String> {
+        let diff = diff_documents("bench", base, cur)?;
+        Ok(diff
+            .regressions(tolerance)
+            .iter()
+            .map(|r| r.path.clone())
+            .collect())
+    }
+
     #[test]
     fn identical_snapshots_pass() {
-        let snap = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]).to_string_pretty();
-        assert!(compare_bench(&snap, &snap, 0.02).unwrap().is_empty());
+        let s = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]);
+        assert!(compare(&s, &s, 0.02).unwrap().is_empty());
     }
 
     #[test]
     fn ipc_drop_beyond_tolerance_fails() {
-        let base = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]).to_string_pretty();
-        let cur = bench_snapshot(&[sample_measurement(1.4, 1000, 200)]).to_string_pretty();
-        let regressions = compare_bench(&cur, &base, 0.02).unwrap();
-        assert!(regressions.iter().any(|r| r.contains("ipc dropped")));
-        // A 2% drop inside a 5% tolerance passes.
-        assert!(compare_bench(&cur, &base, 0.10).unwrap().is_empty());
+        let base = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]);
+        let cur = bench_snapshot(&[sample_measurement(1.4, 1000, 200)]);
+        let regressions = compare(&cur, &base, 0.02).unwrap();
+        assert_eq!(regressions, vec!["entries[w/plutus].ipc"]);
+        // A 6.7% drop inside a 10% tolerance passes.
+        assert!(compare(&cur, &base, 0.10).unwrap().is_empty());
     }
 
     #[test]
     fn traffic_rise_fails_but_improvement_passes() {
-        let base = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]).to_string_pretty();
-        let worse = bench_snapshot(&[sample_measurement(1.5, 1200, 300)]).to_string_pretty();
-        let better = bench_snapshot(&[sample_measurement(1.6, 900, 150)]).to_string_pretty();
-        let regressions = compare_bench(&worse, &base, 0.02).unwrap();
-        assert!(regressions.iter().any(|r| r.contains("total_bytes rose")));
-        assert!(regressions
-            .iter()
-            .any(|r| r.contains("class_bytes.mac rose")));
-        assert!(compare_bench(&better, &base, 0.02).unwrap().is_empty());
+        let base = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]);
+        let worse = bench_snapshot(&[sample_measurement(1.5, 1200, 300)]);
+        let better = bench_snapshot(&[sample_measurement(1.6, 900, 150)]);
+        let regressions = compare(&worse, &base, 0.02).unwrap();
+        assert!(regressions.contains(&"entries[w/plutus].total_bytes".to_string()));
+        assert!(regressions.contains(&"entries[w/plutus].class_bytes.mac".to_string()));
+        assert!(compare(&better, &base, 0.02).unwrap().is_empty());
     }
 
     #[test]
     fn missing_entry_is_a_regression() {
-        let base = bench_snapshot(&[
-            sample_measurement(1.5, 1000, 200),
-            Measurement {
-                workload: "other".into(),
-                ..sample_measurement(1.0, 500, 100)
-            },
-        ])
-        .to_string_pretty();
-        let cur = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]).to_string_pretty();
-        let regressions = compare_bench(&cur, &base, 0.02).unwrap();
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].contains("other/plutus: missing"));
+        let other = Measurement {
+            workload: "other".into(),
+            ..sample_measurement(1.0, 500, 100)
+        };
+        let base = bench_snapshot(&[sample_measurement(1.5, 1000, 200), other]);
+        let cur = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]);
+        let regressions = compare(&cur, &base, 0.02).unwrap();
+        assert!(!regressions.is_empty());
+        assert!(regressions
+            .iter()
+            .all(|r| r.starts_with("entries[other/plutus].")));
+        // A metric missing from otherwise present entries fails too.
+        let text = base.to_string_compact().replace("\"cycles\":1000,", "");
+        assert_eq!(
+            compare(&Json::parse(&text).unwrap(), &base, 0.02).unwrap(),
+            vec!["entries[other/plutus].cycles", "entries[w/plutus].cycles"]
+        );
     }
 
     #[test]
     fn non_finite_metric_fails_the_gate() {
         // NaN compares false against every threshold; before the guard,
         // a NaN metric sailed through `--compare --tolerance` silently.
-        let mut out = Vec::new();
-        check(
-            &mut out,
-            "w/plutus",
-            "ipc",
-            Some(f64::NAN),
-            Some(1.5),
-            0.02,
-            Direction::HigherIsBetter,
+        let base = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]);
+        for (cur_ipc, base_latency) in [(f64::NAN, 120.0), (1.5, f64::INFINITY)] {
+            let cur = bench_snapshot(&[sample_measurement(cur_ipc, 1000, 200)]);
+            let mut base_m = sample_measurement(1.5, 1000, 200);
+            base_m.avg_fill_latency = base_latency;
+            let regressions = compare(&cur, &bench_snapshot(&[base_m]), 0.5).unwrap();
+            assert_eq!(
+                regressions.len(),
+                1,
+                "non-finite value must fail: {regressions:?}"
+            );
+        }
+        // Through the text round trip a NaN serializes as null: the leaf
+        // vanishes, which fails as well.
+        let cur = bench_snapshot(&[sample_measurement(f64::NAN, 1000, 200)]).to_string_pretty();
+        let cur = Json::parse(&cur).unwrap();
+        assert_eq!(
+            compare(&cur, &base, 0.5).unwrap(),
+            vec!["entries[w/plutus].ipc"]
         );
-        assert_eq!(out.len(), 1, "NaN current value must fail the gate");
-        assert!(out[0].contains("not finite"));
-        let mut out = Vec::new();
-        check(
-            &mut out,
-            "w/plutus",
-            "cycles",
-            Some(1000.0),
-            Some(f64::INFINITY),
-            0.02,
-            Direction::LowerIsBetter,
-        );
-        assert_eq!(out.len(), 1, "non-finite baseline must fail the gate");
-        let mut out = Vec::new();
-        check(
-            &mut out,
-            "w/plutus",
-            "ipc",
-            Some(1.5),
-            Some(1.5),
-            0.02,
-            Direction::HigherIsBetter,
-        );
-        assert!(out.is_empty(), "finite equal values still pass");
     }
 
     #[test]
@@ -448,21 +257,21 @@ mod tests {
             seed: 7,
             ..scalar.clone()
         };
-        let a = bench_snapshot_with(&rows, &scalar).to_string_pretty();
-        let b = bench_snapshot_with(&rows, &simd).to_string_pretty();
-        let c = bench_snapshot_with(&rows, &reseeded).to_string_pretty();
-        let bare = bench_snapshot(&rows).to_string_pretty();
+        let a = bench_snapshot_with(&rows, &scalar);
+        let b = bench_snapshot_with(&rows, &simd);
+        let c = bench_snapshot_with(&rows, &reseeded);
+        let bare = bench_snapshot(&rows);
         // Same provenance: compares normally.
-        assert!(compare_bench(&a, &a, 0.02).unwrap().is_empty());
+        assert!(compare(&a, &a, 0.02).unwrap().is_empty());
         // Backend or seed mismatch: loud error, not a silent diff.
-        let err = compare_bench(&a, &b, 0.02).unwrap_err();
+        let err = compare(&a, &b, 0.02).unwrap_err();
         assert!(err.contains("crypto_backend"), "got: {err}");
-        let err = compare_bench(&a, &c, 0.02).unwrap_err();
+        let err = compare(&a, &c, 0.02).unwrap_err();
         assert!(err.contains("seed"), "got: {err}");
         // Provenance on one side only (older committed baselines):
         // the check stays disarmed so existing gates keep passing.
-        assert!(compare_bench(&a, &bare, 0.02).unwrap().is_empty());
-        assert!(compare_bench(&bare, &b, 0.02).unwrap().is_empty());
+        assert!(compare(&a, &bare, 0.02).unwrap().is_empty());
+        assert!(compare(&bare, &b, 0.02).unwrap().is_empty());
         // Version differences alone do not block comparison.
         let d = bench_snapshot_with(
             &rows,
@@ -470,15 +279,73 @@ mod tests {
                 version: "9.9.9".into(),
                 ..scalar
             },
-        )
-        .to_string_pretty();
-        assert!(compare_bench(&a, &d, 0.02).unwrap().is_empty());
+        );
+        assert!(compare(&a, &d, 0.02).unwrap().is_empty());
+    }
+
+    #[test]
+    fn provenance_is_an_identity_check_never_a_leaf() {
+        let rows = [sample_measurement(1.5, 1000, 200)];
+        let p = |seed| BenchProvenance {
+            seed,
+            crypto_backend: "scalar".into(),
+            version: "0.1.0".into(),
+        };
+        // One-sided provenance carries a numeric seed, yet no leaf moves.
+        let diff = diff_documents(
+            "bench",
+            &bench_snapshot(&rows),
+            &bench_snapshot_with(&rows, &p(42)),
+        );
+        assert!(diff.unwrap().changed.is_empty());
+        // The committed baseline has no provenance and compares clean
+        // against itself with provenance attached.
+        let committed = Json::parse(include_str!("../../../BENCH_8.json")).unwrap();
+        let Json::Object(mut fields) = committed.clone() else {
+            unreachable!()
+        };
+        fields.push(("provenance".into(), Json::object().set("seed", 42u64)));
+        let diff = diff_documents("BENCH_8.json", &committed, &Json::Object(fields)).unwrap();
+        assert!(diff.changed.is_empty());
+        assert!(diff_documents("BENCH_8.json", &committed, &committed)
+            .unwrap()
+            .changed
+            .is_empty());
+    }
+
+    #[test]
+    fn reordered_or_inserted_entries_change_nothing() {
+        let a = sample_measurement(1.5, 1000, 200);
+        let b = Measurement {
+            workload: "b".into(),
+            ..sample_measurement(1.2, 800, 100)
+        };
+        let c = Measurement {
+            workload: "c".into(),
+            ..sample_measurement(1.1, 700, 50)
+        };
+        let base = bench_snapshot(&[a.clone(), b.clone()]);
+        let reordered = bench_snapshot(&[b.clone(), a.clone()]);
+        assert!(diff_documents("bench", &base, &reordered)
+            .unwrap()
+            .changed
+            .is_empty());
+        let inserted = diff_documents("bench", &base, &bench_snapshot(&[a, c, b])).unwrap();
+        assert!(inserted
+            .changed
+            .iter()
+            .all(|r| r.path.starts_with("entries[c/plutus].")));
+        assert!(
+            inserted.regressions(0.0).is_empty(),
+            "new entries are not regressions"
+        );
     }
 
     #[test]
     fn schema_mismatch_is_an_error() {
-        let snap = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]).to_string_pretty();
-        assert!(compare_bench(&snap, "{\"schema\":\"v0\",\"entries\":[]}", 0.02).is_err());
-        assert!(compare_bench("not json", &snap, 0.02).is_err());
+        let s = bench_snapshot(&[sample_measurement(1.5, 1000, 200)]);
+        let v0 = Json::parse("{\"schema\":\"v0\",\"entries\":[]}").unwrap();
+        assert!(compare(&s, &v0, 0.02).is_err());
+        assert!(compare(&s, &Json::Array(Vec::new()), 0.02).is_err());
     }
 }

@@ -6,14 +6,18 @@
 //!
 //! `<id>` ∈ {table1, table2, fig6, fig7, fig9, fig10, fig15, fig16, fig17,
 //! fig18, fig19, fig20, fig21, fig22, figrepro, cipher_bench, all}.
-//! Results print as tables and are saved as JSON under
-//! `target/experiments/`. `figrepro`
-//! is the normalized-IPC figure-reproduction report (Figs. 11-14 style):
-//! the no-security/PSSM/common-counters/Plutus matrix with per-scheme
-//! geomeans, the CPI stacks behind the numbers, and a prominent warning
-//! when the result is degenerate (every scheme at norm_ipc = 1.0).
-//! `cipher_bench` times the functional crypto primitives scalar vs the
-//! native SIMD backend (`--assert-speedup X` gates the batched rows).
+//! `figrepro` is the normalized-IPC figure-reproduction report (Figs.
+//! 11-14 style): the no-security/PSSM/common-counters/Plutus matrix with
+//! per-scheme geomeans, the CPI stacks behind the numbers, and a
+//! prominent warning when the result is degenerate (every scheme at
+//! norm_ipc = 1.0). `cipher_bench` times the functional crypto
+//! primitives scalar vs the native SIMD backend (`--assert-speedup X`
+//! gates the batched rows).
+//!
+//! Reports: every result prints as a table and is saved into the report
+//! directory — `target/experiments/`, or the `--run-dir` — as JSON (plus
+//! CSV for the campaign and `cipher_bench` row reports). Reports with a
+//! gate exit nonzero, naming every violated check, when it fails.
 //!
 //! Crypto backend: every invocation logs `crypto backend: <name>` and
 //! sets the `crypto.backend_simd` gauge; `--crypto-backend
@@ -30,32 +34,30 @@
 //! while the pool runs (jobs done/total, the workload/scheme labels
 //! currently executing, elapsed wall time). Heartbeat runs arm a soft
 //! per-job watchdog: once three jobs have finished, any job still
-//! executing past `--watchdog M` (default 4) times the running median
-//! duration is marked `[SLOW]` in the progress line and counted in the
-//! `sched.watchdog` telemetry counter; jobs are never cancelled.
+//! executing past four times the running median duration is marked
+//! `[SLOW]` in the progress line and counted in the `sched.watchdog`
+//! telemetry counter; jobs are never cancelled.
 //!
 //! Cycle ledger: `--ledger-out <path>` writes the per-cycle stall
 //! attribution of every matrix run — the JSON document (per-partition
 //! bucket matrix + summed CPI stack per workload/scheme), a `.csv`
 //! sibling, and a `.folded` flamegraph collapsed-stack sibling — and
-//! prints the CPI-stack table. The built-in conservation gate exits
-//! nonzero if any partition's buckets do not sum exactly to the run's
-//! cycle count.
+//! prints the CPI-stack table. Its conservation gate fails if any
+//! partition's buckets do not sum exactly to the run's cycle count.
 //!
 //! Telemetry: `--metrics-out <path>` captures the full metrics registry
 //! (per-class traffic counters, cache hit/miss counters, latency
 //! histograms, per-run epoch snapshots, typed events) and writes it to
-//! `<path>` on exit; `--metrics-format json|csv` picks the exporter
-//! (default json) and `--epoch-cycles N` additionally closes an epoch
-//! every N simulated cycles inside each run.
+//! `<path>` on exit, as CSV when the path ends in `.csv` and as JSON
+//! otherwise; `--epoch-cycles N` additionally closes an epoch every N
+//! simulated cycles inside each run.
 //!
 //! Fault-injection campaigns: `--campaign tamper|replay|rollback|sweep`
 //! replaces the experiment ids with a seeded Monte Carlo attack on every
 //! security engine (`--trials R` runs × `--faults F` faults each,
 //! `--seed S`), reporting detection rates, the detecting-layer
-//! histogram, and detection latencies under
-//! `target/experiments/campaign-<kind>.{json,csv}`. The campaign exits
-//! nonzero if the measured value-verification forgery-acceptance rate
+//! histogram, and detection latencies as `campaign-<kind>`. Its gate
+//! fails if the measured value-verification forgery-acceptance rate
 //! exceeds the analytic Eq. 1 binomial bound.
 //!
 //! Causal tracing: `--trace-out <path>` arms the per-access flight
@@ -67,37 +69,35 @@
 //!
 //! Regression harness: `--bench-out <path>` writes the canonical perf
 //! snapshot (IPC, per-class DRAM bytes, metadata overhead, latencies)
-//! of every matrix experiment run; `--compare <baseline.json>` checks
-//! the same snapshot against a committed baseline and exits 1 when any
-//! metric regressed beyond `--tolerance <frac>` (default 0.02).
+//! of every matrix experiment run; `--compare <baseline.json>` is the
+//! obs-diff of a committed baseline and that snapshot, exiting 1 when
+//! any metric moved its bad way beyond `--tolerance <frac>` (default
+//! 0.02).
 //!
 //! Fail-operational campaigns: `--campaign transient` injects a seeded
 //! soft-error process (`--soft-error-rate P` per fill) and retries
-//! failed fills up to `--retry-limit N`, exiting nonzero if any benign
-//! transient is misclassified as an attack; `--campaign crash` kills
+//! failed fills up to `--retry-limit N`; its gate fails if any benign
+//! transient is misclassified as an attack. `--campaign crash` kills
 //! runs at arbitrary cycles, restores the last metadata checkpoint
-//! (`--checkpoint-cycles C` cadence), reconstructs counters against the
-//! persistent MACs, and exits nonzero unless every post-recovery read
-//! is bit-identical with no spurious violations. Reports land under
-//! `target/experiments/campaign-{transient,crash}.{json,csv}`.
+//! (`--checkpoint-cycles C` cadence), and reconstructs counters against
+//! the persistent MACs; its gate fails unless every post-recovery read
+//! is bit-identical with no spurious violations.
 //!
 //! Multi-tenant chaos: `--campaign storm` co-schedules an adversarial
 //! tenant (counter-overflow write hammer + tamper/replay faults at its
 //! own slab) with `--tenants N` victim tenants (default 3) under
 //! per-tenant keys, rotates a victim's keys live, and crash-kills runs
-//! mid-rotation. The gate exits nonzero unless victims record zero
-//! violations and zero degradation-ladder freezes, victim IPC stays
-//! within `--tolerance` (default 25%) of an honest baseline, the cycle
-//! ledger conserves, Eq. 1 holds, and every mid-rotation crash recovers
+//! mid-rotation. The gate fails unless victims record zero violations
+//! and zero degradation-ladder freezes, victim IPC stays within
+//! `--tolerance` (default 25%) of an honest baseline, the cycle ledger
+//! conserves, Eq. 1 holds, and every mid-rotation crash recovers
 //! bit-identical plaintext. `--campaign soak` adds seeded soft errors
 //! (`--soft-error-rate`, `--retry-limit`) and more crash points;
 //! `--inject-breach` deliberately faults a victim slab to prove the
-//! monitors fail loudly. Reports land under
-//! `target/experiments/campaign-{storm,soak}.{json,csv}`.
+//! monitors fail loudly.
 //!
-//! Live observability: `--run-dir DIR` routes every report writer
-//! (metrics, ledger, trace, bench, campaign JSON/CSV) into one
-//! directory and stamps a `manifest.json` (cmdline, seed, scale,
+//! Live observability: `--run-dir DIR` routes every report writer into
+//! one directory and stamps a `manifest.json` (cmdline, seed, scale,
 //! workloads, crypto backend, workspace version) so runs are
 //! self-describing and diffable. `--stream-out FILE|-` streams one
 //! NDJSON line per closed telemetry epoch (metric deltas + typed
@@ -105,44 +105,39 @@
 //! instead of stalling the run. `--serve-metrics ADDR` exposes the
 //! live registry at `http://ADDR/metrics` in Prometheus text format.
 //! Storm/soak rows feed per-tenant SLO detectors (EWMA z-scores plus
-//! hard IPC-floor/violation-ceiling checks); `--slo-gate` turns any
-//! hard breach into a nonzero exit. `experiments obs-diff A B
-//! [--tolerance F]` compares two run directories — manifests first,
-//! then every shared JSON report leaf by leaf — and exits 1 on
-//! regressions beyond the tolerance.
+//! hard IPC-floor/violation-ceiling checks); `--slo-gate` adds any hard
+//! breach to the storm gate. `experiments obs-diff A B [--tolerance F]`
+//! compares two run directories — manifests first, then every shared
+//! JSON report leaf by leaf — exiting 1 on regressions beyond the
+//! tolerance and 2 when the runs are incompatible or share no report.
 
 use gpu_sim::GpuConfig;
 use plutus_bench::{
-    attribution_table, bench_snapshot_with, campaign_table, chrome_trace, collapsed_stack,
-    compare_bench, cpi_stack_table, degenerate_warning, diff_run_dirs, eq1_checks, figure_report,
-    geomean, ledger_csv, ledger_folded, ledger_gate, ledger_json, matrix_table, obs_diff_table,
-    recovery_schemes, run_campaign_on, run_matrix_with_telemetry, save_campaign, save_json,
-    try_run_matrix_on, try_run_matrix_traced_on, BenchProvenance, CampaignConfig, CampaignKind,
-    EnergyModel, Measurement, Scheme, TracedRun,
+    attribution_table, bench_snapshot_with, campaign_gate, campaign_report, chrome_trace,
+    cipher_bench_gate, cipher_bench_report, collapsed_stack, cpi_stack_table, degenerate_warning,
+    diff_documents, diff_run_dirs, eq1_bound, figure_report, geomean, ledger_csv, ledger_folded,
+    ledger_gate, ledger_json, matrix_table, obs_diff_table, read_report, recovery_schemes,
+    run_campaign_on, run_matrix_with_telemetry, save_json, try_run_matrix_on,
+    try_run_matrix_traced_on, BenchProvenance, CampaignConfig, CampaignKind, EnergyModel,
+    Measurement, ObsDiff, Scheme, TracedRun,
 };
 use plutus_core::value_analysis::analyze_trace;
+use plutus_crypto::CryptoBackend;
 use plutus_exec::Executor;
 use plutus_recovery::{
-    crash_gate, crash_table, run_crash_campaign_on, run_storm_campaign_observed,
-    run_transient_campaign_on, save_crash_campaign, save_storm_campaign, save_transient_campaign,
-    storm_gate, storm_table, transient_gate, transient_table, CrashCampaignConfig,
-    StormCampaignConfig, TransientCampaignConfig,
+    crash_gate, crash_report, run_crash_campaign_on, run_storm_campaign_observed,
+    run_transient_campaign_on, storm_gate, storm_report, transient_gate, transient_report,
+    CrashCampaignConfig, StormCampaignConfig, TransientCampaignConfig,
 };
 use plutus_telemetry::{
-    CycleClock, Event, Json, MetricsServer, SloPolicy, SloTracker, Telemetry,
-    DEFAULT_TRACE_CAPACITY, MANIFEST_FILE, MANIFEST_SCHEMA,
+    save_report, CycleClock, Event, Gate, GateFailure, Json, MetricsServer, SloPolicy, SloTracker,
+    Telemetry, DEFAULT_TRACE_CAPACITY, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use secure_mem::SecureMemConfig;
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use workloads::{suite, Scale, WorkloadSpec};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsFormat {
-    Json,
-    Csv,
-}
 
 /// Which campaign family `--campaign` selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +159,6 @@ struct Args {
     scale: Scale,
     workloads: Vec<WorkloadSpec>,
     metrics_out: Option<PathBuf>,
-    metrics_format: MetricsFormat,
     epoch_cycles: Option<u64>,
     campaign: Option<CampaignSel>,
     trials: Option<usize>,
@@ -256,9 +250,9 @@ impl Args {
 
     /// Saves a measurement set, routing I/O failure through [`fail`]
     /// so the CLI exits nonzero instead of panicking.
-    fn save(&self, name: &str, rows: &[Measurement]) -> PathBuf {
+    fn save(&self, name: &str, rows: &[Measurement]) {
         match save_json(name, rows) {
-            Ok(p) => p,
+            Ok(p) => println!("saved {}", p.display()),
             Err(e) => fail(&self.tel, format!("cannot write {name} results: {e}")),
         }
     }
@@ -280,7 +274,6 @@ fn parse_args(tel: &Telemetry) -> Args {
     let mut scale = Scale::Small;
     let mut selected: Option<Vec<String>> = None;
     let mut metrics_out = None;
-    let mut metrics_format = MetricsFormat::Json;
     let mut epoch_cycles = None;
     let mut campaign = None;
     let mut trials = None;
@@ -300,9 +293,8 @@ fn parse_args(tel: &Telemetry) -> Args {
     let mut inject_breach = false;
     let mut ledger_out = None;
     let mut heartbeat = None;
-    let mut watchdog = None;
     let mut assert_speedup = None;
-    let mut crypto_backend = String::from("auto");
+    let mut crypto_backend: Option<CryptoBackend> = None;
     let mut stream_out: Option<String> = None;
     let mut serve_metrics: Option<String> = None;
     let mut run_dir: Option<PathBuf> = None;
@@ -337,17 +329,6 @@ fn parse_args(tel: &Telemetry) -> Args {
                     Some(p) => metrics_out = Some(PathBuf::from(p)),
                     None => fail(tel, "--metrics-out requires a path".into()),
                 }
-            }
-            "--metrics-format" => {
-                i += 1;
-                metrics_format = match argv.get(i).map(String::as_str) {
-                    Some("json") => MetricsFormat::Json,
-                    Some("csv") => MetricsFormat::Csv,
-                    other => fail(
-                        tel,
-                        format!("unknown metrics format {other:?}; expected json|csv"),
-                    ),
-                };
             }
             "--epoch-cycles" => {
                 i += 1;
@@ -491,16 +472,6 @@ fn parse_args(tel: &Telemetry) -> Args {
                     ),
                 };
             }
-            "--watchdog" => {
-                i += 1;
-                watchdog = match argv.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(m) if m > 0.0 && m.is_finite() => Some(m),
-                    _ => fail(
-                        tel,
-                        "--watchdog requires a positive multiple of the median job time".into(),
-                    ),
-                };
-            }
             "--sched-stats" => sched_stats = true,
             "--stream-out" => {
                 i += 1;
@@ -533,11 +504,9 @@ fn parse_args(tel: &Telemetry) -> Args {
             "--crypto-backend" => {
                 i += 1;
                 crypto_backend = match argv.get(i).map(String::as_str) {
-                    Some(s @ ("auto" | "scalar" | "simd" | "aes-ni" | "aesni")) => s.to_string(),
-                    other => fail(
-                        tel,
-                        format!("unknown crypto backend {other:?}; expected auto|scalar|simd"),
-                    ),
+                    Some("auto") => None,
+                    Some(s) => Some(s.parse().unwrap_or_else(|e| fail(tel, e))),
+                    None => fail(tel, "--crypto-backend requires auto|scalar|simd".into()),
                 };
             }
             "--assert-speedup" => {
@@ -580,26 +549,21 @@ fn parse_args(tel: &Telemetry) -> Args {
     // Pin the crypto backend before any cipher is constructed so every
     // run in this process is uniform, then surface the choice: one log
     // line plus the `crypto.backend_simd` gauge (1 = AES-NI active).
-    match crypto_backend.as_str() {
-        "auto" => {}
-        "scalar" => plutus_crypto::backend::force_scalar(),
-        _ => {
-            if plutus_crypto::backend::detect() != plutus_crypto::CryptoBackend::AesNi {
-                fail(
-                    tel,
-                    "--crypto-backend simd requested, but this host has no \
-                     AES-NI/PCLMULQDQ support"
-                        .into(),
-                );
-            }
-            plutus_crypto::backend::force(plutus_crypto::CryptoBackend::AesNi);
+    if let Some(backend) = crypto_backend {
+        if backend == CryptoBackend::AesNi && plutus_crypto::backend::detect() != backend {
+            fail(
+                tel,
+                "--crypto-backend simd requested, but this host has no \
+                 AES-NI/PCLMULQDQ support"
+                    .into(),
+            );
         }
+        plutus_crypto::backend::force(backend);
     }
     let active_backend = plutus_crypto::backend::active();
     eprintln!("crypto backend: {active_backend}");
-    tel.gauge("crypto.backend_simd").set(u64::from(
-        active_backend == plutus_crypto::CryptoBackend::AesNi,
-    ));
+    tel.gauge("crypto.backend_simd")
+        .set(u64::from(active_backend == CryptoBackend::AesNi));
     if slo_gate && !matches!(campaign, Some(CampaignSel::Storm | CampaignSel::Soak)) {
         fail(
             tel,
@@ -619,7 +583,6 @@ fn parse_args(tel: &Telemetry) -> Args {
         let manifest = build_manifest(
             &argv,
             &experiment,
-            campaign,
             scale,
             &workloads,
             seed,
@@ -652,22 +615,15 @@ fn parse_args(tel: &Telemetry) -> Args {
     let exec = Executor::with_telemetry(jobs, tel.clone());
     if let Some(interval) = heartbeat {
         exec.set_heartbeat(interval);
-        // The watchdog observes from the heartbeat monitor thread, so
-        // it defaults on (4x the running median) whenever progress
-        // lines are requested; `--watchdog M` overrides the multiple.
-        exec.set_watchdog(watchdog.unwrap_or(4.0));
-    } else if let Some(multiple) = watchdog {
-        fail(
-            tel,
-            format!("--watchdog {multiple} has no effect without --heartbeat"),
-        );
+        // The watchdog observes from the heartbeat monitor thread, so it
+        // is on (4x the running median) whenever progress lines are.
+        exec.set_watchdog(4.0);
     }
     Args {
         experiment,
         scale,
         workloads,
         metrics_out: metrics_out.map(plutus_telemetry::in_run_dir),
-        metrics_format,
         epoch_cycles,
         campaign,
         trials,
@@ -699,24 +655,18 @@ fn parse_args(tel: &Telemetry) -> Args {
 /// The `manifest.json` document for a `--run-dir` run: everything that
 /// identifies the experiment (and gates [`diff_run_dirs`]
 /// comparability) plus the verbatim command line for humans.
-#[allow(clippy::too_many_arguments)]
 fn build_manifest(
     argv: &[String],
     experiment: &str,
-    campaign: Option<CampaignSel>,
     scale: Scale,
     workloads: &[WorkloadSpec],
     seed: u64,
     jobs: Option<usize>,
     crypto_backend: &str,
 ) -> Json {
-    let campaign_label = campaign.map(|c| match c {
-        CampaignSel::Adversarial(k) => k.label().to_string(),
-        CampaignSel::Transient => "transient".to_string(),
-        CampaignSel::Crash => "crash".to_string(),
-        CampaignSel::Storm => "storm".to_string(),
-        CampaignSel::Soak => "soak".to_string(),
-    });
+    // Parsing validated `--campaign`, so its (last) value is the label.
+    let campaign = argv.iter().rposition(|a| a == "--campaign");
+    let campaign = campaign.and_then(|i| argv.get(i + 1)).map(String::as_str);
     let mut doc = Json::object()
         .set("schema", MANIFEST_SCHEMA)
         .set(
@@ -724,10 +674,7 @@ fn build_manifest(
             Json::Array(argv.iter().map(|s| Json::from(s.as_str())).collect()),
         )
         .set("experiment", experiment)
-        .set(
-            "campaign",
-            campaign_label.map_or(Json::Null, |l| Json::from(l.as_str())),
-        )
+        .set("campaign", campaign.map_or(Json::Null, Json::from))
         .set("scale", format!("{scale:?}").to_lowercase())
         .set(
             "workloads",
@@ -742,16 +689,12 @@ fn build_manifest(
     doc
 }
 
-/// Runs a fault-injection campaign and validates the Eq. 1 bound,
-/// exiting nonzero when any measured forgery-acceptance rate exceeds it.
+/// Runs a fault-injection campaign, exiting nonzero when any measured
+/// forgery-acceptance rate exceeds the Eq. 1 bound.
 fn run_campaign_cli(args: &Args, cfg: &GpuConfig, kind: CampaignKind) {
     let mut campaign = CampaignConfig::new(kind, args.seed, args.scale);
-    if let Some(t) = args.trials {
-        campaign.runs = t;
-    }
-    if let Some(f) = args.faults_per_run {
-        campaign.faults_per_run = f;
-    }
+    campaign.runs = args.trials.unwrap_or(campaign.runs);
+    campaign.faults_per_run = args.faults_per_run.unwrap_or(campaign.faults_per_run);
     println!(
         "=== campaign {} ({} runs x {} faults, seed {}, {:?} scale) ===",
         kind.label(),
@@ -761,38 +704,31 @@ fn run_campaign_cli(args: &Args, cfg: &GpuConfig, kind: CampaignKind) {
         campaign.scale
     );
     let rows = run_campaign_on(&args.exec, &args.workloads, &campaign, cfg);
-    println!("{}", campaign_table(&rows));
-    let path = match save_campaign(&format!("campaign-{}", kind.label()), &rows) {
-        Ok(p) => p,
-        Err(e) => fail(&args.tel, format!("cannot write campaign results: {e}")),
-    };
-    println!("saved {} (and .csv)", path.display());
-    let checks = eq1_checks(&rows);
-    let mut failed = Vec::new();
-    for c in &checks {
-        println!(
-            "eq1 {}/{}: {} forgeries / {} adjudicated = {:.3e} (bound {:.3e}) {}",
-            c.workload,
-            c.scheme,
-            c.forgeries,
-            c.adjudicated,
-            c.empirical,
-            c.bound,
-            if c.holds() { "OK" } else { "VIOLATED" }
-        );
-        if !c.holds() {
-            failed.push(format!("{}/{}", c.workload, c.scheme));
-        }
+    let (name, report) = (format!("campaign-{}", kind.label()), campaign_report(&rows));
+    let ok = format!("forgery rates within the Eq. 1 bound {:.3e}", eq1_bound());
+    let (saved, gate) = (report.save(&name), campaign_gate(&rows));
+    publish(args, &name, &report.to_console(), saved, gate, &ok);
+}
+
+/// The one reporting tail: prints a report's console table, saves it,
+/// and runs its gate, exiting nonzero through [`fail`] when the save or
+/// any gate check fails.
+fn publish(
+    args: &Args,
+    name: &str,
+    console: &str,
+    saved: std::io::Result<Vec<PathBuf>>,
+    gate: Result<(), GateFailure>,
+    ok: &str,
+) {
+    println!("{console}");
+    match saved {
+        Ok(paths) => println!("saved {paths:?}"),
+        Err(e) => fail(&args.tel, format!("cannot write {name}: {e}")),
     }
-    if !failed.is_empty() {
-        fail(
-            &args.tel,
-            format!(
-                "Eq. 1 violated: measured value-verification forgery acceptance exceeds \
-                 the analytic binomial bound on {}",
-                failed.join(", ")
-            ),
-        );
+    match gate {
+        Ok(()) => println!("gate OK: {ok}"),
+        Err(e) => fail(&args.tel, format!("{name} gate failed: {e}")),
     }
 }
 
@@ -800,15 +736,9 @@ fn run_campaign_cli(args: &Args, cfg: &GpuConfig, kind: CampaignKind) {
 /// benign transient fault is misclassified as an attack.
 fn run_transient_cli(args: &Args, cfg: &GpuConfig) {
     let mut campaign = TransientCampaignConfig::new(args.seed, args.scale);
-    if let Some(r) = args.soft_error_rate {
-        campaign.soft_error_rate = r;
-    }
-    if let Some(l) = args.retry_limit {
-        campaign.retry_limit = l;
-    }
-    if let Some(t) = args.trials {
-        campaign.runs = t;
-    }
+    campaign.soft_error_rate = args.soft_error_rate.unwrap_or(campaign.soft_error_rate);
+    campaign.retry_limit = args.retry_limit.unwrap_or(campaign.retry_limit);
+    campaign.runs = args.trials.unwrap_or(campaign.runs);
     println!(
         "=== campaign transient (rate {}, retry limit {}, {} runs, seed {}, {:?} scale) ===",
         campaign.soft_error_rate,
@@ -824,22 +754,13 @@ fn run_transient_cli(args: &Args, cfg: &GpuConfig) {
         &campaign,
         cfg,
     );
-    println!("{}", transient_table(&rows));
-    let path = match save_transient_campaign("campaign-transient", &rows) {
-        Ok(p) => p,
-        Err(e) => fail(&args.tel, format!("cannot write transient results: {e}")),
-    };
-    println!("saved {} (and .csv)", path.display());
-    match transient_gate(&rows) {
-        Ok(()) => println!(
-            "gate OK: every detected transient recovered within {} retries",
-            campaign.retry_limit
-        ),
-        Err(e) => fail(
-            &args.tel,
-            format!("transient faults misclassified as attacks: {e}"),
-        ),
-    }
+    let (name, report) = ("campaign-transient", transient_report(&rows));
+    let ok = format!(
+        "every detected transient recovered within {} retries",
+        campaign.retry_limit
+    );
+    let (saved, gate) = (report.save(name), transient_gate(&rows));
+    publish(args, name, &report.to_console(), saved, gate, &ok);
 }
 
 /// Runs the multi-tenant overflow-storm (or soak) chaos campaign,
@@ -869,27 +790,13 @@ fn run_storm_cli(args: &Args, soak: bool) {
             campaign.crash_points += 1;
         }
     }
-    if let Some(n) = args.tenants {
-        campaign.victims = n;
-    }
-    if let Some(t) = args.trials {
-        campaign.crash_points = t;
-    }
-    if let Some(f) = args.faults_per_run {
-        campaign.faults = f;
-    }
-    if let Some(c) = args.checkpoint_cycles {
-        campaign.checkpoint_cycles = c;
-    }
-    if let Some(t) = args.tolerance {
-        campaign.ipc_tolerance = t;
-    }
-    if let Some(r) = args.soft_error_rate {
-        campaign.soft_error_rate = r;
-    }
-    if let Some(l) = args.retry_limit {
-        campaign.retry_limit = l;
-    }
+    campaign.victims = args.tenants.unwrap_or(campaign.victims);
+    campaign.crash_points = args.trials.unwrap_or(campaign.crash_points);
+    campaign.faults = args.faults_per_run.unwrap_or(campaign.faults);
+    campaign.checkpoint_cycles = args.checkpoint_cycles.unwrap_or(campaign.checkpoint_cycles);
+    campaign.ipc_tolerance = args.tolerance.unwrap_or(campaign.ipc_tolerance);
+    campaign.soft_error_rate = args.soft_error_rate.unwrap_or(campaign.soft_error_rate);
+    campaign.retry_limit = args.retry_limit.unwrap_or(campaign.retry_limit);
     campaign.inject_breach = args.inject_breach;
     let name = if soak { "soak" } else { "storm" };
     println!(
@@ -969,45 +876,34 @@ fn run_storm_cli(args: &Args, soak: bool) {
         };
         run_storm_campaign_observed(&args.exec, &campaign, &cfg, &mut observe_row)
     };
-    println!("{}", storm_table(&rows, &campaign));
-    let path = match save_storm_campaign(&format!("campaign-{name}"), &rows, &campaign) {
-        Ok(p) => p,
-        Err(e) => fail(&args.tel, format!("cannot write {name} results: {e}")),
-    };
-    println!("saved {} (and .csv)", path.display());
     let advisories = slo.anomalies().iter().filter(|a| !a.gating).count();
     if advisories > 0 {
         println!("slo: {advisories} advisory anomalies flagged (streamed as anomaly events)");
     }
-    if slo.breached() {
-        let detail = slo
-            .breaches()
-            .iter()
-            .map(|a| a.describe())
-            .collect::<Vec<_>>()
-            .join("; ");
-        if args.slo_gate {
-            fail(&args.tel, format!("SLO gate breached: {detail}"));
-        }
-        eprintln!("warning: SLO breached (run without --slo-gate): {detail}");
-    } else if args.slo_gate {
-        println!("SLO gate OK: every victim held its IPC floor with zero violations");
+    let breaches: Vec<String> = slo.breaches().iter().map(|a| a.describe()).collect();
+    if slo.breached() && !args.slo_gate {
+        eprintln!(
+            "warning: SLO breached (run without --slo-gate): {}",
+            breaches.join("; ")
+        );
     }
-    match storm_gate(&rows, &campaign) {
-        Ok(()) => println!(
-            "gate OK: victims isolated, backpressure held, rotation recovered bit-identical"
-        ),
-        Err(e) => fail(&args.tel, format!("{name} campaign breached: {e}")),
-    }
+    let mut gate = Gate::new();
+    gate.check("slo", !(args.slo_gate && slo.breached()), || {
+        format!("SLO gate breached: {}", breaches.join("; "))
+    });
+    gate.absorb(storm_gate(&rows, &campaign));
+    let name = format!("campaign-{name}");
+    let report = storm_report(&rows, &campaign);
+    let ok = "victims isolated, backpressure held, rotation recovered bit-identical";
+    let saved = report.save(&name);
+    publish(args, &name, &report.to_console(), saved, gate.finish(), ok);
 }
 
 /// Runs the crash-injection campaign, exiting nonzero unless every
 /// restore-and-recover audit reads back bit-identical.
 fn run_crash_cli(args: &Args, cfg: &GpuConfig) {
     let mut campaign = CrashCampaignConfig::new(args.checkpoint_cycles.unwrap_or(5000), args.scale);
-    if let Some(t) = args.trials {
-        campaign.crash_points = t;
-    }
+    campaign.crash_points = args.trials.unwrap_or(campaign.crash_points);
     println!(
         "=== campaign crash (checkpoint every {} cycles, {} crash points, {:?} scale) ===",
         campaign.checkpoint_cycles, campaign.crash_points, campaign.scale
@@ -1019,21 +915,11 @@ fn run_crash_cli(args: &Args, cfg: &GpuConfig) {
         &campaign,
         cfg,
     );
-    println!("{}", crash_table(&rows));
-    let path = match save_crash_campaign("campaign-crash", &rows) {
-        Ok(p) => p,
-        Err(e) => fail(&args.tel, format!("cannot write crash results: {e}")),
-    };
-    println!("saved {} (and .csv)", path.display());
-    match crash_gate(&rows) {
-        Ok(()) => {
-            let audited: u64 = rows.iter().map(|r| r.audited).sum();
-            println!(
-                "gate OK: {audited} post-recovery reads bit-identical, no spurious violations"
-            );
-        }
-        Err(e) => fail(&args.tel, format!("crash recovery diverged: {e}")),
-    }
+    let audited: u64 = rows.iter().map(|r| r.audited).sum();
+    let ok = format!("{audited} post-recovery reads bit-identical, no spurious violations");
+    let (name, report) = ("campaign-crash", crash_report(&rows));
+    let (saved, gate) = (report.save(name), crash_gate(&rows));
+    publish(args, name, &report.to_console(), saved, gate, &ok);
 }
 
 fn main() {
@@ -1181,30 +1067,30 @@ fn run_obs_diff(args: &Args) {
             ),
         );
     };
-    let diff = match diff_run_dirs(Path::new(a), Path::new(b)) {
-        Ok(d) => d,
-        Err(e) => fail(&args.tel, format!("obs-diff: {e}")),
-    };
-    let tolerance = args.tolerance.unwrap_or(0.0);
-    println!(
-        "obs-diff {a} vs {b}: {} shared reports compared",
-        diff.compared.len()
-    );
+    let diff = diff_run_dirs(Path::new(a), Path::new(b))
+        .unwrap_or_else(|e| fail(&args.tel, format!("obs-diff: {e}")));
+    gate_diff("obs-diff", &diff, args.tolerance.unwrap_or(0.0));
+}
+
+/// Prints a diff's verdict at `tolerance` and exits 1 when a leaf
+/// regressed or a report exists on one side only.
+fn gate_diff(label: &str, diff: &ObsDiff, tolerance: f64) {
     for s in &diff.one_sided {
         eprintln!("coverage changed: {s}");
     }
     let regressions = diff.regressions(tolerance);
+    let pct = tolerance * 100.0;
     if regressions.is_empty() && diff.one_sided.is_empty() {
         println!(
-            "obs-diff OK: no regressions beyond {:.1}% tolerance ({} leaves changed within it)",
-            tolerance * 100.0,
+            "{label} OK: {} reports compared, no regressions beyond {pct:.1}% tolerance \
+             ({} leaves changed within it)",
+            diff.compared.len(),
             diff.changed.len()
         );
     } else {
         eprintln!(
-            "obs-diff: {} leaves regressed beyond {:.1}% tolerance:",
-            regressions.len(),
-            tolerance * 100.0
+            "{label} FAILED: {} leaves regressed beyond {pct:.1}% tolerance:",
+            regressions.len()
         );
         eprint!("{}", obs_diff_table(&regressions));
         std::process::exit(1);
@@ -1212,28 +1098,24 @@ fn run_obs_diff(args: &Args) {
 }
 
 /// The `cipher_bench` microbenchmark: scalar vs native crypto-backend
-/// throughput, saved under `target/experiments/cipher_bench.json`.
+/// throughput, saved into the report directory as `cipher_bench.json`.
 /// `--assert-speedup X` gates the batched primitives at X× native over
 /// scalar (CI's proof that the SIMD backend actually engaged).
 fn cipher_bench_cli(args: &Args) {
     let (native, rows) = plutus_bench::run_cipher_bench();
-    print!("{}", plutus_bench::cipher_bench_table(native, &rows));
-    let dir = PathBuf::from("target/experiments");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        fail(&args.tel, format!("cannot create {}: {e}", dir.display()));
-    }
-    let path = dir.join("cipher_bench.json");
-    let doc = plutus_bench::cipher_bench_json(native, &rows).to_string_pretty();
-    if let Err(e) = plutus_telemetry::atomic_write(&path, doc) {
-        fail(&args.tel, format!("cannot write {}: {e}", path.display()));
-    }
-    println!("saved {}", path.display());
-    if let Some(min) = args.assert_speedup {
-        match plutus_bench::cipher_bench_gate(native, &rows, min) {
-            Ok(()) => println!("gate OK: every batched primitive at >= {min:.2}x over scalar"),
-            Err(e) => fail(&args.tel, format!("cipher_bench speedup gate failed: {e}")),
-        }
-    }
+    let (gate, ok) = match args.assert_speedup {
+        Some(min) => (
+            cipher_bench_gate(native, &rows, min),
+            format!("every batched primitive at >= {min:.2}x over scalar"),
+        ),
+        None => (
+            Ok(()),
+            "no speedup asserted (pass --assert-speedup X)".into(),
+        ),
+    };
+    let report = cipher_bench_report(native, &rows);
+    let saved = report.save("cipher_bench");
+    publish(args, "cipher_bench", &report.to_console(), saved, gate, &ok);
 }
 
 /// Deduplicates the collected matrix measurements: figures overlap in
@@ -1268,40 +1150,11 @@ fn write_ledger(args: &Args) {
             "--ledger-out needs at least one matrix experiment (e.g. fig6 or figrepro)".into(),
         );
     }
-    if let Err(e) = ledger_gate(&rows) {
-        fail(
-            &args.tel,
-            format!("cycle-ledger conservation violated:\n{e}"),
-        );
-    }
-    if let Err(e) = plutus_telemetry::atomic_write(path, ledger_json(&rows).to_string_pretty()) {
-        fail(
-            &args.tel,
-            format!("cannot write ledger to {}: {e}", path.display()),
-        );
-    }
-    let csv = path.with_extension("csv");
-    if let Err(e) = plutus_telemetry::atomic_write(&csv, ledger_csv(&rows)) {
-        fail(
-            &args.tel,
-            format!("cannot write ledger CSV to {}: {e}", csv.display()),
-        );
-    }
-    let folded = path.with_extension("folded");
-    if let Err(e) = plutus_telemetry::atomic_write(&folded, ledger_folded(&rows)) {
-        fail(
-            &args.tel,
-            format!("cannot write ledger stacks to {}: {e}", folded.display()),
-        );
-    }
-    println!("\n{}", cpi_stack_table(&rows));
-    println!(
-        "ledger gate OK: {} runs conservation-exact; written to {} (+ {} and {})",
-        rows.len(),
-        path.display(),
-        csv.display(),
-        folded.display()
-    );
+    let siblings = [("csv", ledger_csv(&rows)), ("folded", ledger_folded(&rows))];
+    let saved = save_report(path, &ledger_json(&rows), &siblings);
+    let ok = format!("{} runs conservation-exact", rows.len());
+    let (table, gate) = (cpi_stack_table(&rows), ledger_gate(&rows));
+    publish(args, "cycle ledger", &table, saved, gate, &ok);
 }
 
 /// Prints the cumulative scheduler dump when `--sched-stats` is active.
@@ -1314,9 +1167,12 @@ fn write_sched_stats(args: &Args) {
 fn write_metrics(args: &Args) {
     if let Some(path) = &args.metrics_out {
         let report = args.tel.report();
-        let text = match args.metrics_format {
-            MetricsFormat::Json => report.to_json().to_string_pretty(),
-            MetricsFormat::Csv => report.to_csv(),
+        // The extension picks the exporter: `.csv` is CSV, anything
+        // else JSON.
+        let text = if path.extension().is_some_and(|e| e == "csv") {
+            report.to_csv()
+        } else {
+            report.to_json().to_string_pretty()
         };
         if let Err(e) = plutus_telemetry::atomic_write(path, text) {
             fail(
@@ -1368,8 +1224,9 @@ fn write_trace(args: &Args) {
 }
 
 /// Emits the canonical perf snapshot (`--bench-out`) and runs the
-/// tolerance-gated regression comparison (`--compare`), exiting with
-/// status 1 when any metric regressed beyond `--tolerance`.
+/// regression gate (`--compare`): the obs-diff of the committed
+/// baseline and this snapshot, exiting with status 1 when any metric
+/// regressed beyond `--tolerance`.
 fn run_bench_gate(args: &Args) {
     if args.bench_out.is_none() && args.compare.is_none() {
         return;
@@ -1386,9 +1243,9 @@ fn run_bench_gate(args: &Args) {
         crypto_backend: plutus_crypto::backend::active().to_string(),
         version: env!("CARGO_PKG_VERSION").to_string(),
     };
-    let snapshot = bench_snapshot_with(&rows, &provenance).to_string_pretty();
+    let snapshot = bench_snapshot_with(&rows, &provenance);
     if let Some(path) = &args.bench_out {
-        if let Err(e) = plutus_telemetry::atomic_write(path, &snapshot) {
+        if let Err(e) = save_report(path, &snapshot, &[]) {
             fail(
                 &args.tel,
                 format!("cannot write bench snapshot to {}: {e}", path.display()),
@@ -1396,35 +1253,11 @@ fn run_bench_gate(args: &Args) {
         }
         println!("bench snapshot written to {}", path.display());
     }
-    if let Some(base_path) = &args.compare {
-        let baseline = match std::fs::read_to_string(base_path) {
-            Ok(t) => t,
-            Err(e) => fail(
-                &args.tel,
-                format!("cannot read baseline {}: {e}", base_path.display()),
-            ),
-        };
-        let tolerance = args.tolerance.unwrap_or(0.02);
-        match compare_bench(&snapshot, &baseline, tolerance) {
-            Err(e) => fail(&args.tel, format!("regression comparison failed: {e}")),
-            Ok(regressions) if !regressions.is_empty() => {
-                eprintln!(
-                    "regression gate FAILED against {} (tolerance {:.1}%):",
-                    base_path.display(),
-                    tolerance * 100.0
-                );
-                for r in &regressions {
-                    eprintln!("  {r}");
-                }
-                std::process::exit(1);
-            }
-            Ok(_) => println!(
-                "regression gate OK against {} ({} entries, tolerance {:.1}%)",
-                base_path.display(),
-                rows.len(),
-                tolerance * 100.0
-            ),
-        }
+    if let Some(base) = &args.compare {
+        let diff = read_report(base)
+            .and_then(|b| diff_documents(&base.display().to_string(), &b, &snapshot))
+            .unwrap_or_else(|e| fail(&args.tel, format!("regression comparison failed: {e}")));
+        gate_diff("regression gate", &diff, args.tolerance.unwrap_or(0.02));
     }
 }
 
@@ -1587,8 +1420,7 @@ fn ipc_figure(name: &str, args: &Args, cfg: &GpuConfig, schemes: &[Scheme]) {
     for s in &schemes[1..] {
         summarize_vs(&rows, &s.label(), &base);
     }
-    let path = args.save(name, &rows);
-    println!("saved {}", path.display());
+    args.save(name, &rows);
 }
 
 fn fig6(args: &Args, cfg: &GpuConfig) {
@@ -1611,8 +1443,7 @@ fn fig6(args: &Args, cfg: &GpuConfig) {
         "secure memory (PSSM) keeps {:.1}% of insecure IPC on geomean",
         geomean(slowdowns.iter().copied()) * 100.0
     );
-    let path = args.save("fig6", &rows);
-    println!("saved {}", path.display());
+    args.save("fig6", &rows);
 }
 
 fn fig7(args: &Args, cfg: &GpuConfig) {
@@ -1642,8 +1473,7 @@ fn fig7(args: &Args, cfg: &GpuConfig) {
             (total - data) / data * 100.0
         );
     }
-    let path = args.save("fig7", &rows);
-    println!("saved {}", path.display());
+    args.save("fig7", &rows);
 }
 
 fn fig9(args: &Args, _cfg: &GpuConfig) {
@@ -1686,8 +1516,7 @@ fn fig9(args: &Args, _cfg: &GpuConfig) {
             ledger_partitions: Vec::new(),
         });
     }
-    let path = args.save("fig9", &json_rows);
-    println!("saved {}", path.display());
+    args.save("fig9", &json_rows);
 }
 
 fn fig10(args: &Args) {
@@ -1725,8 +1554,7 @@ fn fig18(args: &Args, cfg: &GpuConfig) {
     );
     summarize_vs(&rows, "plutus", "pssm");
     summarize_vs(&rows, "plutus", "common-counters");
-    let path = args.save("fig18", &rows);
-    println!("saved {}", path.display());
+    args.save("fig18", &rows);
 }
 
 fn fig19(args: &Args, cfg: &GpuConfig) {
@@ -1769,8 +1597,7 @@ fn fig19(args: &Args, cfg: &GpuConfig) {
         best.0 * 100.0,
         best.1
     );
-    let path = args.save("fig19", &rows);
-    println!("saved {}", path.display());
+    args.save("fig19", &rows);
 }
 
 /// The figure-reproduction report: the canonical
@@ -1788,8 +1615,7 @@ fn figrepro(args: &Args, cfg: &GpuConfig) {
     let rows = args.matrix(cfg, &schemes);
     let cols = vec!["pssm".into(), "common-counters".into(), "plutus".into()];
     print!("{}", figure_report(&rows, &cols));
-    let path = args.save("figrepro", &rows);
-    println!("saved {}", path.display());
+    args.save("figrepro", &rows);
 }
 
 fn fig22(args: &Args, cfg: &GpuConfig) {
@@ -1826,6 +1652,5 @@ fn fig22(args: &Args, cfg: &GpuConfig) {
         (geomean(pssm_all.iter().copied()) - 1.0) * 100.0,
         (geomean(plutus_all.iter().copied()) - 1.0) * 100.0
     );
-    let path = args.save("fig22", &rows);
-    println!("saved {}", path.display());
+    args.save("fig22", &rows);
 }

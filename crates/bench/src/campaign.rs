@@ -18,16 +18,13 @@ use gpu_sim::{
     FaultKind, FaultOutcome, FaultRecord, FaultSchedule, FaultTrigger, GpuConfig, MetaFault,
     ScheduledFault, SectorAddr, Simulator, Trace,
 };
-use plutus_core::binomial::{
-    binomial_tail, plutus_min_hits, tamper_hit_probability, VALUES_PER_UNIT,
-};
-use plutus_core::ValueCacheConfig;
 use plutus_exec::{expect_all, Executor, Job};
-use plutus_telemetry::Json;
+pub use plutus_recovery::eq1_bound;
+use plutus_recovery::randomizes_plaintext;
+use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use workloads::{Scale, WorkloadSpec};
 
 /// Which fault family a campaign injects.
@@ -44,15 +41,11 @@ pub enum CampaignKind {
 }
 
 impl CampaignKind {
-    /// Parses a CLI spelling.
+    /// Parses a CLI spelling (the [`CampaignKind::label`]).
     pub fn parse(s: &str) -> Option<CampaignKind> {
-        match s {
-            "tamper" => Some(CampaignKind::Tamper),
-            "replay" => Some(CampaignKind::Replay),
-            "rollback" => Some(CampaignKind::Rollback),
-            "sweep" => Some(CampaignKind::Sweep),
-            _ => None,
-        }
+        [Self::Tamper, Self::Replay, Self::Rollback, Self::Sweep]
+            .into_iter()
+            .find(|k| k.label() == s)
     }
 
     /// Stable label used in report file names.
@@ -102,7 +95,7 @@ pub fn campaign_schemes() -> [Scheme; 3] {
 }
 
 /// Aggregated campaign outcome for one (workload, engine) pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignRow {
     /// Workload name.
     pub workload: String,
@@ -138,16 +131,7 @@ impl CampaignRow {
         Self {
             workload: workload.to_string(),
             scheme: scheme.label(),
-            injected: 0,
-            applied: 0,
-            detected: 0,
-            escaped: 0,
-            value_forgeries: 0,
-            clobbered: 0,
-            unobserved: 0,
-            not_applied: 0,
-            layer_hist: Vec::new(),
-            latencies: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -222,20 +206,6 @@ impl CampaignRow {
             }
         }
     }
-}
-
-/// Fault kinds whose applied effect changes the plaintext served to the
-/// core — the only kinds whose value-verified escapes count as forgery
-/// acceptances under Eq. 1. A tampered MAC or BMT node leaves the data
-/// path honest (the tampered structure simply goes unconsulted on a
-/// value-verified read), so such escapes are expected behaviour, not
-/// forgeries: Eq. 1 bounds the chance that *non-authentic* plaintext
-/// clears the 3-of-4 value screen.
-fn randomizes_plaintext(kind: &str) -> bool {
-    matches!(
-        kind,
-        "corrupt_data" | "replay_data" | "rollback_counter" | "rollback_compact"
-    )
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -494,181 +464,57 @@ pub fn run_campaign_on(
     out
 }
 
-/// One empirical-vs-analytic Eq. 1 comparison (paper Section IV-C).
-#[derive(Debug, Clone)]
-pub struct Eq1Check {
-    /// Workload name.
-    pub workload: String,
-    /// Scheme label.
-    pub scheme: String,
-    /// Faults a verification layer ruled on.
-    pub adjudicated: u64,
-    /// Value-verification forgery acceptances among them.
-    pub forgeries: u64,
-    /// Measured acceptance rate.
-    pub empirical: f64,
-    /// Analytic Eq. 1 bound the measurement must not exceed.
-    pub bound: f64,
-}
-
-impl Eq1Check {
-    /// True when the measurement respects the analytic bound.
-    pub fn holds(&self) -> bool {
-        self.empirical <= self.bound
-    }
-}
-
-/// The analytic Eq. 1 forgery bound at the default value-cache design
-/// point: `P(X ≥ x)` for one 128-bit unit under a tampered decrypt.
-pub fn eq1_bound() -> f64 {
-    let vc = ValueCacheConfig::default();
-    let p = tamper_hit_probability(vc.entries, vc.effective_bits());
-    binomial_tail(
-        VALUES_PER_UNIT,
-        plutus_min_hits(vc.entries, vc.effective_bits()),
-        p,
-    )
-}
-
-/// Extracts an [`Eq1Check`] per row of a value-verifying engine.
-pub fn eq1_checks(rows: &[CampaignRow]) -> Vec<Eq1Check> {
-    let bound = eq1_bound();
-    rows.iter()
-        .filter(|r| {
-            r.scheme == Scheme::Plutus.label() || r.scheme == Scheme::ValueVerifyOnly.label()
-        })
-        .map(|r| Eq1Check {
-            workload: r.workload.clone(),
-            scheme: r.scheme.clone(),
-            adjudicated: r.adjudicated(),
-            forgeries: r.value_forgeries,
-            empirical: r.forgery_rate(),
-            bound,
-        })
-        .collect()
-}
-
-/// Renders campaign rows as a JSON document.
-pub fn campaign_json(rows: &[CampaignRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| {
-                let (lat_min, lat_mean, lat_p50, lat_max) = r.latency_summary();
-                let hist = r
-                    .layer_hist
-                    .iter()
-                    .fold(Json::object(), |o, (k, v)| o.set(k, *v));
-                Json::object()
-                    .set("workload", r.workload.as_str())
-                    .set("scheme", r.scheme.as_str())
-                    .set("injected", r.injected)
-                    .set("applied", r.applied)
-                    .set("detected", r.detected)
-                    .set("escaped", r.escaped)
-                    .set("value_forgeries", r.value_forgeries)
-                    .set("clobbered", r.clobbered)
-                    .set("unobserved", r.unobserved)
-                    .set("not_applied", r.not_applied)
-                    .set("detection_rate", r.detection_rate())
-                    .set("escape_rate", r.escape_rate())
-                    .set("forgery_rate", r.forgery_rate())
-                    .set("layer_histogram", hist)
-                    .set("latency_min", lat_min)
-                    .set("latency_mean", lat_mean)
-                    .set("latency_p50", lat_p50)
-                    .set("latency_max", lat_max)
-            })
-            .collect(),
-    )
-}
-
-/// Renders campaign rows as CSV (one row per workload × engine).
-pub fn campaign_csv(rows: &[CampaignRow]) -> String {
-    let mut out = String::from(
-        "workload,scheme,injected,applied,detected,escaped,value_forgeries,clobbered,\
-         unobserved,not_applied,detection_rate,escape_rate,latency_mean,latency_p50,latency_max\n",
-    );
-    for r in rows {
-        let (_, lat_mean, lat_p50, lat_max) = r.latency_summary();
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.1},{},{}\n",
-            r.workload,
-            r.scheme,
-            r.injected,
-            r.applied,
-            r.detected,
-            r.escaped,
-            r.value_forgeries,
-            r.clobbered,
-            r.unobserved,
-            r.not_applied,
-            r.detection_rate(),
-            r.escape_rate(),
-            lat_mean,
-            lat_p50,
-            lat_max
-        ));
-    }
-    out
-}
-
-/// Writes campaign results as JSON and CSV under `target/experiments/`,
-/// returning the JSON path.
+/// The campaign gate (paper Section IV-C): on every value-verifying
+/// engine, the measured forgery-acceptance rate stays at or below the
+/// analytic Eq. 1 bound.
 ///
 /// # Errors
 ///
-/// Returns any I/O error.
-pub fn save_campaign(name: &str, rows: &[CampaignRow]) -> std::io::Result<PathBuf> {
-    let dir = Path::new("target/experiments");
-    std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("{name}.json"));
-    plutus_telemetry::atomic_write(&json_path, campaign_json(rows).to_string_pretty())?;
-    plutus_telemetry::atomic_write(dir.join(format!("{name}.csv")), campaign_csv(rows))?;
-    Ok(json_path)
+/// Returns the failure naming every row over the bound.
+pub fn campaign_gate(rows: &[CampaignRow]) -> Result<(), GateFailure> {
+    let bound = eq1_bound();
+    let value_verifying = [Scheme::Plutus.label(), Scheme::ValueVerifyOnly.label()];
+    let mut gate = Gate::new();
+    for r in rows.iter().filter(|r| value_verifying.contains(&r.scheme)) {
+        gate.check("eq1", r.forgery_rate() <= bound, || {
+            format!(
+                "{}/{}: {} forgeries / {} adjudicated = {:.3e} exceeds the bound {bound:.3e}",
+                r.workload,
+                r.scheme,
+                r.value_forgeries,
+                r.adjudicated(),
+                r.forgery_rate()
+            )
+        });
+    }
+    gate.finish()
 }
 
-/// Renders the per-(workload, engine) campaign table.
-pub fn campaign_table(rows: &[CampaignRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14}{:<18}{:>9}{:>9}{:>9}{:>9}{:>7}{:>9}{:>11}{:>10}",
-        "workload",
-        "scheme",
-        "injected",
-        "applied",
-        "detected",
-        "escaped",
-        "other",
-        "det-rate",
-        "lat-p50",
-        "layers"
-    );
-    for r in rows {
-        let (_, _, lat_p50, _) = r.latency_summary();
-        let layers = r
-            .layer_hist
-            .iter()
-            .map(|(k, v)| format!("{k}:{v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(
-            out,
-            "{:<14}{:<18}{:>9}{:>9}{:>9}{:>9}{:>7}{:>8.1}%{:>11}  {}",
-            r.workload,
-            r.scheme,
-            r.injected,
-            r.applied,
-            r.detected,
-            r.escaped,
-            r.clobbered + r.unobserved + r.not_applied,
-            r.detection_rate() * 100.0,
-            lat_p50,
-            layers
-        );
-    }
-    out
+/// The campaign report: one row per (workload, engine).
+pub fn campaign_report(rows: &[CampaignRow]) -> Table<'_, CampaignRow> {
+    Table::new(rows)
+        .show("workload", |r| r.workload.as_str().into())
+        .show("scheme", |r| r.scheme.as_str().into())
+        .show("injected", |r| r.injected.into())
+        .show("applied", |r| r.applied.into())
+        .show("detected", |r| r.detected.into())
+        .show("escaped", |r| r.escaped.into())
+        .show("value_forgeries", |r| r.value_forgeries.into())
+        .col("clobbered", |r| r.clobbered.into())
+        .col("unobserved", |r| r.unobserved.into())
+        .col("not_applied", |r| r.not_applied.into())
+        .show("detection_rate", |r| r.detection_rate().into())
+        .col("escape_rate", |r| r.escape_rate().into())
+        .col("forgery_rate", |r| r.forgery_rate().into())
+        .nest("layer_histogram", |r| {
+            r.layer_hist
+                .iter()
+                .fold(Json::object(), |o, (k, v)| o.set(k, *v))
+        })
+        .col("latency_min", |r| r.latency_summary().0.into())
+        .col("latency_mean", |r| r.latency_summary().1.into())
+        .show("latency_p50", |r| r.latency_summary().2.into())
+        .col("latency_max", |r| r.latency_summary().3.into())
 }
 
 #[cfg(test)]
@@ -712,16 +558,7 @@ mod tests {
         assert_eq!(rows.len(), campaign_schemes().len());
         let total_detected: u64 = rows.iter().map(|r| r.detected).sum();
         assert!(total_detected > 0, "campaign must catch something");
-        for check in eq1_checks(&rows) {
-            assert!(
-                check.holds(),
-                "{}/{}: empirical {} > bound {}",
-                check.workload,
-                check.scheme,
-                check.empirical,
-                check.bound
-            );
-        }
+        campaign_gate(&rows).expect("value-verification forgeries stay within Eq. 1");
         // Detected faults carry the detecting layer and a latency sample.
         for r in &rows {
             let hist_total: u64 = r.layer_hist.iter().map(|(_, v)| v).sum();
@@ -741,12 +578,20 @@ mod tests {
             escaped: 0,
             ..CampaignRow::new("bfs", &Scheme::Plutus)
         }];
-        let json = campaign_json(&rows).to_string_pretty();
+        let report = campaign_report(&rows);
+        let json = report.to_json().to_string_pretty();
         assert!(json.contains("\"detection_rate\""));
         assert!(json.contains("\"mac\": 2"));
-        let csv = campaign_csv(&rows);
+        let csv = report.to_csv();
         assert!(csv.starts_with("workload,scheme"));
-        assert!(csv.contains("bfs,plutus"));
+        assert!(csv.contains("bfs,plutus,4,3,2,0,0"));
+        assert!(report.to_console().contains("plutus"));
+        // A forgery rate over the Eq. 1 bound fails the gate by name.
+        let forged = [CampaignRow {
+            value_forgeries: 1,
+            ..rows[0].clone()
+        }];
+        assert_eq!(campaign_gate(&forged).unwrap_err().violations[0].0, "eq1");
     }
 
     #[test]

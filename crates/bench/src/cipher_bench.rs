@@ -6,12 +6,13 @@
 //! Each primitive is timed twice — once with the backend forced to the
 //! portable scalar tables, once under the backend that was active at
 //! entry (AES-NI where the CPU has it, otherwise scalar again) — and
-//! reported as MiB/s plus the native/scalar speedup. `gate` turns the
-//! batched-primitive speedups into a CI assertion.
+//! reported as MiB/s plus the native/scalar speedup.
+//! [`cipher_bench_gate`] turns the batched-primitive speedups into a CI
+//! assertion.
 
 use plutus_crypto::backend::{self, CryptoBackend};
 use plutus_crypto::{Cmac, CounterMode, Tweak, Xts};
-use plutus_telemetry::Json;
+use plutus_telemetry::{Gate, GateFailure, Table};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -139,74 +140,51 @@ pub fn run_cipher_bench() -> (CryptoBackend, Vec<CipherBenchRow>) {
     (native, rows)
 }
 
-/// Renders the measurement table.
-pub fn cipher_bench_table(native: CryptoBackend, rows: &[CipherBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<30} {:>14} {:>14} {:>9}\n",
-        "primitive",
-        "scalar MiB/s",
-        format!("{native} MiB/s"),
-        "speedup"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<30} {:>14.1} {:>14.1} {:>8.2}x\n",
-            r.primitive,
-            r.scalar_mibps,
-            r.native_mibps,
-            r.speedup()
-        ));
-    }
-    out
-}
-
-/// The JSON document committed under `target/experiments/`.
-pub fn cipher_bench_json(native: CryptoBackend, rows: &[CipherBenchRow]) -> Json {
-    Json::object()
-        .set("native_backend", native.to_string())
-        .set(
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object()
-                            .set("primitive", r.primitive)
-                            .set("bytes_per_call", r.bytes_per_call)
-                            .set("scalar_mibps", r.scalar_mibps)
-                            .set("native_mibps", r.native_mibps)
-                            .set("speedup", r.speedup())
-                            .set("batched", r.batched)
-                    })
-                    .collect(),
-            ),
-        )
+/// The cipher_bench report: one row per primitive, stamped with the
+/// native backend it ran against.
+pub fn cipher_bench_report(
+    native: CryptoBackend,
+    rows: &[CipherBenchRow],
+) -> Table<'_, CipherBenchRow> {
+    Table::new(rows)
+        .show("primitive", |r| r.primitive.into())
+        .show("native_backend", move |_| native.to_string().into())
+        .col("bytes_per_call", |r| r.bytes_per_call.into())
+        .show("scalar_mibps", |r| r.scalar_mibps.into())
+        .show("native_mibps", |r| r.native_mibps.into())
+        .show("speedup", |r| r.speedup().into())
+        .col("batched", |r| r.batched.into())
 }
 
 /// The `--assert-speedup` CI gate: every *batched* primitive must reach
 /// `min` native/scalar speedup. Refuses to pass trivially when the
 /// native backend is the scalar one.
+///
+/// # Errors
+///
+/// Returns the failure naming every violated check.
 pub fn cipher_bench_gate(
     native: CryptoBackend,
     rows: &[CipherBenchRow],
     min: f64,
-) -> Result<(), String> {
-    if native == CryptoBackend::Scalar {
-        return Err(format!(
+) -> Result<(), GateFailure> {
+    let mut gate = Gate::new();
+    gate.check("backend", native != CryptoBackend::Scalar, || {
+        format!(
             "--assert-speedup {min} needs a SIMD backend, but the native backend is scalar \
              (no AES-NI on this host, or --crypto-backend scalar was passed)"
-        ));
-    }
+        )
+    });
     for r in rows.iter().filter(|r| r.batched) {
         let s = r.speedup();
-        if s.is_nan() || s < min {
-            return Err(format!(
+        gate.check("speedup", s >= min, || {
+            format!(
                 "{}: native/scalar speedup {s:.2}x below the required {min:.2}x",
                 r.primitive
-            ));
-        }
+            )
+        });
     }
-    Ok(())
+    gate.finish()
 }
 
 #[cfg(test)]
@@ -248,9 +226,10 @@ mod tests {
             native_mibps: 500.0,
             batched: true,
         }];
-        let doc = cipher_bench_json(CryptoBackend::AesNi, &rows).to_string_pretty();
+        let report = cipher_bench_report(CryptoBackend::AesNi, &rows);
+        let doc = report.to_json().to_string_pretty();
         assert!(doc.contains("\"native_backend\": \"aes-ni\""));
         assert!(doc.contains("\"speedup\": 5"));
-        assert!(cipher_bench_table(CryptoBackend::AesNi, &rows).contains("5.00x"));
+        assert!(report.to_console().contains("5.000"));
     }
 }

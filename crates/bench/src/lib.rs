@@ -19,19 +19,16 @@ pub mod report;
 pub mod runner;
 pub mod trace_export;
 
-pub use baseline::{
-    bench_snapshot, bench_snapshot_with, compare_bench, BenchProvenance, BENCH_SCHEMA,
-};
+pub use baseline::{bench_snapshot, bench_snapshot_with, BenchProvenance, BENCH_SCHEMA};
 pub use campaign::{
-    campaign_csv, campaign_json, campaign_schemes, campaign_table, eq1_bound, eq1_checks,
-    run_campaign, run_campaign_on, save_campaign, CampaignConfig, CampaignKind, CampaignRow,
-    Eq1Check,
+    campaign_gate, campaign_report, campaign_schemes, eq1_bound, run_campaign, run_campaign_on,
+    CampaignConfig, CampaignKind, CampaignRow,
 };
-pub use cipher_bench::{
-    cipher_bench_gate, cipher_bench_json, cipher_bench_table, run_cipher_bench, CipherBenchRow,
-};
+pub use cipher_bench::{cipher_bench_gate, cipher_bench_report, run_cipher_bench, CipherBenchRow};
 pub use energy::EnergyModel;
-pub use obsdiff::{diff_run_dirs, manifest_compat, obs_diff_table, DiffRow, ObsDiff};
+pub use obsdiff::{
+    diff_documents, diff_run_dirs, manifest_compat, obs_diff_table, read_report, DiffRow, ObsDiff,
+};
 pub use report::{
     cpi_stack_table, degenerate_warning, degenerate_workloads, figure_report, ledger_csv,
     ledger_folded, ledger_gate, ledger_json, matrix_table, pct_change, save_json, LEDGER_SCHEMA,

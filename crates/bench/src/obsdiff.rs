@@ -1,13 +1,28 @@
-//! Cross-run diffing of observability run directories.
+//! Cross-run diffing: the one engine behind `experiments obs-diff` and
+//! the `--compare` regression gate.
 //!
 //! `experiments obs-diff A B [--tolerance F]` compares two run
-//! directories produced with `--run-dir`. Manifests gate the diff:
-//! two runs that disagree on seed, crypto backend, scale, workload
-//! set, or experiment selection are different experiments, and diffing
-//! them produces noise, not regressions. Compatible runs are then
-//! compared report by report — every `*.json` both directories carry,
-//! walked down to its numeric (and boolean) leaves — and the changed
-//! leaves are ranked by percent change, worst first.
+//! directories produced with `--run-dir`, every `*.json` report both
+//! carry; `--compare BASELINE` compares this run's bench snapshot with
+//! a committed one. Both are the same diff of JSON documents:
+//!
+//! - **Identity first.** Runs that disagree on seed or crypto backend
+//!   (and, for run directories, on scale, workload set, experiment or
+//!   campaign) are different experiments, and diffing them produces
+//!   noise, not regressions. Manifests and snapshot `provenance` blocks
+//!   go through one identity check; `provenance` is never a diffed
+//!   leaf. Documents whose `schema` differs are refused too.
+//! - **Leaves by identity.** Every numeric (and boolean) leaf becomes a
+//!   dotted path. Array rows carrying `workload`, `scheme`, `phase` or
+//!   `primitive` are keyed by those values, repeats told apart by
+//!   occurrence, so reordered or inserted rows shift nothing; other
+//!   arrays are keyed by position.
+//! - **Directions.** A leaf takes the direction of the nearest key on
+//!   its path that has one: `ipc`/`norm_ipc` are higher-is-better;
+//!   `cycles`, `*_bytes`, `metadata_overhead_pct` and latencies are
+//!   lower-is-better; everything else is two-sided. A leaf regresses
+//!   when it moves the bad way beyond the tolerance, when it is NaN, or
+//!   when it vanished. A leaf that only B has is new coverage.
 //!
 //! Leaves whose path contains a known scheduler-nondeterministic
 //! metric ([`plutus_telemetry::STREAM_NONDETERMINISTIC`]) are skipped,
@@ -20,87 +35,186 @@
 
 use crate::report::pct_change;
 use plutus_telemetry::{Json, MANIFEST_FILE, MANIFEST_SCHEMA, STREAM_NONDETERMINISTIC};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 /// One numeric leaf that changed between run A and run B.
 #[derive(Debug, Clone)]
 pub struct DiffRow {
-    /// Report file both directories carry (e.g. `campaign-storm.json`).
+    /// Report the leaf belongs to (e.g. `campaign-storm.json`).
     pub file: String,
     /// Dotted path to the leaf inside the document.
     pub path: String,
-    /// Value in run A (NaN when the leaf exists only in B).
-    pub a: f64,
-    /// Value in run B (NaN when the leaf exists only in A).
-    pub b: f64,
-    /// `pct_change(b, a)`, in percent; non-finite for appear/vanish.
+    /// Value in run A; `None` when the leaf exists only in B.
+    pub a: Option<f64>,
+    /// Value in run B; `None` when the leaf vanished.
+    pub b: Option<f64>,
+    /// `pct_change(b, a)` in percent; `+inf` for a leaf that appeared,
+    /// `-inf` for one that vanished.
     pub pct: f64,
 }
 
-/// The outcome of diffing two compatible run directories.
+impl DiffRow {
+    /// Whether this change fails a gate at `tolerance` (a fraction;
+    /// 0.02 = 2%): a vanished leaf, a NaN, or a move in the leaf's bad
+    /// direction beyond the tolerance.
+    pub fn regressed(&self, tolerance: f64) -> bool {
+        let limit = tolerance * 100.0;
+        match (self.a, self.b) {
+            (None, _) => false,
+            (_, None) => true,
+            _ if self.pct.is_nan() => true,
+            _ => match direction(&self.path) {
+                Some(Better::Higher) => self.pct < -limit,
+                Some(Better::Lower) => self.pct > limit,
+                None => self.pct.abs() > limit,
+            },
+        }
+    }
+}
+
+/// Which way a metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Better {
+    Higher,
+    Lower,
+}
+
+/// The direction table: the nearest key on `path` that has a direction
+/// decides; `None` means two-sided.
+fn direction(path: &str) -> Option<Better> {
+    path.rsplit('.')
+        .map(|seg| seg.split('[').next().unwrap_or(seg))
+        .find_map(|key| match key {
+            "ipc" | "norm_ipc" => Some(Better::Higher),
+            "cycles" | "metadata_overhead_pct" => Some(Better::Lower),
+            k if k.ends_with("_bytes") || k.contains("latency") => Some(Better::Lower),
+            _ => None,
+        })
+}
+
+/// The outcome of diffing two documents or two run directories.
 #[derive(Debug, Default)]
 pub struct ObsDiff {
     /// Every changed leaf, ranked by |pct| descending (non-finite
-    /// changes — leaves that appeared or vanished — rank first).
+    /// changes — NaNs and leaves that appeared or vanished — first).
     pub changed: Vec<DiffRow>,
     /// Reports present in exactly one directory (coverage changes).
     pub one_sided: Vec<String>,
-    /// Reports compared in both directories.
+    /// Reports compared on both sides.
     pub compared: Vec<String>,
 }
 
 impl ObsDiff {
-    /// The changed leaves beyond `tolerance` (a fraction; 0.02 = 2%).
-    /// Non-finite changes always count. One-sided reports are gated
-    /// separately via [`ObsDiff::one_sided`].
+    /// The changed leaves that fail a gate at `tolerance` (see
+    /// [`DiffRow::regressed`]). One-sided reports are gated separately
+    /// via [`ObsDiff::one_sided`].
     pub fn regressions(&self, tolerance: f64) -> Vec<&DiffRow> {
         self.changed
             .iter()
-            .filter(|r| !r.pct.is_finite() || r.pct.abs() > tolerance * 100.0)
+            .filter(|r| r.regressed(tolerance))
             .collect()
+    }
+
+    /// Sorts by |pct| descending; `total_cmp` ranks NaN above infinity.
+    fn rank(&mut self) {
+        self.changed.sort_by(|x, y| {
+            y.pct
+                .abs()
+                .total_cmp(&x.pct.abs())
+                .then_with(|| x.file.cmp(&y.file))
+                .then_with(|| x.path.cmp(&y.path))
+        });
     }
 }
 
-/// Checks that two manifests describe comparable runs: same manifest
-/// schema and same values for every identity field (seed, crypto
-/// backend, scale, workloads, experiment, campaign). The command line
-/// is deliberately *not* compared — `--run-dir X` vs `--run-dir Y` is
-/// exactly the difference a diff exists to bridge.
+/// Fails when two identity blocks disagree on any of `fields`; a
+/// missing field reads as `null`.
+fn same_identity(what: &str, a: &Json, b: &Json, fields: &[&str]) -> Result<(), String> {
+    for field in fields {
+        let x = a.get(field).unwrap_or(&Json::Null);
+        let y = b.get(field).unwrap_or(&Json::Null);
+        if x != y {
+            return Err(format!(
+                "{what} disagree on {field}: {} vs {}; these runs are not comparable",
+                x.to_string_compact(),
+                y.to_string_compact()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that two manifests describe comparable runs: the manifest
+/// schema plus every identity field (seed, crypto backend, scale,
+/// workloads, experiment, campaign). The command line is deliberately
+/// *not* compared — `--run-dir X` vs `--run-dir Y` is exactly the
+/// difference a diff exists to bridge.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first mismatch.
 pub fn manifest_compat(a: &Json, b: &Json) -> Result<(), String> {
     for (doc, name) in [(a, "A"), (b, "B")] {
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(MANIFEST_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "run {name}: expected manifest schema '{MANIFEST_SCHEMA}', found {other:?}"
-                ))
-            }
+        let schema = doc.get("schema").and_then(Json::as_str);
+        if schema != Some(MANIFEST_SCHEMA) {
+            let want = MANIFEST_SCHEMA;
+            return Err(format!(
+                "run {name}: expected manifest schema '{want}', found {schema:?}"
+            ));
         }
     }
-    for field in [
+    let fields = [
         "seed",
         "crypto_backend",
         "scale",
         "workloads",
         "experiment",
         "campaign",
-    ] {
-        let av = a.get(field).cloned().unwrap_or(Json::Null);
-        let bv = b.get(field).cloned().unwrap_or(Json::Null);
-        if av != bv {
-            return Err(format!(
-                "manifests disagree on {field}: {} vs {}; these runs are not comparable",
-                av.to_string_compact(),
-                bv.to_string_compact()
-            ));
-        }
+    ];
+    same_identity("manifests", a, b, &fields)
+}
+
+/// Diffs two versions `a` and `b` of the report `file` leaf by leaf.
+///
+/// # Errors
+///
+/// Returns `Err` when the documents' `schema` differs, or when both
+/// carry `provenance` and it disagrees on seed or crypto backend.
+pub fn diff_documents(file: &str, a: &Json, b: &Json) -> Result<ObsDiff, String> {
+    let schema = (a.get("schema"), b.get("schema"));
+    if schema.0 != schema.1 {
+        return Err(format!("{file}: schema differs {schema:?}"));
     }
-    Ok(())
+    if let (Some(pa), Some(pb)) = (a.get("provenance"), b.get("provenance")) {
+        same_identity("provenances", pa, pb, &["seed", "crypto_backend"])?;
+    }
+    let (mut la, mut lb) = (BTreeMap::new(), BTreeMap::new());
+    walk("", a, &mut la);
+    walk("", b, &mut lb);
+    let mut out = ObsDiff {
+        compared: vec![file.to_string()],
+        ..ObsDiff::default()
+    };
+    for path in la.keys().chain(lb.keys().filter(|k| !la.contains_key(*k))) {
+        let (x, y) = (la.get(path).copied(), lb.get(path).copied());
+        let pct = match (x, y) {
+            (Some(x), Some(y)) if x == y => continue,
+            (Some(x), Some(y)) => pct_change(y, x),
+            (Some(_), None) => f64::NEG_INFINITY,
+            _ => f64::INFINITY,
+        };
+        let (file, path) = (file.to_string(), path.clone());
+        out.changed.push(DiffRow {
+            file,
+            path,
+            a: x,
+            b: y,
+            pct,
+        });
+    }
+    out.rank();
+    Ok(out)
 }
 
 /// Diffs two run directories: manifest compatibility first, then every
@@ -108,12 +222,13 @@ pub fn manifest_compat(a: &Json, b: &Json) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Returns `Err` when a manifest is missing or unreadable, or when the
-/// manifests are incompatible (the caller should treat this as a usage
-/// error, not a regression).
+/// Returns `Err` when a manifest or report is missing or unreadable,
+/// when the runs are incompatible, or when they share no report — the
+/// caller should treat all of these as usage errors, not regressions.
 pub fn diff_run_dirs(a: &Path, b: &Path) -> Result<ObsDiff, String> {
-    let ma = read_manifest(a)?;
-    let mb = read_manifest(b)?;
+    let hint = |e: String| format!("{e}; was this directory produced with --run-dir?");
+    let ma = read_report(&a.join(MANIFEST_FILE)).map_err(hint)?;
+    let mb = read_report(&b.join(MANIFEST_FILE)).map_err(hint)?;
     manifest_compat(&ma, &mb)?;
     let fa = json_reports(a)?;
     let fb = json_reports(b)?;
@@ -125,91 +240,57 @@ pub fn diff_run_dirs(a: &Path, b: &Path) -> Result<ObsDiff, String> {
         out.one_sided.push(format!("{name} (only in B)"));
     }
     for name in fa.iter().filter(|n| fb.contains(n)) {
-        let da = read_json(&a.join(name))?;
-        let db = read_json(&b.join(name))?;
-        out.compared.push(name.clone());
-        let mut la = BTreeMap::new();
-        walk("", &da, &mut la);
-        let mut lb = BTreeMap::new();
-        walk("", &db, &mut lb);
-        let keys: Vec<&String> = la
-            .keys()
-            .chain(lb.keys().filter(|k| !la.contains_key(*k)))
-            .collect();
-        for key in keys {
-            let (va, vb) = (la.get(key), lb.get(key));
-            let (a_val, b_val) = (
-                va.copied().unwrap_or(f64::NAN),
-                vb.copied().unwrap_or(f64::NAN),
-            );
-            let pct = match (va, vb) {
-                (Some(&x), Some(&y)) => {
-                    if x == y {
-                        continue;
-                    }
-                    pct_change(y, x)
-                }
-                _ => f64::INFINITY,
-            };
-            out.changed.push(DiffRow {
-                file: name.clone(),
-                path: key.clone(),
-                a: a_val,
-                b: b_val,
-                pct,
-            });
-        }
+        let d = diff_documents(
+            name,
+            &read_report(&a.join(name))?,
+            &read_report(&b.join(name))?,
+        )?;
+        out.changed.extend(d.changed);
+        out.compared.extend(d.compared);
     }
-    out.changed.sort_by(|x, y| {
-        let kx = if x.pct.is_finite() {
-            x.pct.abs()
-        } else {
-            f64::INFINITY
-        };
-        let ky = if y.pct.is_finite() {
-            y.pct.abs()
-        } else {
-            f64::INFINITY
-        };
-        ky.partial_cmp(&kx)
-            .unwrap()
-            .then_with(|| x.file.cmp(&y.file))
-            .then_with(|| x.path.cmp(&y.path))
-    });
+    if out.compared.is_empty() {
+        return Err(format!(
+            "{} and {} share no report to compare",
+            a.display(),
+            b.display()
+        ));
+    }
+    out.rank();
     Ok(out)
 }
 
 /// Renders the ranked regression table for the rows
 /// [`ObsDiff::regressions`] selected.
 pub fn obs_diff_table(rows: &[&DiffRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<24}{:<48}{:>14}{:>14}{:>10}\n",
+    let value = |v: Option<f64>| v.map_or("-".into(), |x| format!("{x:.4}"));
+    let mut out = format!(
+        "{:<24}{:<56}{:>14}{:>14}{:>10}\n",
         "report", "leaf", "A", "B", "change%"
-    ));
+    );
     for r in rows {
+        let change = match (r.a, r.b) {
+            (None, _) => "new".to_string(),
+            (_, None) => "gone".to_string(),
+            _ if r.pct.is_finite() => format!("{:+.2}", r.pct),
+            _ => r.pct.to_string(),
+        };
         out.push_str(&format!(
-            "{:<24}{:<48}{:>14.4}{:>14.4}{:>10}\n",
+            "{:<24}{:<56}{:>14}{:>14}{change:>10}\n",
             r.file,
             r.path,
-            r.a,
-            r.b,
-            if r.pct.is_finite() {
-                format!("{:+.2}", r.pct)
-            } else {
-                "±inf".into()
-            }
+            value(r.a),
+            value(r.b)
         ));
     }
     out
 }
 
-fn read_manifest(dir: &Path) -> Result<Json, String> {
-    read_json(&dir.join(MANIFEST_FILE))
-        .map_err(|e| format!("{e}; was this directory produced with --run-dir?"))
-}
-
-fn read_json(path: &Path) -> Result<Json, String> {
+/// Reads and parses one JSON report.
+///
+/// # Errors
+///
+/// Returns a message naming the file when it cannot be read or parsed.
+pub fn read_report(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
@@ -246,16 +327,19 @@ fn nondeterministic(path: &str) -> bool {
         || (path.contains("span.") && path.contains(".ns"))
 }
 
-/// Flattens every numeric and boolean leaf of `v` into dotted paths.
-/// Booleans become 0/1 so a `clean: true -> false` flip is visible.
-/// Scheduler-nondeterministic and wall-time metric names are skipped.
+/// Fields that name an array row, joined with `/` into its key.
+const ROW_IDENTITY: [&str; 4] = ["workload", "scheme", "phase", "primitive"];
+
+/// Flattens the leaves of `v` under `prefix`. Booleans become 0/1 so a
+/// `clean: true -> false` flip is visible. `provenance` blocks and
+/// nondeterministic metric names are skipped.
 fn walk(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
     if nondeterministic(prefix) {
         return;
     }
     match v {
         Json::Object(pairs) => {
-            for (k, val) in pairs {
+            for (k, val) in pairs.iter().filter(|(k, _)| k != "provenance") {
                 let path = if prefix.is_empty() {
                     k.clone()
                 } else {
@@ -265,8 +349,25 @@ fn walk(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
             }
         }
         Json::Array(items) => {
+            let mut seen: HashMap<String, usize> = HashMap::new();
             for (i, val) in items.iter().enumerate() {
-                walk(&format!("{prefix}[{i}]"), val, out);
+                let ids: Vec<&str> = ROW_IDENTITY
+                    .iter()
+                    .filter_map(|k| val.get(k).and_then(Json::as_str))
+                    .collect();
+                let key = if ids.is_empty() {
+                    i.to_string()
+                } else {
+                    let id = ids.join("/");
+                    let n = seen.entry(id.clone()).or_insert(0);
+                    *n += 1;
+                    if *n == 1 {
+                        id
+                    } else {
+                        format!("{id}#{n}")
+                    }
+                };
+                walk(&format!("{prefix}[{key}]"), val, out);
             }
         }
         Json::Bool(b) => {
@@ -377,5 +478,66 @@ mod tests {
         let diff = diff_run_dirs(&a, &b).unwrap();
         assert_eq!(diff.one_sided, vec!["extra.json (only in A)"]);
         assert!(diff.changed.is_empty());
+    }
+
+    #[test]
+    fn runs_sharing_no_report_are_a_usage_error() {
+        let (a, b) = (scratch("ns-a"), scratch("ns-b"));
+        write_run(&a, 42, 1.5, true);
+        write_run(&b, 42, 1.5, true);
+        std::fs::rename(b.join("campaign-storm.json"), b.join("campaign-sweep.json")).unwrap();
+        let err = diff_run_dirs(&a, &b).unwrap_err();
+        assert!(err.contains("share no report"), "got: {err}");
+    }
+
+    #[test]
+    fn rows_match_by_identity_and_leaves_know_their_direction() {
+        let row = |scheme: &str, ipc: f64, bytes: u64| {
+            Json::object()
+                .set("workload", "bfs")
+                .set("scheme", scheme)
+                .set("ipc", ipc)
+                .set("total_bytes", bytes)
+                .set("injected", 4u64)
+        };
+        let a = Json::Array(vec![row("pssm", 1.0, 100), row("plutus", 1.0, 100)]);
+        // Reordered, one row inserted, plutus better on both metrics.
+        let b = Json::Array(vec![
+            row("plutus", 1.1, 90),
+            row("new", 9.0, 9),
+            row("pssm", 1.0, 100),
+        ]);
+        let diff = diff_documents("r.json", &a, &b).unwrap();
+        let paths: Vec<&str> = diff.changed.iter().map(|r| r.path.as_str()).collect();
+        assert!(paths
+            .iter()
+            .all(|p| p.starts_with("[bfs/plutus]") || p.starts_with("[bfs/new]")));
+        assert!(
+            diff.regressions(0.0).is_empty(),
+            "improvements and new rows pass"
+        );
+        // A worse move in either direction and a vanished row regress.
+        let c = Json::Array(vec![row("pssm", 0.9, 110)]);
+        let worse = diff_documents("r.json", &a, &c).unwrap();
+        let failed: Vec<&str> = worse
+            .regressions(0.02)
+            .iter()
+            .map(|r| r.path.as_str())
+            .collect();
+        assert!(failed.contains(&"[bfs/pssm].ipc"));
+        assert!(failed.contains(&"[bfs/pssm].total_bytes"));
+        assert!(
+            failed.contains(&"[bfs/plutus].ipc"),
+            "a vanished row regresses"
+        );
+        // Repeats are told apart by occurrence.
+        let twice = Json::Array(vec![row("pssm", 1.0, 1), row("pssm", 2.0, 2)]);
+        let mut leaves = BTreeMap::new();
+        walk("", &twice, &mut leaves);
+        assert!(leaves.contains_key("[bfs/pssm#2].ipc"));
+        // NaN fails whichever way the leaf points.
+        let nan = Json::Array(vec![row("pssm", f64::NAN, 100), row("plutus", 1.0, 100)]);
+        let diff = diff_documents("r.json", &a, &nan).unwrap();
+        assert_eq!(diff.regressions(1.0).len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::runner::{geomean, Measurement};
 use gpu_sim::StallBucket;
-use plutus_telemetry::Json;
+use plutus_telemetry::{Gate, GateFailure, Json};
 use std::fmt::Write as _;
 
 /// Schema tag stamped into every ledger export document.
@@ -83,11 +83,9 @@ pub fn measurement_json(m: &Measurement) -> Json {
 ///
 /// Returns any I/O error.
 pub fn save_json(name: &str, rows: &[Measurement]) -> std::io::Result<std::path::PathBuf> {
-    let dir = plutus_telemetry::report_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
+    let path = plutus_telemetry::report_dir().join(format!("{name}.json"));
     let doc = Json::Array(rows.iter().map(measurement_json).collect());
-    plutus_telemetry::atomic_write(&path, doc.to_string_pretty())?;
+    plutus_telemetry::save_report(&path, &doc, &[])?;
     Ok(path)
 }
 
@@ -273,35 +271,30 @@ pub fn ledger_folded(rows: &[Measurement]) -> String {
 }
 
 /// The conservation gate: every partition's bucket cycles must sum to
-/// exactly the run's cycle count, for every measurement. Returns one
-/// line per violation; measurements without a recorded ledger are
-/// violations too (the ledger must never silently disappear).
+/// exactly the run's cycle count, for every measurement. Measurements
+/// without a recorded ledger are violations too (the ledger must never
+/// silently disappear).
 ///
 /// # Errors
 ///
-/// Returns every conservation violation, one line each.
-pub fn ledger_gate(rows: &[Measurement]) -> Result<(), String> {
-    let mut violations = Vec::new();
+/// Returns the failure naming every violated check.
+pub fn ledger_gate(rows: &[Measurement]) -> Result<(), GateFailure> {
+    let mut gate = Gate::new();
     for m in rows {
-        if m.ledger_partitions.is_empty() {
-            violations.push(format!("{}/{}: no ledger recorded", m.workload, m.scheme));
-            continue;
-        }
+        gate.check("recorded", !m.ledger_partitions.is_empty(), || {
+            format!("{}/{}: no ledger recorded", m.workload, m.scheme)
+        });
         for (p, buckets) in m.ledger_partitions.iter().enumerate() {
             let total: u64 = buckets.iter().sum();
-            if total != m.cycles {
-                violations.push(format!(
+            gate.check("conserved", total == m.cycles, || {
+                format!(
                     "{}/{} partition {p}: ledger sums to {total} cycles, run took {}",
                     m.workload, m.scheme, m.cycles
-                ));
-            }
+                )
+            });
         }
     }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations.join("\n"))
-    }
+    gate.finish()
 }
 
 /// Percentage-change helper: `(new / old - 1) × 100`.
@@ -310,8 +303,8 @@ pub fn ledger_gate(rows: &[Measurement]) -> Result<(), String> {
 /// disarmed: a zero or non-finite baseline against a differing current
 /// value returns the appropriately-signed infinity (every `>` tolerance
 /// comparison then fires), `0 → 0` reports no change, and a non-finite
-/// `new` propagates as NaN for [`crate::baseline::compare_bench`] to
-/// treat as a failure.
+/// `new` propagates as NaN for the diff engine
+/// ([`crate::obsdiff::DiffRow::regressed`]) to treat as a failure.
 pub fn pct_change(new: f64, old: f64) -> f64 {
     if !new.is_finite() || !old.is_finite() {
         return f64::NAN;
@@ -493,14 +486,13 @@ mod tests {
 
         let mut leaking = meas("bfs", "pssm", 0.8);
         leaking.ledger_partitions[0][0] += 1;
-        let err = ledger_gate(&[leaking]).unwrap_err();
-        assert!(err.contains("partition 0"));
+        let err = ledger_gate(&[leaking]).unwrap_err().to_string();
+        assert!(err.contains("conserved: bfs/pssm partition 0"));
         assert!(err.contains("sums to 101"));
 
         let mut missing = meas("bfs", "pssm", 0.8);
         missing.ledger_partitions.clear();
-        assert!(ledger_gate(&[missing])
-            .unwrap_err()
-            .contains("no ledger recorded"));
+        let err = ledger_gate(&[missing]).unwrap_err();
+        assert_eq!(err.violations[0].0, "recorded");
     }
 }

@@ -3,7 +3,7 @@
 use crate::SchemeProvider;
 use gpu_sim::{GpuConfig, Simulator};
 use plutus_exec::{expect_all, Executor, Job};
-use plutus_telemetry::Json;
+use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use workloads::{Scale, WorkloadSpec};
 
 /// Parameters of a crash campaign. Each (workload, scheme) pair is
@@ -33,7 +33,7 @@ impl CrashCampaignConfig {
 }
 
 /// One crash-inject → restore → recover → re-read audit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CrashRow {
     /// Workload name.
     pub workload: String,
@@ -148,15 +148,7 @@ pub fn run_crash_campaign_on(
                             workload: w.name.to_string(),
                             scheme: scheme.scheme_label(),
                             crash_cycle: crash_at,
-                            checkpoint_cycle: 0,
-                            audited: 0,
-                            mismatches: 0,
-                            spurious_violations: 0,
-                            already_consistent: 0,
-                            recovered_by_mac: 0,
-                            recovered_by_value: 0,
-                            failed: 0,
-                            error: None,
+                            ..CrashRow::default()
                         };
                         match sim.crash_recover_audit() {
                             Ok(audit) => {
@@ -187,131 +179,46 @@ pub fn run_crash_campaign_on(
 ///
 /// # Errors
 ///
-/// Returns a description of every violated condition.
-pub fn crash_gate(rows: &[CrashRow]) -> Result<(), String> {
-    if rows.is_empty() {
-        return Err("crash campaign produced no rows".into());
-    }
-    if rows.iter().map(|r| r.audited).sum::<u64>() == 0 {
-        return Err("crash campaign audited no sectors".into());
-    }
-    let bad: Vec<String> = rows
-        .iter()
-        .filter(|r| !r.is_clean())
-        .map(|r| match &r.error {
+/// Returns the failure naming every violated check.
+pub fn crash_gate(rows: &[CrashRow]) -> Result<(), GateFailure> {
+    let mut gate = Gate::new();
+    gate.check("rows", !rows.is_empty(), || {
+        "crash campaign produced no rows".into()
+    });
+    let audited: u64 = rows.iter().map(|r| r.audited).sum();
+    gate.check("audited", audited > 0, || {
+        "crash campaign audited no sectors".into()
+    });
+    for r in rows {
+        gate.check("clean", r.is_clean(), || match &r.error {
             Some(e) => format!("{}/{} @{}: {e}", r.workload, r.scheme, r.crash_cycle),
             None => format!(
                 "{}/{} @{}: {} mismatches, {} spurious violations, {} unrecoverable",
                 r.workload, r.scheme, r.crash_cycle, r.mismatches, r.spurious_violations, r.failed
             ),
+        });
+    }
+    gate.finish()
+}
+
+/// The crash report: one row per audit.
+pub fn crash_report(rows: &[CrashRow]) -> Table<'_, CrashRow> {
+    Table::new(rows)
+        .show("workload", |r| r.workload.as_str().into())
+        .show("scheme", |r| r.scheme.as_str().into())
+        .show("crash_cycle", |r| r.crash_cycle.into())
+        .show("checkpoint_cycle", |r| r.checkpoint_cycle.into())
+        .show("audited", |r| r.audited.into())
+        .col("mismatches", |r| r.mismatches.into())
+        .col("spurious_violations", |r| r.spurious_violations.into())
+        .show("already_consistent", |r| r.already_consistent.into())
+        .show("recovered_by_mac", |r| r.recovered_by_mac.into())
+        .show("recovered_by_value", |r| r.recovered_by_value.into())
+        .show("failed", |r| r.failed.into())
+        .show("clean", |r| r.is_clean().into())
+        .col("error", |r| {
+            r.error.as_deref().map_or(Json::Null, Json::from)
         })
-        .collect();
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad.join("; "))
-    }
-}
-
-/// Renders crash rows as a JSON document.
-pub fn crash_json(rows: &[CrashRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| {
-                let mut o = Json::object()
-                    .set("workload", r.workload.as_str())
-                    .set("scheme", r.scheme.as_str())
-                    .set("crash_cycle", r.crash_cycle)
-                    .set("checkpoint_cycle", r.checkpoint_cycle)
-                    .set("audited", r.audited)
-                    .set("mismatches", r.mismatches)
-                    .set("spurious_violations", r.spurious_violations)
-                    .set("already_consistent", r.already_consistent)
-                    .set("recovered_by_mac", r.recovered_by_mac)
-                    .set("recovered_by_value", r.recovered_by_value)
-                    .set("failed", r.failed)
-                    .set("clean", r.is_clean());
-                if let Some(e) = &r.error {
-                    o = o.set("error", e.as_str());
-                }
-                o
-            })
-            .collect(),
-    )
-}
-
-/// Renders crash rows as CSV.
-pub fn crash_csv(rows: &[CrashRow]) -> String {
-    let mut out = String::from(
-        "workload,scheme,crash_cycle,checkpoint_cycle,audited,mismatches,\
-         spurious_violations,already_consistent,recovered_by_mac,recovered_by_value,\
-         failed,clean\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.workload,
-            r.scheme,
-            r.crash_cycle,
-            r.checkpoint_cycle,
-            r.audited,
-            r.mismatches,
-            r.spurious_violations,
-            r.already_consistent,
-            r.recovered_by_mac,
-            r.recovered_by_value,
-            r.failed,
-            r.is_clean()
-        ));
-    }
-    out
-}
-
-/// Renders the per-audit crash table.
-pub fn crash_table(rows: &[CrashRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14}{:<18}{:>10}{:>8}{:>9}{:>9}{:>9}{:>9}{:>8}{:>7}",
-        "workload",
-        "scheme",
-        "crash@",
-        "ckpt@",
-        "audited",
-        "consist",
-        "by-mac",
-        "by-val",
-        "failed",
-        "clean"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<14}{:<18}{:>10}{:>8}{:>9}{:>9}{:>9}{:>9}{:>8}{:>7}",
-            r.workload,
-            r.scheme,
-            r.crash_cycle,
-            r.checkpoint_cycle,
-            r.audited,
-            r.already_consistent,
-            r.recovered_by_mac,
-            r.recovered_by_value,
-            r.failed,
-            if r.is_clean() { "yes" } else { "NO" }
-        );
-    }
-    out
-}
-
-/// Writes the crash campaign as JSON and CSV under
-/// `target/experiments/`, returning the JSON path.
-///
-/// # Errors
-///
-/// Returns any I/O error.
-pub fn save_crash_campaign(name: &str, rows: &[CrashRow]) -> std::io::Result<std::path::PathBuf> {
-    crate::save_reports(name, &crash_json(rows), &crash_csv(rows))
 }
 
 #[cfg(test)]
@@ -357,11 +264,13 @@ mod tests {
             failed: 0,
             error: None,
         };
-        let json = crash_json(std::slice::from_ref(&row)).to_string_pretty();
+        let rows = [row];
+        let report = crash_report(&rows);
+        let json = report.to_json().to_string_pretty();
         assert!(json.contains("\"clean\": true"));
-        let csv = crash_csv(std::slice::from_ref(&row));
-        assert!(csv.contains("bfs,plutus,900,500,40"));
-        assert!(crash_table(&[row]).contains("yes"));
+        assert!(!json.contains("\"error\""));
+        assert!(report.to_csv().contains("bfs,plutus,900,500,40"));
+        assert!(report.to_console().contains("true"));
     }
 
     #[test]
@@ -381,7 +290,8 @@ mod tests {
             error: None,
         };
         let err = crash_gate(std::slice::from_ref(&dirty)).unwrap_err();
-        assert!(err.contains("1 mismatches"));
+        assert_eq!(err.violations[0].0, "clean");
+        assert!(err.to_string().contains("1 mismatches"));
         assert!(crash_gate(&[]).is_err());
     }
 }

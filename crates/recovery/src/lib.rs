@@ -23,6 +23,10 @@
 //!   crash-kills land mid-walk. [`storm_gate`] fails on any isolation,
 //!   conservation, Eq. 1, or recovery breach.
 //!
+//! Each family's rows render through one column declaration
+//! (`*_report`, a [`plutus_telemetry::Table`]) and pass or fail through
+//! one gate that names every violated check.
+//!
 //! Engines are supplied through [`SchemeProvider`] so the campaign
 //! runners stay independent of any particular scheme catalogue; the
 //! bench crate adapts its `Scheme` enum onto this trait.
@@ -35,20 +39,23 @@ mod storm;
 mod transient;
 
 pub use crash::{
-    crash_csv, crash_gate, crash_json, crash_table, run_crash_campaign, run_crash_campaign_on,
-    save_crash_campaign, CrashCampaignConfig, CrashRow,
+    crash_gate, crash_report, run_crash_campaign, run_crash_campaign_on, CrashCampaignConfig,
+    CrashRow,
 };
 pub use storm::{
-    run_storm_campaign, run_storm_campaign_observed, run_storm_campaign_on, save_storm_campaign,
-    storm_csv, storm_gate, storm_json, storm_schemes, storm_table, StormCampaignConfig, StormRow,
-    ADVERSARY, FIRST_VICTIM,
+    run_storm_campaign, run_storm_campaign_observed, run_storm_campaign_on, storm_gate,
+    storm_report, storm_schemes, StormCampaignConfig, StormRow, ADVERSARY, FIRST_VICTIM,
 };
 pub use transient::{
-    run_transient_campaign, run_transient_campaign_on, save_transient_campaign, transient_csv,
-    transient_gate, transient_json, transient_table, TransientCampaignConfig, TransientRow,
+    run_transient_campaign, run_transient_campaign_on, transient_gate, transient_report,
+    TransientCampaignConfig, TransientRow,
 };
 
 use gpu_sim::EngineFactory;
+use plutus_core::binomial::{
+    binomial_tail, plutus_min_hits, tamper_hit_probability, VALUES_PER_UNIT,
+};
+use plutus_core::ValueCacheConfig;
 
 /// A named source of security engines a campaign can instantiate.
 ///
@@ -61,20 +68,31 @@ pub trait SchemeProvider: Sync {
     fn make_factory(&self) -> Box<dyn EngineFactory>;
 }
 
-/// Writes a campaign's JSON and CSV renderings into the report
-/// directory (the `--run-dir` when set, `target/experiments/`
-/// otherwise), returning the JSON path.
-pub(crate) fn save_reports(
-    name: &str,
-    json: &plutus_telemetry::Json,
-    csv: &str,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = plutus_telemetry::report_dir();
-    std::fs::create_dir_all(&dir)?;
-    let json_path = dir.join(format!("{name}.json"));
-    plutus_telemetry::atomic_write(&json_path, json.to_string_pretty())?;
-    plutus_telemetry::atomic_write(dir.join(format!("{name}.csv")), csv)?;
-    Ok(json_path)
+/// The analytic Eq. 1 forgery bound at the default value-cache design
+/// point: `P(X ≥ x)` for one 128-bit unit under a tampered decrypt.
+/// Every campaign that counts value-verification forgeries gates on it.
+pub fn eq1_bound() -> f64 {
+    let vc = ValueCacheConfig::default();
+    let p = tamper_hit_probability(vc.entries, vc.effective_bits());
+    binomial_tail(
+        VALUES_PER_UNIT,
+        plutus_min_hits(vc.entries, vc.effective_bits()),
+        p,
+    )
+}
+
+/// Fault kinds whose applied effect changes the plaintext served to the
+/// core — the only kinds whose value-verified escapes count as forgery
+/// acceptances under Eq. 1. A tampered MAC or BMT node leaves the data
+/// path honest (the tampered structure simply goes unconsulted on a
+/// value-verified read), so such escapes are expected behaviour, not
+/// forgeries: Eq. 1 bounds the chance that *non-authentic* plaintext
+/// clears the 3-of-4 value screen.
+pub fn randomizes_plaintext(kind: &str) -> bool {
+    matches!(
+        kind,
+        "corrupt_data" | "replay_data" | "rollback_counter" | "rollback_compact"
+    )
 }
 
 #[cfg(test)]

@@ -28,17 +28,15 @@
 //! and probes more crash points.
 
 use crate::SchemeProvider;
+use crate::{eq1_bound, randomizes_plaintext};
 use gpu_sim::{
     AccessKind, EngineFactory, FaultKind, FaultOutcome, FaultSchedule, FaultTrigger, GpuConfig,
     MetaFault, RetryPolicy, ScheduledFault, SectorAddr, SimStats, Simulator, TenantMap, Trace,
     TransientConfig,
 };
-use plutus_core::binomial::{
-    binomial_tail, plutus_min_hits, tamper_hit_probability, VALUES_PER_UNIT,
-};
-use plutus_core::{PlutusConfig, PlutusEngine, ValueCacheConfig};
+use plutus_core::{PlutusConfig, PlutusEngine};
 use plutus_exec::{expect_all, Executor, Job};
-use plutus_telemetry::Json;
+use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use secure_mem::{CommonCountersEngine, PssmEngine, SecureMemConfig, TenancyConfig};
 use std::collections::BTreeMap;
 use workloads::{
@@ -120,7 +118,7 @@ impl StormCampaignConfig {
 }
 
 /// One monitored phase of the campaign for one scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StormRow {
     /// Scheme label.
     pub scheme: String,
@@ -174,26 +172,10 @@ impl StormRow {
         Self {
             scheme: scheme.to_string(),
             phase: phase.into(),
-            cycles: 0,
-            victim_ipc: Vec::new(),
             min_ipc_ratio: 1.0,
-            victim_violations: 0,
-            victim_frozen: 0,
-            adversary_violations: 0,
             ledger_conserved: true,
-            storm_suppressed: 0,
-            storm_deferred: 0,
-            rotations_completed: 0,
-            rotated_sectors: 0,
-            faults_adjudicated: 0,
-            forgeries: 0,
             eq1_ok: true,
-            transients_escalated: 0,
-            rotation_audited: 0,
-            rotation_mismatches: 0,
-            rotation_spurious: 0,
-            rotation_failed: 0,
-            error: None,
+            ..Self::default()
         }
     }
 
@@ -466,28 +448,6 @@ fn breach_targets(trace: &Trace, map: &TenantMap, want: usize) -> Vec<(u64, Sect
         .into_iter()
         .map(|(_, i, addr)| ((i as u64).saturating_sub(32).max(1), addr))
         .collect()
-}
-
-/// Fault kinds whose applied effect changes the plaintext served to the
-/// core — the only escapes Eq. 1 counts as forgeries (mirrors the
-/// adversarial campaign's accounting).
-fn randomizes_plaintext(kind: &str) -> bool {
-    matches!(
-        kind,
-        "corrupt_data" | "replay_data" | "rollback_counter" | "rollback_compact"
-    )
-}
-
-/// The analytic Eq. 1 forgery bound at the default value-cache design
-/// point.
-fn eq1_bound() -> f64 {
-    let vc = ValueCacheConfig::default();
-    let p = tamper_hit_probability(vc.entries, vc.effective_bits());
-    binomial_tail(
-        VALUES_PER_UNIT,
-        plutus_min_hits(vc.entries, vc.effective_bits()),
-        p,
-    )
 }
 
 /// Folds a finished run's stats into `row`: tenant attribution, ladder
@@ -774,18 +734,19 @@ pub fn run_storm_campaign_observed(
 ///
 /// # Errors
 ///
-/// Returns a description of every violated condition.
-pub fn storm_gate(rows: &[StormRow], campaign: &StormCampaignConfig) -> Result<(), String> {
-    if rows.is_empty() {
-        return Err("storm campaign produced no rows".into());
-    }
-    let mut bad: Vec<String> = Vec::new();
+/// Returns the failure naming every violated check.
+pub fn storm_gate(rows: &[StormRow], campaign: &StormCampaignConfig) -> Result<(), GateFailure> {
+    let mut gate = Gate::new();
+    gate.check("rows", !rows.is_empty(), || {
+        "storm campaign produced no rows".into()
+    });
     for r in rows {
-        if !r.is_clean(campaign.ipc_tolerance) {
-            let detail = match &r.error {
-                Some(e) => e.clone(),
+        let (key, ran) = (format!("{}/{}", r.scheme, r.phase), r.error.is_none());
+        gate.check("clean", r.is_clean(campaign.ipc_tolerance), || {
+            match &r.error {
+                Some(e) => format!("{key}: {e}"),
                 None => format!(
-                    "{} victim violations, {} frozen victims, ipc ratio {:.3}, \
+                    "{key}: {} victim violations, {} frozen victims, ipc ratio {:.3}, \
                      ledger conserved {}, eq1 {}, {} escalated transients, \
                      rotation {}/{}/{} mismatch/spurious/failed",
                     r.victim_violations,
@@ -798,176 +759,64 @@ pub fn storm_gate(rows: &[StormRow], campaign: &StormCampaignConfig) -> Result<(
                     r.rotation_spurious,
                     r.rotation_failed
                 ),
-            };
-            bad.push(format!("{}/{}: {detail}", r.scheme, r.phase));
-        }
-        if r.phase == "storm" && r.faults_adjudicated == 0 && r.error.is_none() {
-            bad.push(format!(
-                "{}/storm: no adversarial fault was ever adjudicated",
-                r.scheme
-            ));
-        }
-        if (r.phase == "storm" || r.phase == "soak")
-            && r.error.is_none()
-            && (r.rotations_completed == 0 || r.rotated_sectors == 0)
-        {
-            bad.push(format!(
-                "{}/{}: key rotation did not complete ({} walks, {} sectors)",
-                r.scheme, r.phase, r.rotations_completed, r.rotated_sectors
-            ));
-        }
-        if r.phase.starts_with("rotation@") && r.rotation_audited == 0 && r.error.is_none() {
-            bad.push(format!(
-                "{}/{}: crash audit saw no sectors",
-                r.scheme, r.phase
-            ));
-        }
-    }
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad.join("; "))
-    }
-}
-
-/// Renders storm rows as a JSON document.
-pub fn storm_json(rows: &[StormRow], campaign: &StormCampaignConfig) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| {
-                let ipc = r
-                    .victim_ipc
-                    .iter()
-                    .fold(Json::object(), |o, (t, v)| o.set(&format!("t{t}"), *v));
-                let mut o = Json::object()
-                    .set("scheme", r.scheme.as_str())
-                    .set("phase", r.phase.as_str())
-                    .set("cycles", r.cycles)
-                    .set("victim_ipc", ipc)
-                    .set("min_ipc_ratio", r.min_ipc_ratio)
-                    .set("victim_violations", r.victim_violations)
-                    .set("victim_frozen", r.victim_frozen)
-                    .set("adversary_violations", r.adversary_violations)
-                    .set("ledger_conserved", r.ledger_conserved)
-                    .set("storm_suppressed", r.storm_suppressed)
-                    .set("storm_deferred", r.storm_deferred)
-                    .set("rotations_completed", r.rotations_completed)
-                    .set("rotated_sectors", r.rotated_sectors)
-                    .set("faults_adjudicated", r.faults_adjudicated)
-                    .set("forgeries", r.forgeries)
-                    .set("eq1_ok", r.eq1_ok)
-                    .set("transients_escalated", r.transients_escalated)
-                    .set("rotation_audited", r.rotation_audited)
-                    .set("rotation_mismatches", r.rotation_mismatches)
-                    .set("rotation_spurious", r.rotation_spurious)
-                    .set("rotation_failed", r.rotation_failed)
-                    .set("clean", r.is_clean(campaign.ipc_tolerance));
-                if let Some(e) = &r.error {
-                    o = o.set("error", e.as_str());
-                }
-                o
-            })
-            .collect(),
-    )
-}
-
-/// Renders storm rows as CSV.
-pub fn storm_csv(rows: &[StormRow], campaign: &StormCampaignConfig) -> String {
-    let mut out = String::from(
-        "scheme,phase,cycles,min_ipc_ratio,victim_violations,victim_frozen,\
-         adversary_violations,ledger_conserved,storm_suppressed,storm_deferred,\
-         rotations_completed,rotated_sectors,faults_adjudicated,forgeries,eq1_ok,\
-         transients_escalated,rotation_audited,rotation_mismatches,rotation_spurious,\
-         rotation_failed,clean\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.scheme,
-            r.phase,
-            r.cycles,
-            r.min_ipc_ratio,
-            r.victim_violations,
-            r.victim_frozen,
-            r.adversary_violations,
-            r.ledger_conserved,
-            r.storm_suppressed,
-            r.storm_deferred,
-            r.rotations_completed,
-            r.rotated_sectors,
-            r.faults_adjudicated,
-            r.forgeries,
-            r.eq1_ok,
-            r.transients_escalated,
-            r.rotation_audited,
-            r.rotation_mismatches,
-            r.rotation_spurious,
-            r.rotation_failed,
-            r.is_clean(campaign.ipc_tolerance)
-        ));
-    }
-    out
-}
-
-/// Renders the per-phase storm table.
-pub fn storm_table(rows: &[StormRow], campaign: &StormCampaignConfig) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<18}{:<16}{:>9}{:>9}{:>8}{:>8}{:>9}{:>9}{:>8}{:>8}{:>7}",
-        "scheme",
-        "phase",
-        "cycles",
-        "ipc-rat",
-        "v-viol",
-        "v-frz",
-        "rot-sec",
-        "audited",
-        "mism",
-        "adjud",
-        "clean"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<18}{:<16}{:>9}{:>9.3}{:>8}{:>8}{:>9}{:>9}{:>8}{:>8}{:>7}",
-            r.scheme,
-            r.phase,
-            r.cycles,
-            r.min_ipc_ratio,
-            r.victim_violations,
-            r.victim_frozen,
-            r.rotated_sectors,
-            r.rotation_audited,
-            r.rotation_mismatches,
-            r.faults_adjudicated,
-            if r.is_clean(campaign.ipc_tolerance) {
-                "yes"
-            } else {
-                "NO"
             }
-        );
+        });
+        // A phase that ran must have exercised what it exists to test.
+        let idle = ran && r.phase == "storm" && r.faults_adjudicated == 0;
+        gate.check("adjudicated", !idle, || {
+            format!("{key}: no adversarial fault was ever adjudicated")
+        });
+        let walked = r.rotations_completed > 0 && r.rotated_sectors > 0;
+        let stalled = ran && (r.phase == "storm" || r.phase == "soak") && !walked;
+        gate.check("rotation", !stalled, || {
+            format!(
+                "{key}: key rotation did not complete ({} walks, {} sectors)",
+                r.rotations_completed, r.rotated_sectors
+            )
+        });
+        let blind = ran && r.phase.starts_with("rotation@") && r.rotation_audited == 0;
+        gate.check("audit", !blind, || {
+            format!("{key}: crash audit saw no sectors")
+        });
     }
-    out
+    gate.finish()
 }
 
-/// Writes the storm campaign as JSON and CSV under `target/experiments/`,
-/// returning the JSON path.
-///
-/// # Errors
-///
-/// Returns any I/O error.
-pub fn save_storm_campaign(
-    name: &str,
-    rows: &[StormRow],
+/// The storm report: one row per monitored phase per scheme.
+pub fn storm_report<'a>(
+    rows: &'a [StormRow],
     campaign: &StormCampaignConfig,
-) -> std::io::Result<std::path::PathBuf> {
-    crate::save_reports(
-        name,
-        &storm_json(rows, campaign),
-        &storm_csv(rows, campaign),
-    )
+) -> Table<'a, StormRow> {
+    let tolerance = campaign.ipc_tolerance;
+    Table::new(rows)
+        .show("scheme", |r| r.scheme.as_str().into())
+        .show("phase", |r| r.phase.as_str().into())
+        .show("cycles", |r| r.cycles.into())
+        .nest("victim_ipc", |r| {
+            let ipc = r.victim_ipc.iter();
+            ipc.fold(Json::object(), |o, (t, v)| o.set(&format!("t{t}"), *v))
+        })
+        .show("min_ipc_ratio", |r| r.min_ipc_ratio.into())
+        .show("victim_violations", |r| r.victim_violations.into())
+        .col("victim_frozen", |r| r.victim_frozen.into())
+        .col("adversary_violations", |r| r.adversary_violations.into())
+        .col("ledger_conserved", |r| r.ledger_conserved.into())
+        .col("storm_suppressed", |r| r.storm_suppressed.into())
+        .col("storm_deferred", |r| r.storm_deferred.into())
+        .col("rotations_completed", |r| r.rotations_completed.into())
+        .show("rotated_sectors", |r| r.rotated_sectors.into())
+        .show("faults_adjudicated", |r| r.faults_adjudicated.into())
+        .col("forgeries", |r| r.forgeries.into())
+        .col("eq1_ok", |r| r.eq1_ok.into())
+        .col("transients_escalated", |r| r.transients_escalated.into())
+        .show("rotation_audited", |r| r.rotation_audited.into())
+        .show("rotation_mismatches", |r| r.rotation_mismatches.into())
+        .col("rotation_spurious", |r| r.rotation_spurious.into())
+        .col("rotation_failed", |r| r.rotation_failed.into())
+        .show("clean", move |r| r.is_clean(tolerance).into())
+        .col("error", |r| {
+            r.error.as_deref().map_or(Json::Null, Json::from)
+        })
 }
 
 /// Adapts the storm schemes onto [`SchemeProvider`] for callers that
@@ -1032,7 +881,7 @@ mod tests {
             ..quick(0xB00C)
         };
         let rows = run_storm_campaign(&campaign, &GpuConfig::test_small());
-        let err = storm_gate(&rows, &campaign).unwrap_err();
+        let err = storm_gate(&rows, &campaign).unwrap_err().to_string();
         assert!(
             err.contains("victim violations") || err.contains("frozen"),
             "breach must surface as a victim-isolation failure: {err}"
@@ -1045,14 +894,15 @@ mod tests {
         let cfg = GpuConfig::test_small();
         let a = run_storm_campaign_on(&Executor::new(Some(1)), &campaign, &cfg);
         let b = run_storm_campaign_on(&Executor::new(Some(4)), &campaign, &cfg);
+        let (a, b) = (storm_report(&a, &campaign), storm_report(&b, &campaign));
         assert_eq!(
-            storm_csv(&a, &campaign),
-            storm_csv(&b, &campaign),
+            a.to_csv(),
+            b.to_csv(),
             "storm rows must not depend on worker count"
         );
         assert_eq!(
-            storm_json(&a, &campaign).to_string_pretty(),
-            storm_json(&b, &campaign).to_string_pretty()
+            a.to_json().to_string_pretty(),
+            b.to_json().to_string_pretty()
         );
     }
 
@@ -1063,11 +913,12 @@ mod tests {
         row.victim_ipc = vec![(2, 0.5), (3, 0.4)];
         row.min_ipc_ratio = 0.93;
         row.rotated_sectors = 40;
-        let json = storm_json(std::slice::from_ref(&row), &campaign).to_string_pretty();
+        let rows = [row];
+        let report = storm_report(&rows, &campaign);
+        let json = report.to_json().to_string_pretty();
         assert!(json.contains("\"clean\": true"));
         assert!(json.contains("\"t2\""));
-        let csv = storm_csv(std::slice::from_ref(&row), &campaign);
-        assert!(csv.contains("plutus,storm"));
-        assert!(storm_table(&[row], &campaign).contains("yes"));
+        assert!(report.to_csv().contains("plutus,storm"));
+        assert!(report.to_console().contains("true"));
     }
 }

@@ -3,7 +3,7 @@
 use crate::SchemeProvider;
 use gpu_sim::{GpuConfig, RetryPolicy, SimStats, Simulator, TransientConfig};
 use plutus_exec::{expect_all, Executor, Job};
-use plutus_telemetry::Json;
+use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use workloads::{Scale, WorkloadSpec};
 
 /// Parameters of a transient campaign. `runs` independently seeded
@@ -39,7 +39,7 @@ impl TransientCampaignConfig {
 
 /// Aggregated transient-campaign outcome for one (workload, engine)
 /// pair, summed over all runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TransientRow {
     /// Workload name.
     pub workload: String,
@@ -75,16 +75,7 @@ impl TransientRow {
         Self {
             workload: workload.to_string(),
             scheme,
-            fills: 0,
-            injected: 0,
-            recovered: 0,
-            escalated: 0,
-            undetected: 0,
-            not_applied: 0,
-            retries: 0,
-            retry_cycles: 0,
-            violations: 0,
-            degraded: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -204,134 +195,47 @@ pub fn run_transient_campaign_on(
 ///
 /// # Errors
 ///
-/// Returns a description of every violated condition.
-pub fn transient_gate(rows: &[TransientRow]) -> Result<(), String> {
-    if rows.is_empty() {
-        return Err("transient campaign produced no rows".into());
-    }
+/// Returns the failure naming every violated check.
+pub fn transient_gate(rows: &[TransientRow]) -> Result<(), GateFailure> {
+    let mut gate = Gate::new();
+    gate.check("rows", !rows.is_empty(), || {
+        "transient campaign produced no rows".into()
+    });
     let injected: u64 = rows.iter().map(|r| r.injected).sum();
-    if injected == 0 {
-        return Err("transient campaign injected no faults (rate too low for scale?)".into());
-    }
-    let bad: Vec<String> = rows
-        .iter()
-        .filter(|r| r.escalated > 0)
-        .map(|r| {
+    gate.check("injected", injected > 0, || {
+        "transient campaign injected no faults (rate too low for scale?)".into()
+    });
+    for r in rows {
+        gate.check("escalated", r.escalated == 0, || {
             format!(
                 "{}/{}: {} transient fault(s) escalated to violations",
                 r.workload, r.scheme, r.escalated
             )
+        });
+    }
+    gate.finish()
+}
+
+/// The transient report: one row per (workload, engine).
+pub fn transient_report(rows: &[TransientRow]) -> Table<'_, TransientRow> {
+    Table::new(rows)
+        .show("workload", |r| r.workload.as_str().into())
+        .show("scheme", |r| r.scheme.as_str().into())
+        .col("fills", |r| r.fills.into())
+        .show("injected", |r| r.injected.into())
+        .show("recovered", |r| r.recovered.into())
+        .show("escalated", |r| r.escalated.into())
+        .show("undetected", |r| r.undetected.into())
+        .show("not_applied", |r| r.not_applied.into())
+        .show("retries", |r| r.retries.into())
+        .show("retry_cycles", |r| r.retry_cycles.into())
+        .col("violations", |r| r.violations.into())
+        .show("recovery_rate", |r| r.recovery_rate().into())
+        .nest("degraded", |r| {
+            r.degraded
+                .iter()
+                .fold(Json::object(), |o, (k, v)| o.set(k, *v))
         })
-        .collect();
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad.join("; "))
-    }
-}
-
-/// Renders transient rows as a JSON document.
-pub fn transient_json(rows: &[TransientRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| {
-                let degraded = r
-                    .degraded
-                    .iter()
-                    .fold(Json::object(), |o, (k, v)| o.set(k, *v));
-                Json::object()
-                    .set("workload", r.workload.as_str())
-                    .set("scheme", r.scheme.as_str())
-                    .set("fills", r.fills)
-                    .set("injected", r.injected)
-                    .set("recovered", r.recovered)
-                    .set("escalated", r.escalated)
-                    .set("undetected", r.undetected)
-                    .set("not_applied", r.not_applied)
-                    .set("retries", r.retries)
-                    .set("retry_cycles", r.retry_cycles)
-                    .set("violations", r.violations)
-                    .set("recovery_rate", r.recovery_rate())
-                    .set("degraded", degraded)
-            })
-            .collect(),
-    )
-}
-
-/// Renders transient rows as CSV.
-pub fn transient_csv(rows: &[TransientRow]) -> String {
-    let mut out = String::from(
-        "workload,scheme,fills,injected,recovered,escalated,undetected,not_applied,\
-         retries,retry_cycles,violations,recovery_rate\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{:.6}\n",
-            r.workload,
-            r.scheme,
-            r.fills,
-            r.injected,
-            r.recovered,
-            r.escalated,
-            r.undetected,
-            r.not_applied,
-            r.retries,
-            r.retry_cycles,
-            r.violations,
-            r.recovery_rate()
-        ));
-    }
-    out
-}
-
-/// Renders the per-(workload, engine) transient table.
-pub fn transient_table(rows: &[TransientRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14}{:<18}{:>9}{:>10}{:>10}{:>10}{:>8}{:>9}{:>12}{:>10}",
-        "workload",
-        "scheme",
-        "injected",
-        "recovered",
-        "escalated",
-        "undetect",
-        "n/a",
-        "retries",
-        "retry-cyc",
-        "rec-rate"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<14}{:<18}{:>9}{:>10}{:>10}{:>10}{:>8}{:>9}{:>12}{:>9.1}%",
-            r.workload,
-            r.scheme,
-            r.injected,
-            r.recovered,
-            r.escalated,
-            r.undetected,
-            r.not_applied,
-            r.retries,
-            r.retry_cycles,
-            r.recovery_rate() * 100.0
-        );
-    }
-    out
-}
-
-/// Writes the transient campaign as JSON and CSV under
-/// `target/experiments/`, returning the JSON path.
-///
-/// # Errors
-///
-/// Returns any I/O error.
-pub fn save_transient_campaign(
-    name: &str,
-    rows: &[TransientRow],
-) -> std::io::Result<std::path::PathBuf> {
-    crate::save_reports(name, &transient_json(rows), &transient_csv(rows))
 }
 
 #[cfg(test)]
@@ -394,14 +298,17 @@ mod tests {
         row.escalated = 1;
         row.retries = 6;
         row.degraded = vec![("degraded_verifier_frozen".into(), 1)];
-        let json = transient_json(&[row.clone()]).to_string_pretty();
+        let rows = [row];
+        let report = transient_report(&rows);
+        let json = report.to_json().to_string_pretty();
         assert!(json.contains("\"recovery_rate\""));
         assert!(json.contains("\"degraded_verifier_frozen\": 1"));
-        let csv = transient_csv(&[row.clone()]);
+        let csv = report.to_csv();
         assert!(csv.starts_with("workload,scheme"));
         assert!(csv.contains("bfs,plutus"));
-        assert!((row.recovery_rate() - 0.8).abs() < 1e-12);
-        assert!(transient_table(&[row]).contains("plutus"));
+        assert!(!csv.contains("degraded"), "nested columns stay JSON-only");
+        assert!((rows[0].recovery_rate() - 0.8).abs() < 1e-12);
+        assert!(report.to_console().contains("plutus"));
     }
 
     #[test]

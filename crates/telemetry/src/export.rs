@@ -274,7 +274,7 @@ impl Report {
 }
 
 /// Quotes a CSV field when needed (commas, quotes, newlines).
-fn csv_field(s: &str) -> String {
+pub(crate) fn csv_field(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

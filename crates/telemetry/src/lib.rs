@@ -14,7 +14,9 @@
 //! * per-epoch snapshot/delta support ([`Telemetry::end_epoch`]) so
 //!   long simulations can emit time-series;
 //! * JSON and CSV exporters and a human-readable summary table
-//!   ([`Report`]).
+//!   ([`Report`]);
+//! * row reports whose columns are declared once ([`Table`]), written
+//!   through [`save_report`] and gated by named checks ([`Gate`]).
 //!
 //! Instrumentation is opt-out: [`Telemetry::disabled`] hands out
 //! handles whose record calls are branch-free no-ops (masked atomics),
@@ -46,6 +48,7 @@ pub mod metrics;
 pub mod rundir;
 pub mod slo;
 pub mod stream;
+pub mod table;
 pub mod trace;
 
 pub use clock::{Clock, CycleClock, NullClock, WallClock};
@@ -62,6 +65,7 @@ pub use rundir::{
 };
 pub use slo::{Anomaly, SloPolicy, SloTracker};
 pub use stream::{StreamSink, STREAM_NONDETERMINISTIC, STREAM_SCHEMA};
+pub use table::{save_report, Gate, GateFailure, Table};
 pub use trace::{TraceId, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,21 +12,32 @@
 
 use gpu_sim::GpuConfig;
 use plutus_bench::{
-    campaign_csv, campaign_json, recovery_schemes, run_campaign_on, try_run_matrix_on,
-    CampaignConfig, CampaignKind, Scheme,
+    campaign_report, recovery_schemes, run_campaign_on, try_run_matrix_on, CampaignConfig,
+    CampaignKind, Scheme,
 };
 use plutus_exec::Executor;
 use plutus_recovery::{
-    crash_csv, crash_json, run_crash_campaign_on, run_storm_campaign_on, run_transient_campaign_on,
-    storm_csv, storm_json, transient_csv, transient_json, CrashCampaignConfig, StormCampaignConfig,
+    crash_report, run_crash_campaign_on, run_storm_campaign_on, run_transient_campaign_on,
+    storm_report, transient_report, CrashCampaignConfig, StormCampaignConfig,
     TransientCampaignConfig,
 };
+use plutus_telemetry::Table;
 use workloads::{by_name, Scale, WorkloadSpec};
 
 /// One serial pool and one wide pool — wide enough that jobs outnumber
 /// workers and work-stealing actually reorders execution.
 fn pools() -> (Executor, Executor) {
     (Executor::sequential(), Executor::new(Some(4)))
+}
+
+/// Asserts that two renderings of one report declaration match byte
+/// for byte, in JSON and in CSV.
+fn assert_same<R>(a: Table<'_, R>, b: Table<'_, R>) {
+    assert_eq!(
+        a.to_json().to_string_pretty(),
+        b.to_json().to_string_pretty()
+    );
+    assert_eq!(a.to_csv(), b.to_csv());
 }
 
 fn victims() -> Vec<WorkloadSpec> {
@@ -72,11 +83,7 @@ fn campaign_reports_are_byte_identical_across_worker_counts() {
     let cfg = GpuConfig::test_small();
     let a = run_campaign_on(&serial, &w, &campaign, &cfg);
     let b = run_campaign_on(&wide, &w, &campaign, &cfg);
-    assert_eq!(
-        campaign_json(&a).to_string_pretty(),
-        campaign_json(&b).to_string_pretty()
-    );
-    assert_eq!(campaign_csv(&a), campaign_csv(&b));
+    assert_same(campaign_report(&a), campaign_report(&b));
 }
 
 #[test]
@@ -93,11 +100,7 @@ fn transient_reports_are_byte_identical_across_worker_counts() {
     let cfg = GpuConfig::test_small();
     let a = run_transient_campaign_on(&serial, &w, &recovery_schemes(), &campaign, &cfg);
     let b = run_transient_campaign_on(&wide, &w, &recovery_schemes(), &campaign, &cfg);
-    assert_eq!(
-        transient_json(&a).to_string_pretty(),
-        transient_json(&b).to_string_pretty()
-    );
-    assert_eq!(transient_csv(&a), transient_csv(&b));
+    assert_same(transient_report(&a), transient_report(&b));
 }
 
 #[test]
@@ -112,11 +115,7 @@ fn storm_reports_are_byte_identical_across_worker_counts() {
     let cfg = GpuConfig::test_small();
     let a = run_storm_campaign_on(&serial, &campaign, &cfg);
     let b = run_storm_campaign_on(&wide, &campaign, &cfg);
-    assert_eq!(
-        storm_json(&a, &campaign).to_string_pretty(),
-        storm_json(&b, &campaign).to_string_pretty()
-    );
-    assert_eq!(storm_csv(&a, &campaign), storm_csv(&b, &campaign));
+    assert_same(storm_report(&a, &campaign), storm_report(&b, &campaign));
 }
 
 #[test]
@@ -131,9 +130,5 @@ fn crash_reports_are_byte_identical_across_worker_counts() {
     let cfg = GpuConfig::test_small();
     let a = run_crash_campaign_on(&serial, &w, &recovery_schemes(), &campaign, &cfg);
     let b = run_crash_campaign_on(&wide, &w, &recovery_schemes(), &campaign, &cfg);
-    assert_eq!(
-        crash_json(&a).to_string_pretty(),
-        crash_json(&b).to_string_pretty()
-    );
-    assert_eq!(crash_csv(&a), crash_csv(&b));
+    assert_same(crash_report(&a), crash_report(&b));
 }
