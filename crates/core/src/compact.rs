@@ -18,10 +18,11 @@
 //! avoiding the double-lookup penalty of write-heavy data.
 
 use gpu_sim::cache::SectoredCache;
-use gpu_sim::{DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
+use gpu_sim::{
+    DramReq, FastHashMap, FastHashSet, SectorAddr, TrafficClass, Violation, SECTOR_SIZE,
+};
 use plutus_crypto::Cmac;
 use plutus_telemetry::{Counter, Event, Telemetry};
-use std::collections::{HashMap, HashSet};
 
 /// Which compact-counter design is active (the paper's three options).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,12 +118,12 @@ const COMPACT_BASE: u64 = 1 << 45;
 #[derive(Debug, Clone)]
 pub struct CompactCounters {
     cfg: CompactConfig,
-    values: HashMap<u64, u8>,
-    saturated_in_block: HashMap<u64, u8>,
-    disabled_blocks: HashSet<u64>,
+    values: FastHashMap<u64, u8>,
+    saturated_in_block: FastHashMap<u64, u8>,
+    disabled_blocks: FastHashSet<u64>,
     cache: SectoredCache,
     tree_cache: SectoredCache,
-    leaf_hashes: HashMap<u64, u64>,
+    leaf_hashes: FastHashMap<u64, u64>,
     cmac: Cmac,
     /// `(base, count)` per tree level, level 1 first; 4-ary 32 B nodes.
     levels: Vec<(u64, u64)>,
@@ -184,12 +185,12 @@ impl CompactCounters {
         }
 
         Self {
-            values: HashMap::new(),
-            saturated_in_block: HashMap::new(),
-            disabled_blocks: HashSet::new(),
+            values: FastHashMap::default(),
+            saturated_in_block: FastHashMap::default(),
+            disabled_blocks: FastHashSet::default(),
             cache: SectoredCache::new(cfg.cache_bytes, cfg.cache_ways, 32, false),
             tree_cache: SectoredCache::new(cfg.cache_bytes, cfg.cache_ways, 32, false),
-            leaf_hashes: HashMap::new(),
+            leaf_hashes: FastHashMap::default(),
             cmac: Cmac::new(tree_key),
             levels,
             partitions: partitions.max(1) as u64,

@@ -30,14 +30,14 @@ use crate::compact::CompactCounters;
 use crate::config::PlutusConfig;
 use crate::verify::{ValueVerifier, Verdict, WriteScreen};
 use gpu_sim::{
-    BackingMemory, DramReq, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport,
-    SectorAddr, SecurityEngine, Violation, WritePlan,
+    BackingMemory, DramReq, EngineFactory, FastHashMap, FillPlan, MetaFault, RecoveryError,
+    RecoveryReport, SectorAddr, SecurityEngine, Violation, WritePlan,
 };
 use plutus_telemetry::{Counter, Event, Telemetry, TraceId, Tracer};
 use secure_mem::{
     Candidate, CounterAccess, CounterSystem, ProtectedRegion, SecureMemError, Settled, Vouch,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Fill failures (retries or escalations) before the value-cache fast path
 /// is frozen and every read pays full MAC verification.
@@ -63,7 +63,7 @@ pub struct PlutusEngine {
     /// value-cache freeze never widens to other tenants.
     tenant_fill_failures: BTreeMap<u32, u64>,
     frozen_tenants: BTreeSet<u32>,
-    block_failures: HashMap<u64, u32>,
+    block_failures: FastHashMap<u64, u32>,
     blocks_frozen: u64,
     tel: Telemetry,
     tel_mac_avoided: Counter,
@@ -113,7 +113,7 @@ impl PlutusEngine {
             verifier_frozen: false,
             tenant_fill_failures: BTreeMap::new(),
             frozen_tenants: BTreeSet::new(),
-            block_failures: HashMap::new(),
+            block_failures: FastHashMap::default(),
             blocks_frozen: 0,
             tel: Telemetry::disabled(),
             tel_mac_avoided: Counter::disabled(),
@@ -342,8 +342,12 @@ impl SecurityEngine for PlutusEngine {
     }
 
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory) {
+        self.install_image(&[(addr, *plaintext)], mem);
+    }
+
+    fn install_image(&mut self, image: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
         // Counter 0 in both the compact and original layers.
-        self.region.install(addr, plaintext, 0, mem);
+        self.region.install(image, |_, _| 0, mem);
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {

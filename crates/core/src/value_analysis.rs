@@ -11,8 +11,7 @@
 //!    bits masked (captures nearby values; the rule Plutus ships).
 
 use crate::value_cache::{ValueCache, ValueCacheConfig};
-use gpu_sim::{partition_of, AccessKind, Trace};
-use std::collections::HashMap;
+use gpu_sim::{partition_of, AccessKind, BackingMemory, Trace};
 
 /// Reuse fractions (0..=1) over all reads in the trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -67,9 +66,9 @@ pub fn analyze_trace(trace: &Trace, partitions: usize, entries: usize) -> ValueR
     let mut caches: Vec<ScenarioCaches> = (0..partitions)
         .map(|_| ScenarioCaches::new(entries))
         .collect();
-    let mut memory: HashMap<u64, [u8; 32]> = HashMap::new();
-    for (addr, data) in &trace.initial_image {
-        memory.insert(addr.raw(), *data);
+    let mut memory = BackingMemory::new();
+    for &(addr, data) in &trace.initial_image {
+        memory.write(addr, data);
     }
 
     let mut reuse = ValueReuse::default();
@@ -79,14 +78,14 @@ pub fn analyze_trace(trace: &Trace, partitions: usize, entries: usize) -> ValueR
         match access.kind {
             AccessKind::Write => {
                 let data = trace.data_of(access);
-                memory.insert(access.addr.raw(), *data);
+                memory.write(access.addr, *data);
                 for v in values_of(data) {
                     caches.exact.insert(v);
                     caches.masked.insert(v);
                 }
             }
             AccessKind::Read => {
-                let data = memory.get(&access.addr.raw()).copied().unwrap_or([0; 32]);
+                let data = memory.read(access.addr).unwrap_or([0; 32]);
                 let values = values_of(&data);
                 reuse.reads += 1;
 

@@ -40,6 +40,7 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod fault;
+pub mod hash;
 pub mod ledger;
 pub mod mem;
 pub mod security;
@@ -55,6 +56,7 @@ pub use address::{
 pub use config::{DramConfig, GpuConfig, SecurityLatencies};
 pub use dram::{BankStat, DramBreakdown};
 pub use fault::{FaultKind, FaultSchedule, FaultTrigger, ScheduledFault};
+pub use hash::{FastHashMap, FastHashSet};
 pub use ledger::{CycleLedger, LedgerWeights, PartitionLedger, StallBucket, NUM_STALL_BUCKETS};
 pub use mem::BackingMemory;
 pub use security::{

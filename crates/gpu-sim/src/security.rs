@@ -335,6 +335,16 @@ pub trait SecurityEngine {
     /// metadata the scheme needs. Must not generate timing.
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory);
 
+    /// Installs a run of initial-image sectors with the effect of one
+    /// [`SecurityEngine::install`] per sector in order, so a repeated
+    /// address ends with its last contents. Engines override it to batch
+    /// the crypto; the default loops `install`.
+    fn install_image(&mut self, image: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
+        for (addr, plaintext) in image {
+            self.install(*addr, plaintext, mem);
+        }
+    }
+
     /// Serves an L2 read miss of `addr`: decrypt + verify, returning the
     /// timing plan and plaintext.
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan;

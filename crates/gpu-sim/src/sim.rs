@@ -20,6 +20,7 @@ use crate::cache::{EvictedSector, SectoredCache};
 use crate::config::GpuConfig;
 use crate::dram::DramChannel;
 use crate::fault::{FaultKind, FaultSchedule, ScheduledFault};
+use crate::hash::FastHashMap;
 use crate::ledger::{CycleLedger, LedgerWeights, StallBucket, NUM_STALL_BUCKETS};
 use crate::mem::BackingMemory;
 use crate::security::{
@@ -35,7 +36,11 @@ use crate::transient::{RetryPolicy, TransientConfig, TransientKind, TransientSam
 use plutus_telemetry::{Counter, Event as TelEvent, Gauge, Histogram, Telemetry, TraceId, Tracer};
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Initial-image sectors buffered per partition before one
+/// [`SecurityEngine::install_image`] call.
+const INSTALL_BATCH: usize = 256;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
@@ -130,7 +135,7 @@ struct MshrEntry {
 
 struct Partition {
     l2: Vec<SectoredCache>,
-    mshr: HashMap<SectorAddr, MshrEntry>,
+    mshr: FastHashMap<SectorAddr, MshrEntry>,
     mshr_capacity: usize,
     /// Accesses waiting for a free MSHR (with the cycle they started
     /// waiting at, so the ledger can charge the wait to
@@ -307,9 +312,9 @@ pub struct Simulator {
     /// Faults still waiting for their trigger.
     faults: FaultSchedule,
     /// Attacker snapshots captured by [`FaultKind::SnapshotData`].
-    snapshots: HashMap<u64, [u8; 32]>,
+    snapshots: FastHashMap<u64, [u8; 32]>,
     /// Applied faults awaiting resolution, keyed by raw sector address.
-    armed: HashMap<u64, ArmedFault>,
+    armed: FastHashMap<u64, ArmedFault>,
     /// Accesses that have arrived at their partition (drives
     /// [`crate::FaultTrigger::AtAccess`]).
     accesses_seen: u64,
@@ -341,11 +346,11 @@ pub struct Simulator {
     tenants: TenantMap,
     /// Per-tenant progress accumulation, folded into
     /// [`SimStats::tenants`] at finalize.
-    tenant_acc: HashMap<u32, TenantStat>,
+    tenant_acc: FastHashMap<u32, TenantStat>,
     /// `(instructions, violations)` already mirrored into the registry
     /// per tenant — epoch rollups add only the delta since the previous
     /// mirror so `tenant.t<id>.*` counters stay monotonic.
-    tenant_mirrored: HashMap<u32, (u64, u64)>,
+    tenant_mirrored: FastHashMap<u32, (u64, u64)>,
 }
 
 impl Simulator {
@@ -392,7 +397,7 @@ impl Simulator {
                     .collect();
                 Partition {
                     l2,
-                    mshr: HashMap::new(),
+                    mshr: FastHashMap::default(),
                     mshr_capacity: cfg.mshrs_per_partition,
                     pending: VecDeque::new(),
                     dram,
@@ -405,9 +410,24 @@ impl Simulator {
             .map(|p| p.engine.name())
             .unwrap_or("none");
 
-        for (addr, data) in &trace.initial_image {
+        // One pass over the image: each partition's sectors are buffered
+        // and installed in batches, in image order.
+        let mut batches: Vec<Vec<(SectorAddr, [u8; 32])>> = (0..cfg.partitions)
+            .map(|_| Vec::with_capacity(INSTALL_BATCH))
+            .collect();
+        for &(addr, data) in &trace.initial_image {
             let p = partition_of(addr.block(), cfg.partitions);
-            partitions[p].engine.install(*addr, data, &mut backing);
+            let batch = &mut batches[p];
+            batch.push((addr, data));
+            if batch.len() == INSTALL_BATCH {
+                partitions[p].engine.install_image(batch, &mut backing);
+                batch.clear();
+            }
+        }
+        for (part, batch) in partitions.iter_mut().zip(&batches) {
+            if !batch.is_empty() {
+                part.engine.install_image(batch, &mut backing);
+            }
         }
 
         let simtel = SimTelemetry::new(&tel);
@@ -428,8 +448,8 @@ impl Simulator {
             epoch_interval: None,
             next_epoch_at: u64::MAX,
             faults: FaultSchedule::new(),
-            snapshots: HashMap::new(),
-            armed: HashMap::new(),
+            snapshots: FastHashMap::default(),
+            armed: FastHashMap::default(),
             accesses_seen: 0,
             transients: None,
             retry: RetryPolicy::default(),
@@ -443,8 +463,8 @@ impl Simulator {
             last_event_time: 0,
             warmup_done: false,
             tenants: TenantMap::new(),
-            tenant_acc: HashMap::new(),
-            tenant_mirrored: HashMap::new(),
+            tenant_acc: FastHashMap::default(),
+            tenant_mirrored: FastHashMap::default(),
         }
     }
 

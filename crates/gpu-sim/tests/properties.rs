@@ -1,14 +1,17 @@
 //! Property-style tests for the simulator substrate, run over many seeded
-//! random inputs: the sectored cache is checked against a reference model,
-//! the DRAM channel against its throughput/latency contracts, and
-//! [`SimStats`] against its aggregation invariants.
+//! random inputs: the sectored cache and the paged backing memory are
+//! checked against reference models, the DRAM channel against its
+//! throughput/latency contracts, and [`SimStats`] against its aggregation
+//! invariants.
 
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::dram::DramChannel;
-use gpu_sim::{partition_of, BlockAddr, DramConfig, SectorAddr, SimStats, TrafficClass};
+use gpu_sim::{
+    partition_of, BackingMemory, BlockAddr, DramConfig, SectorAddr, SimStats, TrafficClass,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const SEEDS: u64 = 32;
 
@@ -186,4 +189,76 @@ fn stats_directions_are_independent() {
     assert_eq!(read_total, reads);
     assert_eq!(write_total, writes);
     assert_eq!(s.total_bytes(), reads + writes);
+}
+
+/// A sector from one of three ranges: dense low sectors, the sectors
+/// either side of the first page boundary (4095 | 4096), and sparse
+/// sectors at or above 2^40 bytes, many pages apart.
+fn memory_addr(rng: &mut StdRng) -> SectorAddr {
+    let index = match rng.gen_range(0..3u32) {
+        0 => rng.gen_range(0..256u64),
+        1 => rng.gen_range(4094..4098u64),
+        _ => (1 << 35) + rng.gen_range(0..64u64) * 0x1_0000_0001,
+    };
+    SectorAddr::new(index * 32)
+}
+
+/// The paged store behaves as a map from sector to bytes: every return
+/// value of `write`/`read`/`corrupt`/`snapshot`/`replay`, the resident
+/// count and the ordered resident addresses match a `BTreeMap`.
+#[test]
+fn backing_memory_matches_reference_model() {
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mem = BackingMemory::new();
+        let mut reference: BTreeMap<u64, [u8; 32]> = BTreeMap::new();
+        let mut captured: Vec<(SectorAddr, [u8; 32])> = Vec::new();
+        for _ in 0..rng.gen_range(1..600u32) {
+            let addr = memory_addr(&mut rng);
+            let held = reference.get(&addr.raw()).copied();
+            match rng.gen_range(0..5u32) {
+                0 => {
+                    let data: [u8; 32] = rng.gen();
+                    mem.write(addr, data);
+                    reference.insert(addr.raw(), data);
+                }
+                1 => assert_eq!(mem.read(addr), held, "read {addr} (seed {seed})"),
+                2 => {
+                    let mask: [u8; 32] = rng.gen();
+                    assert_eq!(mem.corrupt(addr, &mask), held.is_some(), "corrupt {addr}");
+                    if let Some(bytes) = reference.get_mut(&addr.raw()) {
+                        for (b, m) in bytes.iter_mut().zip(mask) {
+                            *b ^= m;
+                        }
+                    }
+                }
+                3 => {
+                    let snap = mem.snapshot(addr);
+                    assert_eq!(snap, held, "snapshot {addr} (seed {seed})");
+                    captured.extend(snap.map(|bytes| (addr, bytes)));
+                }
+                _ => {
+                    // Replay a captured sector, or bytes never captured
+                    // at a possibly non-resident address.
+                    let (target, old) = if !captured.is_empty() && rng.gen_bool(0.7) {
+                        captured[rng.gen_range(0..captured.len())]
+                    } else {
+                        (addr, rng.gen())
+                    };
+                    let resident = reference.contains_key(&target.raw());
+                    assert_eq!(mem.replay(target, old), resident, "replay {target}");
+                    if let Some(bytes) = reference.get_mut(&target.raw()) {
+                        *bytes = old;
+                    }
+                }
+            }
+            assert_eq!(mem.resident_sectors(), reference.len(), "seed {seed}");
+        }
+        let addrs: Vec<u64> = mem.resident_addrs().iter().map(|a| a.raw()).collect();
+        let want: Vec<u64> = reference.keys().copied().collect();
+        assert_eq!(addrs, want, "resident_addrs (seed {seed})");
+        for (&raw, bytes) in &reference {
+            assert_eq!(mem.read(SectorAddr::new(raw)), Some(*bytes));
+        }
+    }
 }

@@ -17,10 +17,9 @@ use crate::config::SecureMemConfig;
 use crate::counter_store::CounterStore;
 use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
-use gpu_sim::{DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
+use gpu_sim::{DramReq, FastHashMap, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
 use plutus_crypto::Cmac;
 use plutus_telemetry::{Event, Histogram, Telemetry};
-use std::collections::HashMap;
 
 /// Timing and verification products of a BMT operation.
 #[derive(Debug, Clone, Default)]
@@ -54,7 +53,7 @@ pub struct Bmt {
     layout: Layout,
     cache: SectoredCache,
     cmac: Cmac,
-    leaf_hashes: HashMap<u64, u64>,
+    leaf_hashes: FastHashMap<u64, u64>,
     disabled: bool,
     node_fetches: u64,
     node_hits: u64,
@@ -82,7 +81,7 @@ impl Bmt {
             layout,
             cache,
             cmac: Cmac::new(cfg.bmt_key),
-            leaf_hashes: HashMap::new(),
+            leaf_hashes: FastHashMap::default(),
             disabled: cfg.disable_tree,
             node_fetches: 0,
             node_hits: 0,

@@ -12,10 +12,9 @@
 use crate::config::SecureMemConfig;
 use crate::pssm::PssmEngine;
 use gpu_sim::{
-    BackingMemory, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport, SectorAddr,
-    SecurityEngine, WritePlan,
+    BackingMemory, EngineFactory, FastHashSet, FillPlan, MetaFault, RecoveryError, RecoveryReport,
+    SectorAddr, SecurityEngine, WritePlan,
 };
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Region granularity tracked on-chip.
@@ -30,7 +29,7 @@ pub const REGION_BYTES: u64 = 16 * 1024;
 #[derive(Debug, Clone)]
 pub struct CommonCountersEngine {
     inner: PssmEngine,
-    dirty_regions: Arc<Mutex<HashSet<u64>>>,
+    dirty_regions: Arc<Mutex<FastHashSet<u64>>>,
     clean_hits: u64,
 }
 
@@ -39,10 +38,10 @@ impl CommonCountersEngine {
     /// use [`CommonCountersEngine::factory`] for a multi-partition
     /// simulator so the table is shared).
     pub fn new(cfg: SecureMemConfig) -> Self {
-        Self::with_shared_table(cfg, Arc::new(Mutex::new(HashSet::new())))
+        Self::with_shared_table(cfg, Arc::default())
     }
 
-    fn with_shared_table(cfg: SecureMemConfig, table: Arc<Mutex<HashSet<u64>>>) -> Self {
+    fn with_shared_table(cfg: SecureMemConfig, table: Arc<Mutex<FastHashSet<u64>>>) -> Self {
         Self {
             inner: PssmEngine::new(cfg),
             dirty_regions: table,
@@ -55,7 +54,7 @@ impl CommonCountersEngine {
     pub fn factory(cfg: SecureMemConfig) -> CommonCountersFactory {
         CommonCountersFactory {
             cfg,
-            table: Arc::new(Mutex::new(HashSet::new())),
+            table: Arc::default(),
         }
     }
 
@@ -79,9 +78,13 @@ impl SecurityEngine for CommonCountersEngine {
     }
 
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory) {
+        self.install_image(&[(addr, *plaintext)], mem);
+    }
+
+    fn install_image(&mut self, image: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
         // Install is the pre-kernel image, not a kernel write: the region
         // stays clean (counters stay zero).
-        self.inner.install(addr, plaintext, mem);
+        self.inner.install_image(image, mem);
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {
@@ -207,7 +210,7 @@ impl SecurityEngine for CommonCountersEngine {
 #[derive(Debug, Clone)]
 pub struct CommonCountersFactory {
     cfg: SecureMemConfig,
-    table: Arc<Mutex<HashSet<u64>>>,
+    table: Arc<Mutex<FastHashSet<u64>>>,
 }
 
 impl EngineFactory for CommonCountersFactory {

@@ -8,8 +8,7 @@
 //! cost, surfaced to the engine via [`IncrementOutcome::GroupOverflow`].
 
 use crate::layout::SECTORS_PER_COUNTER_GROUP;
-use gpu_sim::SectorAddr;
-use std::collections::HashMap;
+use gpu_sim::{FastHashMap, SectorAddr};
 
 /// Minor counter width in bits.
 pub const MINOR_BITS: u32 = 7;
@@ -42,9 +41,9 @@ pub enum IncrementOutcome {
 #[derive(Debug, Clone)]
 pub struct CounterStore {
     org: crate::config::CounterOrg,
-    majors: HashMap<u64, u32>,
-    minors: HashMap<u64, u8>,
-    monolithic: HashMap<u64, u64>,
+    majors: FastHashMap<u64, u32>,
+    minors: FastHashMap<u64, u8>,
+    monolithic: FastHashMap<u64, u64>,
 }
 
 impl Default for CounterStore {
@@ -63,9 +62,9 @@ impl CounterStore {
     pub fn with_org(org: crate::config::CounterOrg) -> Self {
         Self {
             org,
-            majors: HashMap::new(),
-            minors: HashMap::new(),
-            monolithic: HashMap::new(),
+            majors: FastHashMap::default(),
+            minors: FastHashMap::default(),
+            monolithic: FastHashMap::default(),
         }
     }
 

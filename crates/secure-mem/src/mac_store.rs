@@ -7,18 +7,17 @@
 //! all-zero sector under counter 0.
 
 use crate::tenant::derive_mac_key;
-use gpu_sim::{SectorAddr, TenantMap, SECTOR_SIZE};
+use gpu_sim::{FastHashMap, SectorAddr, TenantMap};
 use plutus_crypto::{Cmac, Tweak};
-use std::collections::HashMap;
 
 /// Functional MAC table with configurable truncation.
 #[derive(Debug, Clone)]
 pub struct MacStore {
-    tags: HashMap<u64, u64>,
+    tags: FastHashMap<u64, u64>,
     cmac: Cmac,
     /// Per-tenant CMACs (multi-tenant operation). Keys are derived
     /// generation-free, so live key rotation never invalidates a tag.
-    tenants: Option<(TenantMap, HashMap<u32, Cmac>)>,
+    tenants: Option<(TenantMap, FastHashMap<u32, Cmac>)>,
     mask: u64,
 }
 
@@ -39,7 +38,7 @@ impl MacStore {
             (1u64 << (mac_bytes * 8)) - 1
         };
         Self {
-            tags: HashMap::new(),
+            tags: FastHashMap::default(),
             cmac: Cmac::new(key),
             tenants: None,
             mask,
@@ -98,7 +97,7 @@ impl MacStore {
             Some((map, _)) => {
                 // Partition by tenant key, batch each partition, scatter
                 // the tags back in input order.
-                let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
+                let mut groups: FastHashMap<u32, Vec<usize>> = FastHashMap::default();
                 for (i, (addr, _)) in at.iter().enumerate() {
                     groups.entry(map.tenant_of(*addr)).or_default().push(i);
                 }
@@ -148,22 +147,6 @@ impl MacStore {
             Some(t) => *t,
             None => self.compute(&[0; 32], addr, 0),
         }
-    }
-
-    /// Addresses with stored tags inside `[start, end)`, ascending, at
-    /// most `limit`. The tag table is the ownership source of truth for
-    /// the key-rotation walk: exactly the sectors ever written (and hence
-    /// carrying non-trivial ciphertext) are visited.
-    pub fn addrs_in_range(&self, start: u64, end: u64, limit: usize) -> Vec<SectorAddr> {
-        let mut raws: Vec<u64> = self
-            .tags
-            .keys()
-            .map(|idx| idx * SECTOR_SIZE)
-            .filter(|a| (start..end).contains(a))
-            .collect();
-        raws.sort_unstable();
-        raws.truncate(limit);
-        raws.into_iter().map(SectorAddr::new).collect()
     }
 
     /// Stores the tag for a freshly written sector.
@@ -312,19 +295,5 @@ mod tests {
             assert!(!mixed[5], "tampered sector must fail in the batch");
             assert!(mixed.iter().enumerate().all(|(i, &v)| v || i == 5));
         }
-    }
-
-    #[test]
-    fn addrs_in_range_sorted_and_bounded() {
-        let mut m = store();
-        for raw in [0x200u64, 0x40, 0x1000, 0x80] {
-            m.update(SectorAddr::new(raw), &[1; 32], 1);
-        }
-        let got = m.addrs_in_range(0, 0x1000, 8);
-        let raws: Vec<u64> = got.iter().map(|a| a.raw()).collect();
-        assert_eq!(raws, vec![0x40, 0x80, 0x200]);
-        let capped = m.addrs_in_range(0, 0x2000, 2);
-        assert_eq!(capped.len(), 2);
-        assert_eq!(capped[0].raw(), 0x40);
     }
 }

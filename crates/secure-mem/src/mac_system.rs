@@ -150,12 +150,6 @@ impl MacSystem {
         self.store.tamper(sector);
     }
 
-    /// Tagged addresses inside `[start, end)`, ascending, at most
-    /// `limit` — the key-rotation walk's work list.
-    pub fn addrs_in_range(&self, start: u64, end: u64, limit: usize) -> Vec<SectorAddr> {
-        self.store.addrs_in_range(start, end, limit)
-    }
-
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

@@ -93,8 +93,12 @@ impl SecurityEngine for PssmEngine {
     }
 
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory) {
-        let ctr = self.region.counters.peek_value(addr);
-        self.region.install(addr, plaintext, ctr, mem);
+        self.install_image(&[(addr, *plaintext)], mem);
+    }
+
+    fn install_image(&mut self, image: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
+        self.region
+            .install(image, |counters, addr| counters.peek_value(addr), mem);
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {

@@ -9,7 +9,8 @@
 //! [`ProtectedRegion`] owns the shared state and every operation that
 //! acts on it the same way in each engine:
 //!
-//! - effective-cipher selection, functional decrypt and encrypt-store;
+//! - effective-cipher selection, functional decrypt, encrypt-store and
+//!   the batched image install;
 //! - the background tenancy work of each access (one rotation-walk step
 //!   and a drain of the tenant's deferred storm traffic), and the storm
 //!   gate's booking of a counter-group overflow re-encryption;
@@ -165,17 +166,33 @@ impl ProtectedRegion {
         }
     }
 
-    /// Writes the pre-kernel image of one sector under counter `ctr`,
-    /// with its MAC, and no traffic.
+    /// Writes pre-kernel image sectors, in order, each under the counter
+    /// `ctr` gives it, with their MACs and no traffic. The MACs run as
+    /// one batched pass and the encrypts as one batched cipher call per
+    /// cipher run.
     pub fn install(
         &mut self,
-        addr: SectorAddr,
-        plaintext: &[u8; 32],
-        ctr: u64,
+        image: &[(SectorAddr, [u8; 32])],
+        ctr: impl Fn(&CounterSystem, SectorAddr) -> u64,
         mem: &mut BackingMemory,
     ) {
-        self.encrypt_store(addr, plaintext, ctr, mem);
-        self.macs.update_silently(addr, plaintext, ctr);
+        let at: Vec<(SectorAddr, u64)> = image
+            .iter()
+            .map(|&(addr, _)| (addr, ctr(&self.counters, addr)))
+            .collect();
+        let mut data: Vec<[u8; 32]> = image.iter().map(|&(_, pt)| pt).collect();
+        self.macs.update_silently_many(&data, &at);
+        self.cipher_runs(&at, |c, r| {
+            c.encrypt_many(&mut data[r.clone()], &at[r]);
+        });
+        for (ct, &(addr, _)) in data.iter().zip(&at) {
+            mem.write(addr, *ct);
+        }
+        if let Some(tc) = &mut self.tenancy {
+            for &(addr, _) in image {
+                tc.note_owned(addr);
+            }
+        }
     }
 
     /// Counts one writeback against `addr`'s tenant's storm window.

@@ -37,8 +37,8 @@
 
 use crate::cipher::DataCipher;
 use crate::config::CipherKind;
-use gpu_sim::{BackingMemory, DramReq, SectorAddr, TenantMap};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use gpu_sim::{BackingMemory, DramReq, FastHashMap, SectorAddr, TenantMap};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Tenancy configuration attached to
 /// [`SecureMemConfig`](crate::SecureMemConfig).
@@ -144,13 +144,13 @@ struct StormState {
 pub struct TenantCrypto {
     cfg: TenancyConfig,
     kind: CipherKind,
-    ciphers: HashMap<u32, TenantCiphers>,
+    ciphers: FastHashMap<u32, TenantCiphers>,
     walk: Option<RotationWalk>,
     /// Every sector this engine has encrypted — the rotation walk's work
     /// list. MAC tag tables under-count (Plutus legitimately skips MAC
     /// updates for pinned-value sectors), so ownership is tracked here.
     owned: BTreeSet<u64>,
-    storm: HashMap<u32, StormState>,
+    storm: FastHashMap<u32, StormState>,
     rotations_started: u64,
     rotations_completed: u64,
     rotated_sectors: u64,
@@ -187,7 +187,7 @@ impl TenantCrypto {
             ciphers,
             walk: None,
             owned: BTreeSet::new(),
-            storm: HashMap::new(),
+            storm: FastHashMap::default(),
             rotations_started: 0,
             rotations_completed: 0,
             rotated_sectors: 0,

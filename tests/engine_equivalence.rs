@@ -10,6 +10,9 @@
 //! final `extra_stats` and summed recovery reports are pinned against
 //! `tests/golden/engine_stats_*.txt`, so a refactor of the engines that
 //! changes any of that bookkeeping fails here.
+//!
+//! A batched image install must leave an engine exactly as one
+//! `install` per sector does.
 
 use gpu_sim::{BackingMemory, RecoveryReport, SectorAddr, SecurityEngine, TenantMap};
 use plutus_core::{CompactKind, PlutusConfig, PlutusEngine};
@@ -276,5 +279,89 @@ fn split_counter_group_overflow_preserves_group_contents() {
         let f = engine.on_fill(victim, &mut mem);
         assert_eq!(f.plaintext, [129u8; 32], "{name}: victim lost last write");
         assert!(f.violation.is_none());
+    }
+}
+
+/// The engines that batch `install_image`, with their two-tenant variants.
+const BATCHED_INSTALL: [&str; 6] = [
+    "pssm",
+    "common-counters",
+    "plutus",
+    "pssm-tenants",
+    "common-counters-tenants",
+    "plutus-tenants",
+];
+
+/// An image of `n` distinct sectors in scattered order, crossing both
+/// tenants' slabs and the unmapped space past them.
+fn scattered_image(n: u64) -> Vec<(SectorAddr, [u8; 32])> {
+    (0..n)
+        .map(|i| {
+            let addr = SectorAddr::new((i * 37 % 8191) * 32);
+            (addr, [(i as u8).wrapping_mul(29) ^ (i >> 8) as u8; 32])
+        })
+        .collect()
+}
+
+fn batching_engines() -> impl Iterator<Item = (String, Box<dyn SecurityEngine>)> {
+    engines()
+        .into_iter()
+        .filter(|(name, _)| BATCHED_INSTALL.contains(&name.as_str()))
+}
+
+#[test]
+fn batched_install_matches_per_sector_install() {
+    let mut images: Vec<Vec<(SectorAddr, [u8; 32])>> = [0, 1, 255, 256, 257, 4099]
+        .into_iter()
+        .map(scattered_image)
+        .collect();
+    // One repeated address: the later contents must win.
+    let mut repeated = scattered_image(300);
+    repeated.push((repeated[7].0, [0xee; 32]));
+    images.push(repeated);
+
+    for image in &images {
+        let expected: HashMap<u64, [u8; 32]> =
+            image.iter().map(|&(addr, pt)| (addr.raw(), pt)).collect();
+        let mut seen = 0;
+        for ((name, mut batched), (_, mut serial)) in batching_engines().zip(batching_engines()) {
+            seen += 1;
+            let n = image.len();
+            let mut batched_mem = BackingMemory::new();
+            let mut serial_mem = BackingMemory::new();
+            batched.install_image(image, &mut batched_mem);
+            for (addr, pt) in image {
+                serial.install(*addr, pt, &mut serial_mem);
+            }
+            let addrs = batched_mem.resident_addrs();
+            assert_eq!(addrs, serial_mem.resident_addrs(), "{name}/{n}: residency");
+            assert_eq!(addrs.len(), expected.len(), "{name}/{n}: resident count");
+            for &addr in &addrs {
+                let want = Some(expected[&addr.raw()]);
+                assert_eq!(
+                    batched_mem.read(addr),
+                    serial_mem.read(addr),
+                    "{name}/{n}: ciphertext at {addr}"
+                );
+                assert_eq!(batched.peek_plaintext(addr, &batched_mem), want);
+                assert_eq!(serial.peek_plaintext(addr, &serial_mem), want);
+            }
+            // A rotation walk over tenant 1 during the fills re-encrypts
+            // exactly the owned sectors, so the ownership registry shows
+            // in `rotated_sectors` (a no-op without tenancy).
+            assert_eq!(batched.start_key_rotation(1), serial.start_key_rotation(1));
+            for &addr in &addrs {
+                for (engine, mem) in [
+                    (&mut batched, &mut batched_mem),
+                    (&mut serial, &mut serial_mem),
+                ] {
+                    let fill = engine.on_fill(addr, mem);
+                    assert_eq!(fill.plaintext, expected[&addr.raw()], "{name}/{n}: {addr}");
+                    assert!(fill.violation.is_none(), "{name}/{n}: violation at {addr}");
+                }
+            }
+            assert_eq!(batched.extra_stats(), serial.extra_stats(), "{name}/{n}");
+        }
+        assert_eq!(seen, BATCHED_INSTALL.len());
     }
 }
