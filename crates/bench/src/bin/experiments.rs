@@ -4,15 +4,17 @@
 //! cargo run --release -p plutus-bench --bin experiments -- <id> [--scale test|small|paper] [--workloads a,b,c]
 //! ```
 //!
-//! `<id>` ∈ {table1, table2, fig6, fig7, fig9, fig10, fig15, fig16, fig17,
-//! fig18, fig19, fig20, fig21, fig22, figrepro, cipher_bench, all}.
-//! `figrepro` is the normalized-IPC figure-reproduction report (Figs.
-//! 11-14 style): the no-security/PSSM/common-counters/Plutus matrix with
-//! per-scheme geomeans, the CPI stacks behind the numbers, and a
-//! prominent warning when the result is degenerate (every scheme at
-//! norm_ipc = 1.0). `cipher_bench` times the functional crypto
-//! primitives scalar vs the native SIMD backend (`--assert-speedup X`
-//! gates the batched rows).
+//! `experiments --help` prints every experiment id and every flag with
+//! its value, generated from the `FIGURES`/`EXTRAS` and `FLAGS` tables
+//! the dispatcher and the parser read; a bad value exits 2 with
+//! `error: <flag> requires <value>`. `all` (the default) runs table1
+//! through fig22. `figrepro` is the normalized-IPC figure-reproduction
+//! report (Figs. 11-14 style): the no-security/PSSM/common-counters/
+//! Plutus matrix with per-scheme geomeans, the CPI stacks behind the
+//! numbers, and a prominent warning when the result is degenerate
+//! (every scheme at norm_ipc = 1.0). `cipher_bench` times the
+//! functional crypto primitives scalar vs the native SIMD backend
+//! (`--assert-speedup X` gates the batched rows).
 //!
 //! Reports: every result prints as a table and is saved into the report
 //! directory — `target/experiments/`, or the `--run-dir` — as JSON (plus
@@ -49,8 +51,11 @@
 //! (per-class traffic counters, cache hit/miss counters, latency
 //! histograms, per-run epoch snapshots, typed events) and writes it to
 //! `<path>` on exit, as CSV when the path ends in `.csv` and as JSON
-//! otherwise; `--epoch-cycles N` additionally closes an epoch every N
-//! simulated cycles inside each run.
+//! otherwise. Whenever `--metrics-out`, `--stream-out` or
+//! `--serve-metrics` reads the registry, matrix runs feed it one at a
+//! time, each closing one epoch labelled `workload/scheme`;
+//! `--epoch-cycles N` additionally closes an epoch every N simulated
+//! cycles inside each run.
 //!
 //! Fault-injection campaigns: `--campaign tamper|replay|rollback|sweep`
 //! replaces the experiment ids with a seeded Monte Carlo attack on every
@@ -117,9 +122,8 @@ use plutus_bench::{
     cipher_bench_gate, cipher_bench_report, collapsed_stack, cpi_stack_table, degenerate_warning,
     diff_documents, diff_run_dirs, eq1_bound, figure_report, geomean, ledger_csv, ledger_folded,
     ledger_gate, ledger_json, matrix_table, obs_diff_table, read_report, recovery_schemes,
-    run_campaign_on, run_matrix_with_telemetry, save_json, try_run_matrix_on,
-    try_run_matrix_traced_on, BenchProvenance, CampaignConfig, CampaignKind, EnergyModel,
-    Measurement, ObsDiff, Scheme, TracedRun,
+    run_campaign_on, run_matrix, save_json, BenchProvenance, CampaignConfig, CampaignKind,
+    EnergyModel, Measurement, ObsDiff, Observe, Scheme, TracedRun,
 };
 use plutus_core::value_analysis::analyze_trace;
 use plutus_crypto::CryptoBackend;
@@ -135,100 +139,252 @@ use plutus_telemetry::{
 };
 use secure_mem::SecureMemConfig;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use workloads::{suite, Scale, WorkloadSpec};
 
-/// Which campaign family `--campaign` selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CampaignSel {
-    /// Adversarial fault injection (tamper/replay/rollback/sweep).
-    Adversarial(CampaignKind),
-    /// Benign soft errors with bounded retry.
-    Transient,
-    /// Crash injection with checkpoint restore and recovery.
-    Crash,
-    /// Multi-tenant overflow storm with live key rotation.
-    Storm,
-    /// The storm plus soft errors and more crash points.
-    Soak,
+/// One command-line flag. A switch takes no value; any other flag names
+/// what its value is — `--help` lists it and a bad value fails with
+/// `<flag> requires <value>` — and the check the value must pass.
+struct Flag {
+    name: &'static str,
+    value: Option<(&'static str, Check)>,
+}
+
+/// The check a flag's value must pass.
+type Check = fn(&str) -> bool;
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, value: None }
+}
+
+const fn takes(name: &'static str, what: &'static str, check: Check) -> Flag {
+    Flag {
+        name,
+        value: Some((what, check)),
+    }
+}
+
+fn positive(v: &str) -> bool {
+    v.parse::<u64>().is_ok_and(|n| n > 0)
+}
+
+fn unsigned(v: &str) -> bool {
+    v.parse::<u64>().is_ok()
+}
+
+fn any(_: &str) -> bool {
+    true
+}
+
+const CAMPAIGNS: &str = "tamper|replay|rollback|sweep|transient|crash|storm|soak";
+
+/// Every flag `experiments` accepts; the parser, `--help` and the value
+/// lookups all read this table.
+const FLAGS: &[Flag] = &[
+    switch("--help"),
+    takes("--scale", "test|small|paper", |v| {
+        matches!(v, "test" | "small" | "paper")
+    }),
+    takes("--workloads", "a comma-separated workload list", any),
+    takes("--jobs", "a positive integer", positive),
+    switch("--sched-stats"),
+    takes("--heartbeat", "a positive number of seconds", positive),
+    takes("--crypto-backend", "auto|scalar|simd", |v| {
+        v == "auto" || v.parse::<CryptoBackend>().is_ok()
+    }),
+    takes("--seed", "an unsigned integer", unsigned),
+    takes("--campaign", CAMPAIGNS, |v| {
+        CAMPAIGNS.split('|').any(|c| c == v)
+    }),
+    takes("--trials", "a positive integer", positive),
+    takes("--faults", "a positive integer", positive),
+    takes("--soft-error-rate", "a probability in [0, 1]", |v| {
+        v.parse::<f64>().is_ok_and(|r| (0.0..=1.0).contains(&r))
+    }),
+    takes("--retry-limit", "an unsigned integer", |v| {
+        v.parse::<u32>().is_ok()
+    }),
+    takes("--checkpoint-cycles", "a positive integer", positive),
+    takes("--tenants", "a positive victim count", positive),
+    switch("--inject-breach"),
+    switch("--slo-gate"),
+    takes("--tolerance", "a non-negative fraction", |v| {
+        v.parse::<f64>().is_ok_and(|t| t >= 0.0 && t.is_finite())
+    }),
+    takes("--metrics-out", "a path", any),
+    takes("--epoch-cycles", "a positive integer", positive),
+    takes("--stream-out", "a path (or '-' for stdout)", any),
+    takes(
+        "--serve-metrics",
+        "a bind address (e.g. 127.0.0.1:9184)",
+        any,
+    ),
+    takes("--run-dir", "a directory", any),
+    takes("--trace-out", "a path", any),
+    takes("--trace-sample", "a positive integer", positive),
+    takes("--ledger-out", "a path", any),
+    takes("--bench-out", "a path", any),
+    takes("--compare", "a baseline snapshot path", any),
+    takes("--assert-speedup", "a positive multiple", |v| {
+        v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite())
+    }),
+];
+
+/// An experiment body, run by id.
+type Experiment = fn(&Args, &GpuConfig);
+
+/// The experiments `all` runs, in order.
+const FIGURES: &[(&str, Experiment)] = &[
+    ("table1", |_, cfg| table1(cfg)),
+    ("table2", |_, _| table2()),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig9", fig9),
+    ("fig10", |args, _| fig10(args)),
+    ("fig15", |args, cfg| {
+        ipc_figure("fig15", args, cfg, &[Scheme::Pssm, Scheme::ValueVerifyOnly])
+    }),
+    ("fig16", |args, cfg| {
+        let schemes = [Scheme::Pssm, Scheme::FineLeafCoarseTree, Scheme::All32];
+        ipc_figure("fig16", args, cfg, &schemes)
+    }),
+    ("fig17", |args, cfg| {
+        let schemes = [
+            Scheme::Pssm,
+            Scheme::Compact2Bit,
+            Scheme::Compact3Bit,
+            Scheme::CompactAdaptive,
+        ];
+        ipc_figure("fig17", args, cfg, &schemes)
+    }),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", |args, cfg| {
+        let schemes = [Scheme::PssmNoTree, Scheme::PlutusNoTree];
+        ipc_figure("fig20", args, cfg, &schemes)
+    }),
+    ("fig21", |args, cfg| {
+        let schemes = [64, 128, 256, 512, 1024].map(Scheme::PlutusValueEntries);
+        ipc_figure("fig21", args, cfg, &schemes)
+    }),
+    ("fig22", fig22),
+];
+
+/// The experiments `all` leaves out.
+const EXTRAS: &[(&str, Experiment)] = &[
+    ("figrepro", figrepro),
+    ("cipher_bench", |args, _| cipher_bench_cli(args)),
+    ("overheads", |_, _| overheads()),
+    ("workloads", |args, _| workload_report(args)),
+    ("ablations", |args, cfg| {
+        plutus_bench::ablations::run_all(&args.workloads, args.flags.scale(), cfg);
+    }),
+];
+
+/// The experiment declared under `id`.
+fn find_experiment(id: &str) -> Option<&'static (&'static str, Experiment)> {
+    FIGURES.iter().chain(EXTRAS).find(|(name, _)| *name == id)
+}
+
+/// The generated `--help` text: every experiment id and every flag with
+/// its value, from the tables the parser and the dispatcher read.
+fn usage() -> String {
+    let ids = |table: &[(&str, Experiment)]| table.iter().map(|(id, _)| format!(" {id}")).collect();
+    let (figures, extras): (String, String) = (ids(FIGURES), ids(EXTRAS));
+    let mut text = format!(
+        "usage: experiments [<id>] [<flag>...]\n       \
+         experiments obs-diff <run-dir> <run-dir> [--tolerance <fraction>]\n\n\
+         experiment ids:\n  all (the default) runs{figures}\n  also:{extras}\n\nflags:\n"
+    );
+    for flag in FLAGS {
+        let what = flag.value.map_or("", |(what, _)| what);
+        text += format!("  {:<20}{what}", flag.name).trim_end();
+        text += "\n";
+    }
+    text
+}
+
+/// Every flag's last value, by name (a switch maps to `""`).
+struct Flags(HashMap<&'static str, String>);
+
+impl Flags {
+    /// The value given for `flag`, if it was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flag` is not declared in [`FLAGS`].
+    fn get(&self, flag: &str) -> Option<&str> {
+        let declared = FLAGS.iter().any(|f| f.name == flag);
+        assert!(declared, "undeclared flag {flag}");
+        self.0.get(flag).map(String::as_str)
+    }
+
+    /// Whether `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    /// `flag`'s value as a `T` (the table's check already vetted it).
+    fn value<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.get(flag).and_then(|v| v.parse().ok())
+    }
+
+    /// An output path, routed into the `--run-dir` when one is set.
+    fn out(&self, flag: &str) -> Option<PathBuf> {
+        self.get(flag).map(plutus_telemetry::in_run_dir)
+    }
+
+    fn scale(&self) -> Scale {
+        match self.get("--scale") {
+            Some("test") => Scale::Test,
+            Some("paper") => Scale::Paper,
+            _ => Scale::Small,
+        }
+    }
+
+    fn seed(&self) -> u64 {
+        self.value("--seed").unwrap_or(0xB00C_5EED)
+    }
 }
 
 struct Args {
     experiment: String,
-    scale: Scale,
-    workloads: Vec<WorkloadSpec>,
-    metrics_out: Option<PathBuf>,
-    epoch_cycles: Option<u64>,
-    campaign: Option<CampaignSel>,
-    trials: Option<usize>,
-    faults_per_run: Option<usize>,
-    soft_error_rate: Option<f64>,
-    retry_limit: Option<u32>,
-    checkpoint_cycles: Option<u64>,
-    seed: u64,
-    sched_stats: bool,
-    trace_out: Option<PathBuf>,
-    trace_sample: u64,
-    bench_out: Option<PathBuf>,
-    compare: Option<PathBuf>,
-    tolerance: Option<f64>,
-    tenants: Option<usize>,
-    inject_breach: bool,
-    ledger_out: Option<PathBuf>,
-    assert_speedup: Option<f64>,
-    /// `--serve-metrics` bind address (e.g. `127.0.0.1:9184`).
-    serve_metrics: Option<String>,
-    slo_gate: bool,
     /// Positional arguments after an `obs-diff` subcommand.
     obs_args: Vec<String>,
+    flags: Flags,
+    workloads: Vec<WorkloadSpec>,
     tel: Telemetry,
     exec: Executor,
+    /// How matrix runs are observed: they feed the shared registry when
+    /// `--metrics-out`, `--stream-out` or `--serve-metrics` reads it, and
+    /// arm the flight recorder under `--trace-out`.
+    observe: Observe,
     /// Causal traces collected by `--trace-out` matrix runs.
     traces: RefCell<Vec<TracedRun>>,
-    /// Measurements collected for `--bench-out` / `--compare`.
+    /// The first measurement of each (workload, scheme) the matrix runs
+    /// produced, for `--bench-out`, `--compare` and `--ledger-out`.
     measurements: RefCell<Vec<Measurement>>,
 }
 
 impl Args {
-    /// Runs a workload×scheme matrix, instrumented when `--metrics-out`
-    /// is active (sequential, so epochs stay attributable per run) and
-    /// flight-recorded when `--trace-out` is active. Measurements feed
-    /// the `--bench-out` / `--compare` regression harness.
+    /// Runs a workload×scheme matrix through the one fan-out, observed
+    /// as [`Args::observe`] says. Measurements feed the `--bench-out` /
+    /// `--compare` regression harness and the `--ledger-out` exports.
     fn matrix(&self, cfg: &GpuConfig, schemes: &[Scheme]) -> Vec<Measurement> {
-        let rows = if self.trace_out.is_some() {
-            match try_run_matrix_traced_on(
-                &self.exec,
-                &self.workloads,
-                schemes,
-                self.scale,
-                cfg,
-                self.trace_sample,
-                DEFAULT_TRACE_CAPACITY,
-            ) {
-                Ok((rows, traces)) => {
-                    self.traces.borrow_mut().extend(traces);
-                    rows
-                }
-                Err(e) => fail(&self.tel, e.to_string()),
+        let (exec, observe, scale) = (&self.exec, &self.observe, self.flags.scale());
+        let (rows, traces) = run_matrix(exec, &self.workloads, schemes, scale, cfg, observe)
+            .unwrap_or_else(|e| fail(&self.tel, e.to_string()));
+        self.traces.borrow_mut().extend(traces);
+        // Figures overlap in (workload, scheme) coverage: keep the first
+        // measurement of each pair.
+        let mut kept = self.measurements.borrow_mut();
+        for row in &rows {
+            let same = |k: &Measurement| k.workload == row.workload && k.scheme == row.scheme;
+            if !kept.iter().any(same) {
+                kept.push(row.clone());
             }
-        } else if self.metrics_out.is_some() {
-            run_matrix_with_telemetry(
-                &self.workloads,
-                schemes,
-                self.scale,
-                cfg,
-                &self.tel,
-                self.epoch_cycles,
-            )
-        } else {
-            match try_run_matrix_on(&self.exec, &self.workloads, schemes, self.scale, cfg) {
-                Ok(rows) => rows,
-                Err(e) => fail(&self.tel, e.to_string()),
-            }
-        };
-        if self.bench_out.is_some() || self.compare.is_some() || self.ledger_out.is_some() {
-            self.measurements.borrow_mut().extend(rows.iter().cloned());
         }
         // The central degenerate-case gate: when every scheme of a
         // workload ran in the identical cycle count, the run is not
@@ -268,288 +424,81 @@ fn fail(tel: &Telemetry, message: String) -> ! {
     std::process::exit(2);
 }
 
+/// Splits `argv` against [`FLAGS`] into the experiment id, the
+/// `obs-diff` run directories and every flag's value. A repeated flag's
+/// last value wins, a value never begins with `--` (`-` alone is
+/// stdout), and only `obs-diff` takes more than one positional.
+fn parse_command_line(argv: &[String]) -> Result<(String, Vec<String>, Flags), String> {
+    let mut values = HashMap::new();
+    let mut positionals = Vec::new();
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            positionals.push(word.clone());
+            continue;
+        }
+        let flag = FLAGS.iter().find(|f| f.name == word);
+        let flag = flag.ok_or_else(|| format!("unknown flag {word}"))?;
+        let value = match flag.value {
+            None => String::new(),
+            Some((what, check)) => match words.next() {
+                Some(v) if !v.starts_with("--") && check(v) => v.clone(),
+                _ => return Err(format!("{} requires {what}", flag.name)),
+            },
+        };
+        values.insert(flag.name, value);
+    }
+    let mut positionals = positionals.into_iter();
+    let experiment = positionals.next().unwrap_or_else(|| "all".into());
+    let obs_args: Vec<String> = positionals.collect();
+    let checked = match (experiment.as_str(), obs_args.as_slice()) {
+        ("obs-diff", [_, _]) => Ok(()),
+        ("obs-diff", dirs) => Err(format!(
+            "obs-diff needs exactly two run directories, got {dirs:?}"
+        )),
+        (id, _) if id != "all" && find_experiment(id).is_none() => {
+            Err(format!("unknown experiment {id}"))
+        }
+        (_, [extra, ..]) => Err(format!(
+            "unexpected argument {extra}: one experiment id per run"
+        )),
+        _ => Ok(()),
+    };
+    checked.map(|()| (experiment, obs_args, Flags(values)))
+}
+
+/// Parses the command line — `--help` prints the generated usage and
+/// exits 0 — then runs the post-parse steps: workload selection,
+/// crypto-backend pinning, the run dir and manifest, the epoch stream
+/// and the executor.
 fn parse_args(tel: &Telemetry) -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = String::from("all");
-    let mut scale = Scale::Small;
-    let mut selected: Option<Vec<String>> = None;
-    let mut metrics_out = None;
-    let mut epoch_cycles = None;
-    let mut campaign = None;
-    let mut trials = None;
-    let mut faults_per_run = None;
-    let mut soft_error_rate = None;
-    let mut retry_limit = None;
-    let mut checkpoint_cycles = None;
-    let mut seed = 0xB00C_5EED;
-    let mut jobs = None;
-    let mut sched_stats = false;
-    let mut trace_out = None;
-    let mut trace_sample = 1u64;
-    let mut bench_out = None;
-    let mut compare = None;
-    let mut tolerance = None;
-    let mut tenants = None;
-    let mut inject_breach = false;
-    let mut ledger_out = None;
-    let mut heartbeat = None;
-    let mut assert_speedup = None;
-    let mut crypto_backend: Option<CryptoBackend> = None;
-    let mut stream_out: Option<String> = None;
-    let mut serve_metrics: Option<String> = None;
-    let mut run_dir: Option<PathBuf> = None;
-    let mut slo_gate = false;
-    let mut obs_args: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    other => fail(
-                        tel,
-                        format!("unknown scale {other:?}; expected test|small|paper"),
-                    ),
-                };
-            }
-            "--workloads" => {
-                i += 1;
-                selected = Some(
-                    argv.get(i)
-                        .map(|s| s.split(',').map(str::to_string).collect())
-                        .unwrap_or_default(),
-                );
-            }
-            "--metrics-out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => metrics_out = Some(PathBuf::from(p)),
-                    None => fail(tel, "--metrics-out requires a path".into()),
-                }
-            }
-            "--epoch-cycles" => {
-                i += 1;
-                epoch_cycles = match argv.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => fail(tel, "--epoch-cycles requires a positive integer".into()),
-                };
-            }
-            "--campaign" => {
-                i += 1;
-                campaign = match argv.get(i).map(String::as_str) {
-                    Some("transient") => Some(CampaignSel::Transient),
-                    Some("crash") => Some(CampaignSel::Crash),
-                    Some("storm") => Some(CampaignSel::Storm),
-                    Some("soak") => Some(CampaignSel::Soak),
-                    Some(s) => match CampaignKind::parse(s) {
-                        Some(k) => Some(CampaignSel::Adversarial(k)),
-                        None => fail(
-                            tel,
-                            format!(
-                                "unknown campaign {s:?}; expected \
-                                 tamper|replay|rollback|sweep|transient|crash|storm|soak"
-                            ),
-                        ),
-                    },
-                    None => fail(tel, "--campaign requires a kind".into()),
-                };
-            }
-            "--soft-error-rate" => {
-                i += 1;
-                soft_error_rate = match argv.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(r) if (0.0..=1.0).contains(&r) => Some(r),
-                    _ => fail(
-                        tel,
-                        "--soft-error-rate requires a probability in [0, 1]".into(),
-                    ),
-                };
-            }
-            "--retry-limit" => {
-                i += 1;
-                retry_limit = match argv.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) => Some(n),
-                    None => fail(tel, "--retry-limit requires an unsigned integer".into()),
-                };
-            }
-            "--checkpoint-cycles" => {
-                i += 1;
-                checkpoint_cycles = match argv.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => fail(
-                        tel,
-                        "--checkpoint-cycles requires a positive integer".into(),
-                    ),
-                };
-            }
-            "--trials" => {
-                i += 1;
-                trials = match argv.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => fail(tel, "--trials requires a positive integer".into()),
-                };
-            }
-            "--faults" => {
-                i += 1;
-                faults_per_run = match argv.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => fail(tel, "--faults requires a positive integer".into()),
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = match argv.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => n,
-                    None => fail(tel, "--seed requires an unsigned integer".into()),
-                };
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = match argv.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => fail(tel, "--jobs requires a positive integer".into()),
-                };
-            }
-            "--trace-out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => trace_out = Some(PathBuf::from(p)),
-                    None => fail(tel, "--trace-out requires a path".into()),
-                }
-            }
-            "--trace-sample" => {
-                i += 1;
-                trace_sample = match argv.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => fail(tel, "--trace-sample requires a positive integer".into()),
-                };
-            }
-            "--bench-out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => bench_out = Some(PathBuf::from(p)),
-                    None => fail(tel, "--bench-out requires a path".into()),
-                }
-            }
-            "--compare" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => compare = Some(PathBuf::from(p)),
-                    None => fail(tel, "--compare requires a baseline snapshot path".into()),
-                }
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = match argv.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(t) if t >= 0.0 && t.is_finite() => Some(t),
-                    _ => fail(tel, "--tolerance requires a non-negative fraction".into()),
-                };
-            }
-            "--tenants" => {
-                i += 1;
-                tenants = match argv.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => Some(n),
-                    _ => fail(tel, "--tenants requires a positive victim count".into()),
-                };
-            }
-            "--inject-breach" => inject_breach = true,
-            "--ledger-out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => ledger_out = Some(PathBuf::from(p)),
-                    None => fail(tel, "--ledger-out requires a path".into()),
-                }
-            }
-            "--heartbeat" => {
-                i += 1;
-                heartbeat = match argv.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => Some(std::time::Duration::from_secs(n)),
-                    _ => fail(
-                        tel,
-                        "--heartbeat requires a positive number of seconds".into(),
-                    ),
-                };
-            }
-            "--sched-stats" => sched_stats = true,
-            "--stream-out" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => stream_out = Some(p.clone()),
-                    None => fail(
-                        tel,
-                        "--stream-out requires a path (or '-' for stdout)".into(),
-                    ),
-                }
-            }
-            "--serve-metrics" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(a) => serve_metrics = Some(a.clone()),
-                    None => fail(
-                        tel,
-                        "--serve-metrics requires a bind address (e.g. 127.0.0.1:9184)".into(),
-                    ),
-                }
-            }
-            "--run-dir" => {
-                i += 1;
-                match argv.get(i) {
-                    Some(p) => run_dir = Some(PathBuf::from(p)),
-                    None => fail(tel, "--run-dir requires a directory".into()),
-                }
-            }
-            "--slo-gate" => slo_gate = true,
-            "--crypto-backend" => {
-                i += 1;
-                crypto_backend = match argv.get(i).map(String::as_str) {
-                    Some("auto") => None,
-                    Some(s) => Some(s.parse().unwrap_or_else(|e| fail(tel, e))),
-                    None => fail(tel, "--crypto-backend requires auto|scalar|simd".into()),
-                };
-            }
-            "--assert-speedup" => {
-                i += 1;
-                assert_speedup = match argv.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(x) if x > 0.0 && x.is_finite() => Some(x),
-                    _ => fail(tel, "--assert-speedup requires a positive multiple".into()),
-                };
-            }
-            flag if flag.starts_with("--") => fail(tel, format!("unknown flag {flag}")),
-            // Positionals after an `obs-diff` subcommand are its two
-            // run directories; otherwise the last bare token picks the
-            // experiment id (unchanged historical behavior).
-            id if experiment == "obs-diff" => obs_args.push(id.to_string()),
-            id => experiment = id.to_string(),
-        }
-        i += 1;
+    let (experiment, obs_args, flags) = parse_command_line(&argv).unwrap_or_else(|e| fail(tel, e));
+    if flags.on("--help") {
+        print!("{}", usage());
+        std::process::exit(0);
     }
     let all = suite();
-    let workloads = match selected {
+    let workloads = match flags.get("--workloads") {
         None => all,
-        Some(names) => {
+        Some(list) => {
+            let names: Vec<&str> = list.split(',').collect();
             let known: Vec<&str> = all.iter().map(|w| w.name).collect();
-            if let Some(bad) = names.iter().find(|n| !known.contains(&n.as_str())) {
+            if let Some(bad) = names.iter().find(|n| !known.contains(n)) {
                 fail(
                     tel,
                     format!("unknown workload {bad:?}; known: {}", known.join(", ")),
                 );
             }
-            let picked: Vec<WorkloadSpec> = all
-                .into_iter()
-                .filter(|w| names.iter().any(|n| n == w.name))
-                .collect();
-            if picked.is_empty() {
-                fail(tel, format!("no known workloads in {names:?}"));
-            }
-            picked
+            all.into_iter()
+                .filter(|w| names.contains(&w.name))
+                .collect()
         }
     };
     // Pin the crypto backend before any cipher is constructed so every
     // run in this process is uniform, then surface the choice: one log
     // line plus the `crypto.backend_simd` gauge (1 = AES-NI active).
-    if let Some(backend) = crypto_backend {
+    if let Some(backend) = flags.value::<CryptoBackend>("--crypto-backend") {
         if backend == CryptoBackend::AesNi && plutus_crypto::backend::detect() != backend {
             fail(
                 tel,
@@ -564,7 +513,7 @@ fn parse_args(tel: &Telemetry) -> Args {
     eprintln!("crypto backend: {active_backend}");
     tel.gauge("crypto.backend_simd")
         .set(u64::from(active_backend == CryptoBackend::AesNi));
-    if slo_gate && !matches!(campaign, Some(CampaignSel::Storm | CampaignSel::Soak)) {
+    if flags.on("--slo-gate") && !matches!(flags.get("--campaign"), Some("storm" | "soak")) {
         fail(
             tel,
             "--slo-gate only applies to --campaign storm|soak (the SLO tracker is fed by \
@@ -576,33 +525,25 @@ fn parse_args(tel: &Telemetry) -> Args {
     // (campaign JSON/CSV, figures, metrics, ledger, trace, bench)
     // routes through `plutus_telemetry::report_dir()`/`in_run_dir`,
     // and the manifest makes the directory self-describing.
-    if let Some(dir) = &run_dir {
+    if let Some(dir) = flags.get("--run-dir") {
         if let Err(e) = plutus_telemetry::set_run_dir(dir) {
-            fail(tel, format!("cannot create run dir {}: {e}", dir.display()));
+            fail(tel, format!("cannot create run dir {dir}: {e}"));
         }
-        let manifest = build_manifest(
-            &argv,
-            &experiment,
-            scale,
-            &workloads,
-            seed,
-            jobs,
-            &active_backend.to_string(),
-        );
-        if let Err(e) =
-            plutus_telemetry::atomic_write(dir.join(MANIFEST_FILE), manifest.to_string_pretty())
-        {
+        let backend = active_backend.to_string();
+        let manifest = build_manifest(&argv, &experiment, &flags, &workloads, &backend);
+        let path = Path::new(dir).join(MANIFEST_FILE);
+        if let Err(e) = plutus_telemetry::atomic_write(path, manifest.to_string_pretty()) {
             fail(tel, format!("cannot write manifest: {e}"));
         }
-        eprintln!("run dir: {}", dir.display());
+        eprintln!("run dir: {dir}");
     }
     // Start the epoch stream before any run closes an epoch, so the
     // first line of the campaign is the first line of the stream.
-    if let Some(spec) = &stream_out {
+    if let Some(spec) = flags.get("--stream-out") {
         let sink: Box<dyn std::io::Write + Send> = if spec == "-" {
             Box::new(std::io::stdout())
         } else {
-            let path = plutus_telemetry::in_run_dir(Path::new(spec));
+            let path = plutus_telemetry::in_run_dir(spec);
             match std::fs::File::create(&path) {
                 Ok(f) => Box::new(f),
                 Err(e) => fail(tel, format!("cannot open stream {}: {e}", path.display())),
@@ -612,41 +553,33 @@ fn parse_args(tel: &Telemetry) -> Args {
             fail(tel, format!("cannot start epoch stream: {e}"));
         }
     }
-    let exec = Executor::with_telemetry(jobs, tel.clone());
-    if let Some(interval) = heartbeat {
-        exec.set_heartbeat(interval);
+    let exec = Executor::with_telemetry(flags.value("--jobs"), tel.clone());
+    if let Some(secs) = flags.value("--heartbeat") {
+        exec.set_heartbeat(std::time::Duration::from_secs(secs));
         // The watchdog observes from the heartbeat monitor thread, so it
         // is on (4x the running median) whenever progress lines are.
         exec.set_watchdog(4.0);
     }
+    let feeds_registry = ["--metrics-out", "--stream-out", "--serve-metrics"];
+    let observe = Observe {
+        registry: feeds_registry
+            .iter()
+            .any(|f| flags.on(f))
+            .then(|| tel.clone()),
+        epoch_cycles: flags.value("--epoch-cycles"),
+        trace: flags.on("--trace-out").then(|| {
+            let sample = flags.value("--trace-sample").unwrap_or(1);
+            (sample, DEFAULT_TRACE_CAPACITY)
+        }),
+    };
     Args {
         experiment,
-        scale,
-        workloads,
-        metrics_out: metrics_out.map(plutus_telemetry::in_run_dir),
-        epoch_cycles,
-        campaign,
-        trials,
-        faults_per_run,
-        soft_error_rate,
-        retry_limit,
-        checkpoint_cycles,
-        seed,
-        sched_stats,
-        trace_out: trace_out.map(plutus_telemetry::in_run_dir),
-        trace_sample,
-        bench_out: bench_out.map(plutus_telemetry::in_run_dir),
-        compare,
-        tolerance,
-        tenants,
-        inject_breach,
-        ledger_out: ledger_out.map(plutus_telemetry::in_run_dir),
-        assert_speedup,
-        serve_metrics,
-        slo_gate,
         obs_args,
+        flags,
+        workloads,
         tel: tel.clone(),
         exec,
+        observe,
         traces: RefCell::new(Vec::new()),
         measurements: RefCell::new(Vec::new()),
     }
@@ -658,15 +591,10 @@ fn parse_args(tel: &Telemetry) -> Args {
 fn build_manifest(
     argv: &[String],
     experiment: &str,
-    scale: Scale,
+    flags: &Flags,
     workloads: &[WorkloadSpec],
-    seed: u64,
-    jobs: Option<usize>,
     crypto_backend: &str,
 ) -> Json {
-    // Parsing validated `--campaign`, so its (last) value is the label.
-    let campaign = argv.iter().rposition(|a| a == "--campaign");
-    let campaign = campaign.and_then(|i| argv.get(i + 1)).map(String::as_str);
     let mut doc = Json::object()
         .set("schema", MANIFEST_SCHEMA)
         .set(
@@ -674,17 +602,20 @@ fn build_manifest(
             Json::Array(argv.iter().map(|s| Json::from(s.as_str())).collect()),
         )
         .set("experiment", experiment)
-        .set("campaign", campaign.map_or(Json::Null, Json::from))
-        .set("scale", format!("{scale:?}").to_lowercase())
+        .set(
+            "campaign",
+            flags.get("--campaign").map_or(Json::Null, Json::from),
+        )
+        .set("scale", format!("{:?}", flags.scale()).to_lowercase())
         .set(
             "workloads",
             Json::Array(workloads.iter().map(|w| Json::from(w.name)).collect()),
         )
-        .set("seed", seed)
+        .set("seed", flags.seed())
         .set("crypto_backend", crypto_backend)
         .set("version", env!("CARGO_PKG_VERSION"));
-    if let Some(j) = jobs {
-        doc = doc.set("jobs", j as u64);
+    if let Some(jobs) = flags.value::<u64>("--jobs") {
+        doc = doc.set("jobs", jobs);
     }
     doc
 }
@@ -692,9 +623,12 @@ fn build_manifest(
 /// Runs a fault-injection campaign, exiting nonzero when any measured
 /// forgery-acceptance rate exceeds the Eq. 1 bound.
 fn run_campaign_cli(args: &Args, cfg: &GpuConfig, kind: CampaignKind) {
-    let mut campaign = CampaignConfig::new(kind, args.seed, args.scale);
-    campaign.runs = args.trials.unwrap_or(campaign.runs);
-    campaign.faults_per_run = args.faults_per_run.unwrap_or(campaign.faults_per_run);
+    let mut campaign = CampaignConfig::new(kind, args.flags.seed(), args.flags.scale());
+    campaign.runs = args.flags.value("--trials").unwrap_or(campaign.runs);
+    campaign.faults_per_run = args
+        .flags
+        .value("--faults")
+        .unwrap_or(campaign.faults_per_run);
     println!(
         "=== campaign {} ({} runs x {} faults, seed {}, {:?} scale) ===",
         kind.label(),
@@ -735,10 +669,16 @@ fn publish(
 /// Runs the transient soft-error campaign, exiting nonzero when any
 /// benign transient fault is misclassified as an attack.
 fn run_transient_cli(args: &Args, cfg: &GpuConfig) {
-    let mut campaign = TransientCampaignConfig::new(args.seed, args.scale);
-    campaign.soft_error_rate = args.soft_error_rate.unwrap_or(campaign.soft_error_rate);
-    campaign.retry_limit = args.retry_limit.unwrap_or(campaign.retry_limit);
-    campaign.runs = args.trials.unwrap_or(campaign.runs);
+    let mut campaign = TransientCampaignConfig::new(args.flags.seed(), args.flags.scale());
+    campaign.soft_error_rate = args
+        .flags
+        .value("--soft-error-rate")
+        .unwrap_or(campaign.soft_error_rate);
+    campaign.retry_limit = args
+        .flags
+        .value("--retry-limit")
+        .unwrap_or(campaign.retry_limit);
+    campaign.runs = args.flags.value("--trials").unwrap_or(campaign.runs);
     println!(
         "=== campaign transient (rate {}, retry limit {}, {} runs, seed {}, {:?} scale) ===",
         campaign.soft_error_rate,
@@ -768,16 +708,16 @@ fn run_transient_cli(args: &Args, cfg: &GpuConfig) {
 /// or rotation-recovery breach.
 fn run_storm_cli(args: &Args, soak: bool) {
     let mut campaign = if soak {
-        StormCampaignConfig::soak(args.seed)
+        StormCampaignConfig::soak(args.flags.seed())
     } else {
-        StormCampaignConfig::new(args.seed)
+        StormCampaignConfig::new(args.flags.seed())
     };
     // The campaign composes its own multi-tenant traces sized against
     // the small simulator geometry: co-tenant thrash must actually evict
     // the adversary's probe sectors or injected tampering is never
     // re-verified. Scale stretches the run, not the machine.
     let cfg = GpuConfig::test_small();
-    match args.scale {
+    match args.flags.scale() {
         Scale::Test => {
             campaign.accesses_per_tenant = 900;
             campaign.faults = 12;
@@ -790,14 +730,29 @@ fn run_storm_cli(args: &Args, soak: bool) {
             campaign.crash_points += 1;
         }
     }
-    campaign.victims = args.tenants.unwrap_or(campaign.victims);
-    campaign.crash_points = args.trials.unwrap_or(campaign.crash_points);
-    campaign.faults = args.faults_per_run.unwrap_or(campaign.faults);
-    campaign.checkpoint_cycles = args.checkpoint_cycles.unwrap_or(campaign.checkpoint_cycles);
-    campaign.ipc_tolerance = args.tolerance.unwrap_or(campaign.ipc_tolerance);
-    campaign.soft_error_rate = args.soft_error_rate.unwrap_or(campaign.soft_error_rate);
-    campaign.retry_limit = args.retry_limit.unwrap_or(campaign.retry_limit);
-    campaign.inject_breach = args.inject_breach;
+    campaign.victims = args.flags.value("--tenants").unwrap_or(campaign.victims);
+    campaign.crash_points = args
+        .flags
+        .value("--trials")
+        .unwrap_or(campaign.crash_points);
+    campaign.faults = args.flags.value("--faults").unwrap_or(campaign.faults);
+    campaign.checkpoint_cycles = args
+        .flags
+        .value("--checkpoint-cycles")
+        .unwrap_or(campaign.checkpoint_cycles);
+    campaign.ipc_tolerance = args
+        .flags
+        .value("--tolerance")
+        .unwrap_or(campaign.ipc_tolerance);
+    campaign.soft_error_rate = args
+        .flags
+        .value("--soft-error-rate")
+        .unwrap_or(campaign.soft_error_rate);
+    campaign.retry_limit = args
+        .flags
+        .value("--retry-limit")
+        .unwrap_or(campaign.retry_limit);
+    campaign.inject_breach = args.flags.on("--inject-breach");
     let name = if soak { "soak" } else { "storm" };
     println!(
         "=== campaign {name} ({} victims + adversary, {} accesses/tenant, {} faults, \
@@ -881,16 +836,18 @@ fn run_storm_cli(args: &Args, soak: bool) {
         println!("slo: {advisories} advisory anomalies flagged (streamed as anomaly events)");
     }
     let breaches: Vec<String> = slo.breaches().iter().map(|a| a.describe()).collect();
-    if slo.breached() && !args.slo_gate {
+    if slo.breached() && !args.flags.on("--slo-gate") {
         eprintln!(
             "warning: SLO breached (run without --slo-gate): {}",
             breaches.join("; ")
         );
     }
     let mut gate = Gate::new();
-    gate.check("slo", !(args.slo_gate && slo.breached()), || {
-        format!("SLO gate breached: {}", breaches.join("; "))
-    });
+    gate.check(
+        "slo",
+        !(args.flags.on("--slo-gate") && slo.breached()),
+        || format!("SLO gate breached: {}", breaches.join("; ")),
+    );
     gate.absorb(storm_gate(&rows, &campaign));
     let name = format!("campaign-{name}");
     let report = storm_report(&rows, &campaign);
@@ -902,8 +859,14 @@ fn run_storm_cli(args: &Args, soak: bool) {
 /// Runs the crash-injection campaign, exiting nonzero unless every
 /// restore-and-recover audit reads back bit-identical.
 fn run_crash_cli(args: &Args, cfg: &GpuConfig) {
-    let mut campaign = CrashCampaignConfig::new(args.checkpoint_cycles.unwrap_or(5000), args.scale);
-    campaign.crash_points = args.trials.unwrap_or(campaign.crash_points);
+    let mut campaign = CrashCampaignConfig::new(
+        args.flags.value("--checkpoint-cycles").unwrap_or(5000),
+        args.flags.scale(),
+    );
+    campaign.crash_points = args
+        .flags
+        .value("--trials")
+        .unwrap_or(campaign.crash_points);
     println!(
         "=== campaign crash (checkpoint every {} cycles, {} crash points, {:?} scale) ===",
         campaign.checkpoint_cycles, campaign.crash_points, campaign.scale
@@ -931,7 +894,7 @@ fn main() {
     }
     // Held until main returns: dropping it shuts the scrape endpoint
     // down. `fail()` exits the process, which closes the socket too.
-    let mut server = args.serve_metrics.as_deref().map(|addr| {
+    let mut server = args.flags.get("--serve-metrics").map(|addr| {
         match MetricsServer::serve(args.tel.clone(), addr) {
             Ok(s) => {
                 eprintln!("serving metrics on http://{}/metrics", s.addr());
@@ -946,89 +909,30 @@ fn main() {
     // after warps/2 cycles. Excluding the ramp keeps short traces from
     // reading as latency-bound cold starts.
     cfg.warmup_cycles = cfg.warps as u64 / 2;
-    if let Some(sel) = args.campaign {
-        match sel {
-            CampaignSel::Adversarial(kind) => run_campaign_cli(&args, &cfg, kind),
-            CampaignSel::Transient => run_transient_cli(&args, &cfg),
-            CampaignSel::Crash => run_crash_cli(&args, &cfg),
-            CampaignSel::Storm => run_storm_cli(&args, false),
-            CampaignSel::Soak => run_storm_cli(&args, true),
+    if let Some(kind) = args.flags.get("--campaign") {
+        match kind {
+            "transient" => run_transient_cli(&args, &cfg),
+            "crash" => run_crash_cli(&args, &cfg),
+            "storm" => run_storm_cli(&args, false),
+            "soak" => run_storm_cli(&args, true),
+            kind => {
+                let kind =
+                    CampaignKind::parse(kind).expect("the flag table admits only known kinds");
+                run_campaign_cli(&args, &cfg, kind);
+            }
         }
         write_sched_stats(&args);
         write_metrics(&args);
         finish_observability(&args, &mut server);
         return;
     }
-    let ids: Vec<&str> = if args.experiment == "all" {
-        vec![
-            "table1", "table2", "fig6", "fig7", "fig9", "fig10", "fig15", "fig16", "fig17",
-            "fig18", "fig19", "fig20", "fig21", "fig22",
-        ]
-    } else {
-        vec![args.experiment.as_str()]
+    let experiments = match args.experiment.as_str() {
+        "all" => FIGURES,
+        id => std::slice::from_ref(find_experiment(id).expect("the parser admits only known ids")),
     };
-    for id in ids {
+    for (id, run) in experiments {
         println!("\n=== {id} ===");
-        match id {
-            "table1" => table1(&cfg),
-            "table2" => table2(),
-            "fig6" => fig6(&args, &cfg),
-            "fig7" => fig7(&args, &cfg),
-            "fig9" => fig9(&args, &cfg),
-            "fig10" => fig10(&args),
-            "fig15" => ipc_figure(
-                "fig15",
-                &args,
-                &cfg,
-                &[Scheme::Pssm, Scheme::ValueVerifyOnly],
-            ),
-            "fig16" => ipc_figure(
-                "fig16",
-                &args,
-                &cfg,
-                &[Scheme::Pssm, Scheme::FineLeafCoarseTree, Scheme::All32],
-            ),
-            "fig17" => ipc_figure(
-                "fig17",
-                &args,
-                &cfg,
-                &[
-                    Scheme::Pssm,
-                    Scheme::Compact2Bit,
-                    Scheme::Compact3Bit,
-                    Scheme::CompactAdaptive,
-                ],
-            ),
-            "fig18" => fig18(&args, &cfg),
-            "fig19" => fig19(&args, &cfg),
-            "fig20" => ipc_figure(
-                "fig20",
-                &args,
-                &cfg,
-                &[Scheme::PssmNoTree, Scheme::PlutusNoTree],
-            ),
-            "fig21" => ipc_figure(
-                "fig21",
-                &args,
-                &cfg,
-                &[
-                    Scheme::PlutusValueEntries(64),
-                    Scheme::PlutusValueEntries(128),
-                    Scheme::PlutusValueEntries(256),
-                    Scheme::PlutusValueEntries(512),
-                    Scheme::PlutusValueEntries(1024),
-                ],
-            ),
-            "fig22" => fig22(&args, &cfg),
-            "figrepro" => figrepro(&args, &cfg),
-            "cipher_bench" => cipher_bench_cli(&args),
-            "overheads" => overheads(),
-            "workloads" => workload_report(&args),
-            "ablations" => {
-                plutus_bench::ablations::run_all(&args.workloads, args.scale, &cfg);
-            }
-            other => fail(&args.tel, format!("unknown experiment {other}")),
-        }
+        run(&args, &cfg);
     }
     write_sched_stats(&args);
     write_metrics(&args);
@@ -1058,18 +962,14 @@ fn finish_observability(args: &Args, server: &mut Option<MetricsServer>) {
 /// of two `--run-dir` directories. Exit codes: 0 no regressions, 1
 /// regressions beyond `--tolerance`, 2 unreadable or incompatible runs.
 fn run_obs_diff(args: &Args) {
-    let [a, b] = args.obs_args.as_slice() else {
-        fail(
-            &args.tel,
-            format!(
-                "obs-diff needs exactly two run directories, got {:?}",
-                args.obs_args
-            ),
-        );
-    };
+    let (a, b) = (&args.obs_args[0], &args.obs_args[1]);
     let diff = diff_run_dirs(Path::new(a), Path::new(b))
         .unwrap_or_else(|e| fail(&args.tel, format!("obs-diff: {e}")));
-    gate_diff("obs-diff", &diff, args.tolerance.unwrap_or(0.0));
+    gate_diff(
+        "obs-diff",
+        &diff,
+        args.flags.value("--tolerance").unwrap_or(0.0),
+    );
 }
 
 /// Prints a diff's verdict at `tolerance` and exits 1 when a leaf
@@ -1103,7 +1003,7 @@ fn gate_diff(label: &str, diff: &ObsDiff, tolerance: f64) {
 /// scalar (CI's proof that the SIMD backend actually engaged).
 fn cipher_bench_cli(args: &Args) {
     let (native, rows) = plutus_bench::run_cipher_bench();
-    let (gate, ok) = match args.assert_speedup {
+    let (gate, ok) = match args.flags.value("--assert-speedup") {
         Some(min) => (
             cipher_bench_gate(native, &rows, min),
             format!("every batched primitive at >= {min:.2}x over scalar"),
@@ -1118,32 +1018,16 @@ fn cipher_bench_cli(args: &Args) {
     publish(args, "cipher_bench", &report.to_console(), saved, gate, &ok);
 }
 
-/// Deduplicates the collected matrix measurements: figures overlap in
-/// (workload, scheme) coverage, so keep the first measurement of each
-/// pair.
-fn unique_measurements(args: &Args) -> Vec<Measurement> {
-    let mut rows: Vec<Measurement> = Vec::new();
-    for m in args.measurements.borrow().iter() {
-        if !rows
-            .iter()
-            .any(|r| r.workload == m.workload && r.scheme == m.scheme)
-        {
-            rows.push(m.clone());
-        }
-    }
-    rows
-}
-
 /// Writes the cycle-ledger exports (`--ledger-out`): the JSON document,
 /// a `.csv` sibling, and a `.folded` flamegraph collapsed-stack
 /// sibling; prints the CPI-stack table; and runs the conservation gate,
 /// exiting nonzero if any partition's buckets do not sum exactly to the
 /// run's cycle count.
 fn write_ledger(args: &Args) {
-    let Some(path) = &args.ledger_out else {
+    let Some(path) = args.flags.out("--ledger-out") else {
         return;
     };
-    let rows = unique_measurements(args);
+    let rows = args.measurements.borrow();
     if rows.is_empty() {
         fail(
             &args.tel,
@@ -1151,7 +1035,7 @@ fn write_ledger(args: &Args) {
         );
     }
     let siblings = [("csv", ledger_csv(&rows)), ("folded", ledger_folded(&rows))];
-    let saved = save_report(path, &ledger_json(&rows), &siblings);
+    let saved = save_report(&path, &ledger_json(&rows), &siblings);
     let ok = format!("{} runs conservation-exact", rows.len());
     let (table, gate) = (cpi_stack_table(&rows), ledger_gate(&rows));
     publish(args, "cycle ledger", &table, saved, gate, &ok);
@@ -1159,13 +1043,13 @@ fn write_ledger(args: &Args) {
 
 /// Prints the cumulative scheduler dump when `--sched-stats` is active.
 fn write_sched_stats(args: &Args) {
-    if args.sched_stats {
+    if args.flags.on("--sched-stats") {
         println!("\n{}", args.exec.stats().summary_table());
     }
 }
 
 fn write_metrics(args: &Args) {
-    if let Some(path) = &args.metrics_out {
+    if let Some(path) = args.flags.out("--metrics-out") {
         let report = args.tel.report();
         // The extension picks the exporter: `.csv` is CSV, anything
         // else JSON.
@@ -1174,7 +1058,7 @@ fn write_metrics(args: &Args) {
         } else {
             report.to_json().to_string_pretty()
         };
-        if let Err(e) = plutus_telemetry::atomic_write(path, text) {
+        if let Err(e) = plutus_telemetry::atomic_write(&path, text) {
             fail(
                 &args.tel,
                 format!("cannot write metrics to {}: {e}", path.display()),
@@ -1189,13 +1073,13 @@ fn write_metrics(args: &Args) {
 /// `.folded` collapsed-stack file for flamegraphs, and prints the
 /// per-run bandwidth-attribution tables.
 fn write_trace(args: &Args) {
-    let Some(path) = &args.trace_out else {
+    let Some(path) = args.flags.out("--trace-out") else {
         return;
     };
     let traces = args.traces.borrow();
     let sched = args.exec.stats();
     let doc = chrome_trace(&traces, Some(&sched));
-    if let Err(e) = plutus_telemetry::atomic_write(path, doc.to_string_compact()) {
+    if let Err(e) = plutus_telemetry::atomic_write(&path, doc.to_string_compact()) {
         fail(
             &args.tel,
             format!("cannot write trace to {}: {e}", path.display()),
@@ -1228,10 +1112,10 @@ fn write_trace(args: &Args) {
 /// baseline and this snapshot, exiting with status 1 when any metric
 /// regressed beyond `--tolerance`.
 fn run_bench_gate(args: &Args) {
-    if args.bench_out.is_none() && args.compare.is_none() {
+    if !args.flags.on("--bench-out") && !args.flags.on("--compare") {
         return;
     }
-    let rows = unique_measurements(args);
+    let rows = args.measurements.borrow();
     if rows.is_empty() {
         fail(
             &args.tel,
@@ -1239,13 +1123,13 @@ fn run_bench_gate(args: &Args) {
         );
     }
     let provenance = BenchProvenance {
-        seed: args.seed,
+        seed: args.flags.seed(),
         crypto_backend: plutus_crypto::backend::active().to_string(),
         version: env!("CARGO_PKG_VERSION").to_string(),
     };
     let snapshot = bench_snapshot_with(&rows, &provenance);
-    if let Some(path) = &args.bench_out {
-        if let Err(e) = save_report(path, &snapshot, &[]) {
+    if let Some(path) = args.flags.out("--bench-out") {
+        if let Err(e) = save_report(&path, &snapshot, &[]) {
             fail(
                 &args.tel,
                 format!("cannot write bench snapshot to {}: {e}", path.display()),
@@ -1253,11 +1137,15 @@ fn run_bench_gate(args: &Args) {
         }
         println!("bench snapshot written to {}", path.display());
     }
-    if let Some(base) = &args.compare {
+    if let Some(base) = args.flags.get("--compare").map(Path::new) {
         let diff = read_report(base)
             .and_then(|b| diff_documents(&base.display().to_string(), &b, &snapshot))
             .unwrap_or_else(|e| fail(&args.tel, format!("regression comparison failed: {e}")));
-        gate_diff("regression gate", &diff, args.tolerance.unwrap_or(0.02));
+        gate_diff(
+            "regression gate",
+            &diff,
+            args.flags.value("--tolerance").unwrap_or(0.02),
+        );
     }
 }
 
@@ -1286,7 +1174,7 @@ fn overheads() {
 fn workload_report(args: &Args) {
     println!(
         "Synthetic benchmark characterization at {:?} scale:",
-        args.scale
+        args.flags.scale()
     );
     println!(
         "{:<14}{:>10}{:>10}{:>12}{:>8}{:>8}{:>10}{:>12}{:>12}",
@@ -1301,7 +1189,7 @@ fn workload_report(args: &Args) {
         "vals-masked"
     );
     for w in &args.workloads {
-        let t = w.trace(args.scale);
+        let t = w.trace(args.flags.scale());
         let s = workloads::characterize(&t);
         let c = workloads::value_census(&t);
         println!(
@@ -1484,7 +1372,7 @@ fn fig9(args: &Args, _cfg: &GpuConfig) {
     );
     let mut json_rows = Vec::new();
     for w in &args.workloads {
-        let trace = w.trace(args.scale);
+        let trace = w.trace(args.flags.scale());
         let r = analyze_trace(&trace, 32, 512);
         println!(
             "{:<14}{:>11.1}%{:>13.1}%{:>19.1}%",
@@ -1523,7 +1411,7 @@ fn fig10(args: &Args) {
     println!("Memory request mix (paper Fig. 10):");
     println!("{:<14}{:>10}{:>10}", "workload", "reads%", "writes%");
     for w in &args.workloads {
-        let t = w.trace(args.scale);
+        let t = w.trace(args.flags.scale());
         let wf = t.write_fraction();
         println!(
             "{:<14}{:>9.1}%{:>9.1}%",
@@ -1653,4 +1541,137 @@ fn fig22(args: &Args, cfg: &GpuConfig) {
         (geomean(plutus_all.iter().copied()) - 1.0) * 100.0
     );
     args.save("fig22", &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn parse(words: &[&str]) -> Result<(String, Vec<String>, Flags), String> {
+        let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        parse_command_line(&argv)
+    }
+
+    /// One value each row's check accepts and one it rejects, keyed by
+    /// the value description (a new description needs a sample here).
+    fn samples(flag: &str, what: &str) -> (&'static str, &'static str) {
+        match what {
+            "a positive integer" | "a positive number of seconds" | "a positive victim count" => {
+                ("4", "0")
+            }
+            "an unsigned integer" => ("3", "-1"),
+            "test|small|paper" => ("test", "huge"),
+            "auto|scalar|simd" => ("scalar", "neon"),
+            CAMPAIGNS => ("storm", "flood"),
+            "a probability in [0, 1]" => ("0.05", "1.5"),
+            "a non-negative fraction" => ("0.02", "-0.1"),
+            "a positive multiple" => ("4", "0"),
+            "a path (or '-' for stdout)" => ("-", "--scale"),
+            // Free-form values: only a value that looks like a flag is
+            // refused.
+            "a path"
+            | "a directory"
+            | "a baseline snapshot path"
+            | "a comma-separated workload list" => ("out.json", "--scale"),
+            _ if what.starts_with("a bind address") => ("127.0.0.1:9184", "--scale"),
+            _ => panic!("no sample values for {flag} <{what}>"),
+        }
+    }
+
+    #[test]
+    fn every_row_accepts_a_valid_value_and_rejects_an_invalid_one() {
+        for flag in FLAGS {
+            let Some((what, _)) = flag.value else {
+                continue;
+            };
+            let (good, bad) = samples(flag.name, what);
+            let (_, _, flags) = parse(&["fig6", flag.name, good]).unwrap();
+            assert_eq!(flags.get(flag.name), Some(good), "{}", flag.name);
+            let err = parse(&["fig6", flag.name, bad]).err();
+            assert_eq!(err, Some(format!("{} requires {what}", flag.name)));
+            let missing = parse(&["fig6", flag.name]).err();
+            assert_eq!(missing, Some(format!("{} requires {what}", flag.name)));
+        }
+    }
+
+    #[test]
+    fn switches_take_no_value_and_unknown_flags_fail() {
+        for flag in FLAGS.iter().filter(|f| f.value.is_none()) {
+            let (experiment, _, flags) = parse(&[flag.name, "fig6"]).unwrap();
+            assert_eq!(experiment, "fig6", "{} must not swallow the id", flag.name);
+            assert_eq!(flags.get(flag.name), Some(""));
+        }
+        assert_eq!(
+            parse(&["fig6", "--bogus"]).err(),
+            Some("unknown flag --bogus".into())
+        );
+    }
+
+    #[test]
+    fn parser_keeps_the_last_value_and_one_experiment_id() {
+        let (_, _, flags) = parse(&["--seed", "1", "--seed", "2"]).unwrap();
+        assert_eq!(flags.seed(), 2, "a repeated flag's last value wins");
+        // A missing value cannot swallow the next flag.
+        assert_eq!(
+            parse(&["fig10", "--metrics-out", "--scale", "test"]).err(),
+            Some("--metrics-out requires a path".into())
+        );
+        assert!(parse(&["fig6", "fig10"]).is_err());
+        assert!(parse(&["test"]).is_err(), "unknown experiment ids fail");
+        let (experiment, dirs, _) = parse(&["obs-diff", "runs/A", "runs/B"]).unwrap();
+        assert_eq!((experiment.as_str(), dirs.len()), ("obs-diff", 2));
+        assert!(parse(&["obs-diff", "runs/A"]).is_err());
+        let (experiment, _, flags) = parse(&[]).unwrap();
+        assert_eq!((experiment.as_str(), flags.scale()), ("all", Scale::Small));
+    }
+
+    #[test]
+    fn help_names_every_flag_and_experiment_id() {
+        let help = usage();
+        for flag in FLAGS {
+            assert!(help.contains(flag.name), "--help omits {}", flag.name);
+        }
+        for (id, _) in FIGURES.iter().chain(EXTRAS) {
+            assert!(help.contains(id), "--help omits {id}");
+        }
+        assert!(help.contains("all") && help.contains("obs-diff"));
+    }
+
+    /// Every `--flag` token in a document, minus trailing dashes.
+    fn doc_flags(doc: &str) -> BTreeSet<&str> {
+        let bytes = doc.as_bytes();
+        doc.match_indices("--")
+            .filter(|&(i, _)| {
+                i == 0 || !(bytes[i - 1] == b'-' || bytes[i - 1].is_ascii_alphanumeric())
+            })
+            .filter_map(|(i, _)| {
+                let rest = &doc[i + 2..];
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                (len > 0 && rest.starts_with(|c: char| c.is_ascii_lowercase()))
+                    .then(|| doc[i..i + 2 + len].trim_end_matches('-'))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn experiments_md_and_the_flag_table_agree() {
+        let doc = include_str!("../../../../EXPERIMENTS.md");
+        let documented = doc_flags(doc);
+        for flag in FLAGS {
+            assert!(
+                documented.contains(flag.name),
+                "EXPERIMENTS.md never mentions {}",
+                flag.name
+            );
+        }
+        for token in documented {
+            assert!(
+                FLAGS.iter().any(|f| f.name == token) || ["--release", "--bin"].contains(&token),
+                "EXPERIMENTS.md documents {token}, which is not in the flag table"
+            );
+        }
+    }
 }

@@ -366,21 +366,8 @@ fn build_schedule(
     (schedule, injected)
 }
 
-/// Runs the campaign on a default-sized pool: every workload × every
-/// security engine × `runs` seeded runs. See [`run_campaign_on`].
-///
-/// # Panics
-///
-/// Panics if a campaign job panics.
-pub fn run_campaign(
-    workloads: &[WorkloadSpec],
-    campaign: &CampaignConfig,
-    cfg: &GpuConfig,
-) -> Vec<CampaignRow> {
-    run_campaign_on(&Executor::new(None), workloads, campaign, cfg)
-}
-
-/// The campaign fan-out on a caller-supplied pool. Traces are prepared
+/// Runs the campaign on `exec`: every workload × every security engine
+/// × `runs` seeded runs. Traces are prepared
 /// once per workload (phase 1), then every (workload, engine, run)
 /// triple becomes one independent job (phase 2) whose randomized
 /// schedule derives from [`plutus_exec::derive_seed`] — so rows
@@ -535,9 +522,9 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_per_seed() {
         let w = [by_name("bfs").unwrap()];
-        let cfg = GpuConfig::test_small();
-        let a = run_campaign(&w, &tiny_campaign(CampaignKind::Tamper), &cfg);
-        let b = run_campaign(&w, &tiny_campaign(CampaignKind::Tamper), &cfg);
+        let (exec, cfg) = (Executor::new(None), GpuConfig::test_small());
+        let a = run_campaign_on(&exec, &w, &tiny_campaign(CampaignKind::Tamper), &cfg);
+        let b = run_campaign_on(&exec, &w, &tiny_campaign(CampaignKind::Tamper), &cfg);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
@@ -553,8 +540,8 @@ mod tests {
     #[test]
     fn tamper_campaign_detects_and_never_forges() {
         let w = [by_name("bfs").unwrap()];
-        let cfg = GpuConfig::test_small();
-        let rows = run_campaign(&w, &tiny_campaign(CampaignKind::Sweep), &cfg);
+        let (exec, cfg) = (Executor::new(None), GpuConfig::test_small());
+        let rows = run_campaign_on(&exec, &w, &tiny_campaign(CampaignKind::Sweep), &cfg);
         assert_eq!(rows.len(), campaign_schemes().len());
         let total_detected: u64 = rows.iter().map(|r| r.detected).sum();
         assert!(total_detected > 0, "campaign must catch something");

@@ -21,8 +21,8 @@ pub mod trace_export;
 
 pub use baseline::{bench_snapshot, bench_snapshot_with, BenchProvenance, BENCH_SCHEMA};
 pub use campaign::{
-    campaign_gate, campaign_report, campaign_schemes, eq1_bound, run_campaign, run_campaign_on,
-    CampaignConfig, CampaignKind, CampaignRow,
+    campaign_gate, campaign_report, campaign_schemes, eq1_bound, run_campaign_on, CampaignConfig,
+    CampaignKind, CampaignRow,
 };
 pub use cipher_bench::{cipher_bench_gate, cipher_bench_report, run_cipher_bench, CipherBenchRow};
 pub use energy::EnergyModel;
@@ -34,8 +34,7 @@ pub use report::{
     ledger_folded, ledger_gate, ledger_json, matrix_table, pct_change, save_json, LEDGER_SCHEMA,
 };
 pub use runner::{
-    geomean, recovery_schemes, run_matrix, run_matrix_with_telemetry, run_one, run_one_traced,
-    run_one_with_telemetry, run_trace, run_with_factory, try_run_matrix, try_run_matrix_on,
-    try_run_matrix_traced_on, Measurement, RunnerError, Scheme, TracedRun,
+    geomean, recovery_schemes, run_matrix, run_one, run_trace, run_with_factory, Measurement,
+    Observe, RunnerError, Scheme, TracedRun,
 };
 pub use trace_export::{attribution_table, chrome_trace, collapsed_stack};

@@ -187,39 +187,7 @@ pub fn run_one(
     scale: Scale,
     cfg: &GpuConfig,
 ) -> SimResult {
-    run_one_with_telemetry(workload, scheme, scale, cfg, &Telemetry::disabled(), None)
-}
-
-/// Runs one workload under one scheme with instrumentation: the
-/// simulator feeds `tel`'s registry, `RunStart`/`RunEnd` events bracket
-/// the run, and one epoch snapshot is closed per run (labelled
-/// `workload/scheme`). `epoch_cycles` additionally closes an epoch
-/// every N simulated cycles for in-run time series.
-pub fn run_one_with_telemetry(
-    workload: &WorkloadSpec,
-    scheme: Scheme,
-    scale: Scale,
-    cfg: &GpuConfig,
-    tel: &Telemetry,
-    epoch_cycles: Option<u64>,
-) -> SimResult {
-    let trace = workload.trace(scale);
-    let factory = scheme.factory();
-    let mut sim = Simulator::with_telemetry(cfg.clone(), trace, factory.as_ref(), tel.clone());
-    if let Some(cycles) = epoch_cycles {
-        sim.set_epoch_interval(cycles);
-    }
-    tel.event(Event::RunStart {
-        workload: workload.name.to_string(),
-        scheme: scheme.label(),
-    });
-    let result = sim.run();
-    tel.event(Event::RunEnd {
-        workload: workload.name.to_string(),
-        scheme: scheme.label(),
-    });
-    tel.end_epoch(&format!("{}/{}", workload.name, scheme.label()));
-    result
+    Observe::default().run(workload, scheme, scale, cfg).0
 }
 
 /// Runs a prebuilt trace under one scheme (telemetry disabled) — the
@@ -279,6 +247,15 @@ pub struct Measurement {
     pub ledger_partitions: Vec<Vec<u64>>,
 }
 
+/// Per-class byte totals `(label, bytes)` of a run, in
+/// [`gpu_sim::TrafficClass::ALL`] order.
+fn class_bytes(r: &SimResult) -> Vec<(String, u64)> {
+    gpu_sim::TrafficClass::ALL
+        .iter()
+        .map(|c| (c.label().to_string(), r.stats.class_bytes(*c)))
+        .collect()
+}
+
 fn measurement_of(w: &WorkloadSpec, scheme: Scheme, r: &SimResult, base_ipc: f64) -> Measurement {
     let detections = &r.stats.violation_records;
     // Steady-state IPC: identical to whole-run IPC unless the config set
@@ -293,10 +270,7 @@ fn measurement_of(w: &WorkloadSpec, scheme: Scheme, r: &SimResult, base_ipc: f64
         cycles: r.stats.cycles,
         total_bytes: r.stats.total_bytes(),
         metadata_bytes: r.stats.metadata_bytes(),
-        class_bytes: gpu_sim::TrafficClass::ALL
-            .iter()
-            .map(|c| (c.label().to_string(), r.stats.class_bytes(*c)))
-            .collect(),
+        class_bytes: class_bytes(r),
         engine_stats: r.stats.engine.clone(),
         avg_fill_latency: r.stats.avg_fill_latency(),
         detection_latency_mean: if detections.is_empty() {
@@ -311,105 +285,6 @@ fn measurement_of(w: &WorkloadSpec, scheme: Scheme, r: &SimResult, base_ipc: f64
             .collect(),
         ledger_partitions: r.stats.ledgers.iter().map(|l| l.buckets.to_vec()).collect(),
     }
-}
-
-/// Runs `workloads × schemes`, normalizing every scheme against the
-/// no-security run of the same workload. Runs execute as individual
-/// (workload, scheme) jobs on a core-bounded work-stealing pool with
-/// telemetry disabled per run; use [`run_matrix_with_telemetry`] when
-/// collecting metrics.
-///
-/// # Panics
-///
-/// Panics if a workload job panics; [`try_run_matrix`] reports the
-/// same condition as a [`RunnerError`] instead.
-pub fn run_matrix(
-    workloads: &[WorkloadSpec],
-    schemes: &[Scheme],
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Vec<Measurement> {
-    try_run_matrix(workloads, schemes, scale, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_matrix`] on a default-sized pool (one
-/// worker per available core). See [`try_run_matrix_on`].
-///
-/// # Errors
-///
-/// Returns the first panicked job, in submission order.
-pub fn try_run_matrix(
-    workloads: &[WorkloadSpec],
-    schemes: &[Scheme],
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Result<Vec<Measurement>, RunnerError> {
-    try_run_matrix_on(&Executor::new(None), workloads, schemes, scale, cfg)
-}
-
-/// The matrix fan-out on a caller-supplied pool: one job per
-/// (workload, scheme) pair — every workload's no-security baseline
-/// first, then every secured scheme — assembled into measurements in
-/// submission order, so the result is byte-identical for any worker
-/// count. A panicking job is returned as a [`RunnerError`] value
-/// (after every job has finished) rather than propagated, so CLI
-/// paths can log the failure and exit nonzero instead of aborting
-/// mid-report.
-///
-/// # Errors
-///
-/// Returns the first panicked job, in submission order (baselines in
-/// workload order, then scheme runs in workload-major order).
-pub fn try_run_matrix_on(
-    exec: &Executor,
-    workloads: &[WorkloadSpec],
-    schemes: &[Scheme],
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Result<Vec<Measurement>, RunnerError> {
-    // Phase 1: the no-security baseline of every workload — the
-    // normalization denominator every other job of that workload needs.
-    let baseline_jobs: Vec<Job<'_, SimResult>> = workloads
-        .iter()
-        .map(|w| {
-            Job::new(format!("{}/{}", w.name, Scheme::None.label()), move || {
-                run_one(w, Scheme::None, scale, cfg)
-            })
-        })
-        .collect();
-    let baselines = values_or_first_panic(exec.run(baseline_jobs))?;
-
-    // Phase 2: one job per (workload, secured scheme); `Scheme::None`
-    // rows reuse the phase-1 result.
-    let mut scheme_jobs: Vec<Job<'_, SimResult>> = Vec::new();
-    for w in workloads {
-        for &scheme in schemes {
-            if scheme != Scheme::None {
-                scheme_jobs.push(Job::new(
-                    format!("{}/{}", w.name, scheme.label()),
-                    move || run_one(w, scheme, scale, cfg),
-                ));
-            }
-        }
-    }
-    let mut runs = values_or_first_panic(exec.run(scheme_jobs))?.into_iter();
-
-    // Deterministic submission-order assembly: walk the same loop nest
-    // the jobs were submitted in.
-    let mut out = Vec::new();
-    for (wi, w) in workloads.iter().enumerate() {
-        let baseline = &baselines[wi];
-        let base_ipc = baseline.stats.steady_ipc();
-        for &scheme in schemes {
-            let r = if scheme == Scheme::None {
-                baseline.clone()
-            } else {
-                runs.next().expect("one result per submitted scheme job")
-            };
-            out.push(measurement_of(w, scheme, &r, base_ipc));
-        }
-    }
-    Ok(out)
 }
 
 /// One traced (workload, scheme) run: the raw flight-recorder records
@@ -452,121 +327,154 @@ impl TracedRun {
     }
 }
 
-/// Runs one workload under one scheme with the causal flight recorder
-/// armed (per-run telemetry instance, cycle-stamped records).
-pub fn run_one_traced(
-    workload: &WorkloadSpec,
-    scheme: Scheme,
-    scale: Scale,
-    cfg: &GpuConfig,
-    sample: u64,
-    capacity: usize,
-) -> (SimResult, TracedRun) {
-    let tel = Telemetry::with_clock(Arc::new(CycleClock::new()));
-    tel.enable_tracing(sample, capacity);
-    let tracer = tel.tracer();
-    let result = run_one_with_telemetry(workload, scheme, scale, cfg, &tel, None);
-    let traced = TracedRun {
-        workload: workload.name.to_string(),
-        scheme: scheme.label(),
-        cycles: result.stats.cycles,
-        class_bytes: gpu_sim::TrafficClass::ALL
-            .iter()
-            .map(|c| (c.label().to_string(), result.stats.class_bytes(*c)))
-            .collect(),
-        records: tracer.drain(),
-        dropped: tracer.dropped(),
-    };
-    (result, traced)
+/// How each run of a [`run_matrix`] is observed. The default observes
+/// nothing; the two parts combine freely.
+#[derive(Debug, Clone, Default)]
+pub struct Observe {
+    /// Feed this shared registry: every run brackets itself with
+    /// `RunStart`/`RunEnd` events and closes one epoch labelled
+    /// `workload/scheme`. Registry-fed runs execute one at a time, so
+    /// each epoch belongs to exactly one run.
+    pub registry: Option<Telemetry>,
+    /// With a registry, also close an epoch every N simulated cycles
+    /// inside each run.
+    pub epoch_cycles: Option<u64>,
+    /// Arm the causal flight recorder on every run, as
+    /// `(sample, capacity)`: keep one demand access in every `sample`
+    /// into a ring of `capacity` records. Without a registry each run
+    /// records into its own cycle-clocked telemetry instance; with one,
+    /// the shared recorder is drained after each run, so trace ids keep
+    /// counting across runs.
+    pub trace: Option<(u64, usize)>,
 }
 
-/// The traced matrix fan-out: like [`try_run_matrix_on`] but every
-/// (workload, scheme) run — baselines included — carries its own armed
-/// flight recorder. Returns the measurements plus one [`TracedRun`] per
-/// matrix row, both in submission order (so output is identical for any
-/// worker count; per-run telemetry instances keep traces disjoint).
+impl Observe {
+    /// Runs one workload under one scheme, observed as configured; the
+    /// trace is `Some` exactly when the recorder is armed.
+    fn run(
+        &self,
+        workload: &WorkloadSpec,
+        scheme: Scheme,
+        scale: Scale,
+        cfg: &GpuConfig,
+    ) -> (SimResult, Option<TracedRun>) {
+        let tel = match &self.registry {
+            Some(tel) => tel.clone(),
+            None if self.trace.is_some() => Telemetry::with_clock(Arc::new(CycleClock::new())),
+            None => Telemetry::disabled(),
+        };
+        if let Some((sample, capacity)) = self.trace {
+            tel.enable_tracing(sample, capacity);
+        }
+        let tracer = tel.tracer();
+        let dropped_before = tracer.dropped();
+        let trace = workload.trace(scale);
+        let factory = scheme.factory();
+        let mut sim = Simulator::with_telemetry(cfg.clone(), trace, factory.as_ref(), tel.clone());
+        if let (Some(_), Some(cycles)) = (&self.registry, self.epoch_cycles) {
+            sim.set_epoch_interval(cycles);
+        }
+        let (name, label) = (workload.name.to_string(), scheme.label());
+        tel.event(Event::RunStart {
+            workload: name.clone(),
+            scheme: label.clone(),
+        });
+        let result = sim.run();
+        tel.event(Event::RunEnd {
+            workload: name.clone(),
+            scheme: label.clone(),
+        });
+        tel.end_epoch(&format!("{name}/{label}"));
+        let traced = self.trace.map(|_| TracedRun {
+            workload: name,
+            scheme: label,
+            cycles: result.stats.cycles,
+            class_bytes: class_bytes(&result),
+            records: tracer.drain(),
+            dropped: tracer.dropped() - dropped_before,
+        });
+        (result, traced)
+    }
+
+    /// Runs a batch of jobs on `exec`: all at once, or one pool call per
+    /// job when the runs feed the shared registry.
+    fn execute<T: Send>(
+        &self,
+        exec: &Executor,
+        jobs: Vec<Job<'_, T>>,
+    ) -> Result<Vec<T>, RunnerError> {
+        let results = if self.registry.is_some() {
+            jobs.into_iter()
+                .flat_map(|job| exec.run(vec![job]))
+                .collect()
+        } else {
+            exec.run(jobs)
+        };
+        values_or_first_panic(results)
+    }
+}
+
+/// Runs `workloads × schemes` on `exec`, normalizing every scheme
+/// against the no-security run of the same workload, and observing each
+/// run as `observe` says. One job per (workload, scheme) pair — every
+/// workload's no-security baseline first, then every secured scheme —
+/// assembled in submission order, so the result is byte-identical for
+/// any worker count. Returns one measurement per matrix row, plus one
+/// [`TracedRun`] per row when the recorder is armed (none otherwise).
+///
+/// A panicking job is returned as a [`RunnerError`] value (after every
+/// job has finished) rather than propagated, so CLI paths can log the
+/// failure and exit nonzero instead of aborting mid-report.
 ///
 /// # Errors
 ///
-/// Returns the first panicked job, in submission order.
-pub fn try_run_matrix_traced_on(
+/// Returns the first panicked job, in submission order (baselines in
+/// workload order, then scheme runs in workload-major order).
+pub fn run_matrix(
     exec: &Executor,
     workloads: &[WorkloadSpec],
     schemes: &[Scheme],
     scale: Scale,
     cfg: &GpuConfig,
-    sample: u64,
-    capacity: usize,
+    observe: &Observe,
 ) -> Result<(Vec<Measurement>, Vec<TracedRun>), RunnerError> {
-    // Phase 1: traced no-security baselines.
-    let baseline_jobs: Vec<Job<'_, (SimResult, TracedRun)>> = workloads
-        .iter()
-        .map(|w| {
-            Job::new(format!("{}/{}", w.name, Scheme::None.label()), move || {
-                run_one_traced(w, Scheme::None, scale, cfg, sample, capacity)
-            })
+    let job = |w: WorkloadSpec, scheme: Scheme| {
+        Job::new(format!("{}/{}", w.name, scheme.label()), move || {
+            observe.run(&w, scheme, scale, cfg)
         })
-        .collect();
-    let baselines = values_or_first_panic(exec.run(baseline_jobs))?;
+    };
+    // Phase 1: the no-security baseline of every workload — the
+    // normalization denominator every other job of that workload needs.
+    let baseline_jobs = workloads.iter().map(|&w| job(w, Scheme::None)).collect();
+    let mut baselines = observe.execute(exec, baseline_jobs)?;
 
-    // Phase 2: one traced job per (workload, secured scheme).
-    let mut scheme_jobs: Vec<Job<'_, (SimResult, TracedRun)>> = Vec::new();
-    for w in workloads {
+    // Phase 2: one job per (workload, secured scheme); `Scheme::None`
+    // rows reuse the phase-1 result.
+    let scheme_jobs = workloads
+        .iter()
+        .flat_map(|&w| schemes.iter().map(move |&s| (w, s)))
+        .filter(|&(_, s)| s != Scheme::None)
+        .map(|(w, s)| job(w, s))
+        .collect();
+    let mut runs = observe.execute(exec, scheme_jobs)?.into_iter();
+
+    // Deterministic submission-order assembly: walk the same loop nest
+    // the jobs were submitted in.
+    let (mut rows, mut traces) = (Vec::new(), Vec::new());
+    for (w, (baseline, baseline_trace)) in workloads.iter().zip(&mut baselines) {
+        let base_ipc = baseline.stats.steady_ipc();
         for &scheme in schemes {
-            if scheme != Scheme::None {
-                scheme_jobs.push(Job::new(
-                    format!("{}/{}", w.name, scheme.label()),
-                    move || run_one_traced(w, scheme, scale, cfg, sample, capacity),
-                ));
+            if scheme == Scheme::None {
+                rows.push(measurement_of(w, scheme, baseline, base_ipc));
+                traces.extend(baseline_trace.take());
+            } else {
+                let (r, t) = runs.next().expect("one result per submitted scheme job");
+                rows.push(measurement_of(w, scheme, &r, base_ipc));
+                traces.extend(t);
             }
         }
     }
-    let mut runs = values_or_first_panic(exec.run(scheme_jobs))?.into_iter();
-
-    let mut measurements = Vec::new();
-    let mut traces = Vec::new();
-    for (wi, w) in workloads.iter().enumerate() {
-        let (baseline, baseline_trace) = &baselines[wi];
-        let base_ipc = baseline.stats.steady_ipc();
-        for &scheme in schemes {
-            let (r, t) = if scheme == Scheme::None {
-                (baseline.clone(), baseline_trace.clone())
-            } else {
-                runs.next().expect("one result per submitted scheme job")
-            };
-            measurements.push(measurement_of(w, scheme, &r, base_ipc));
-            traces.push(t);
-        }
-    }
-    Ok((measurements, traces))
-}
-
-/// The instrumented variant of [`run_matrix`]: runs sequentially so the
-/// per-run epoch snapshots in `tel` stay attributable to one
-/// (workload, scheme) pair each, and brackets every run with
-/// `RunStart`/`RunEnd` events.
-pub fn run_matrix_with_telemetry(
-    workloads: &[WorkloadSpec],
-    schemes: &[Scheme],
-    scale: Scale,
-    cfg: &GpuConfig,
-    tel: &Telemetry,
-    epoch_cycles: Option<u64>,
-) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for w in workloads {
-        let baseline = run_one_with_telemetry(w, Scheme::None, scale, cfg, tel, epoch_cycles);
-        let base_ipc = baseline.stats.steady_ipc();
-        for &scheme in schemes {
-            let r = if scheme == Scheme::None {
-                baseline.clone()
-            } else {
-                run_one_with_telemetry(w, scheme, scale, cfg, tel, epoch_cycles)
-            };
-            out.push(measurement_of(w, scheme, &r, base_ipc));
-        }
-    }
-    out
+    Ok((rows, traces))
 }
 
 /// Geometric mean of a non-empty series.
@@ -634,11 +542,26 @@ mod tests {
         );
     }
 
+    /// The plain fan-out on a two-worker pool, observing nothing.
+    fn matrix(workloads: &[WorkloadSpec], schemes: &[Scheme]) -> Vec<Measurement> {
+        let exec = Executor::new(Some(2));
+        let observe = Observe::default();
+        run_matrix(
+            &exec,
+            workloads,
+            schemes,
+            Scale::Test,
+            &small_cfg(),
+            &observe,
+        )
+        .expect("healthy matrix must succeed")
+        .0
+    }
+
     #[test]
     fn try_run_matrix_reports_results_as_values() {
         let w = [by_name("histo").unwrap()];
-        let rows = try_run_matrix(&w, &[Scheme::None, Scheme::Pssm], Scale::Test, &small_cfg())
-            .expect("healthy matrix must succeed");
+        let rows = matrix(&w, &[Scheme::None, Scheme::Pssm]);
         assert_eq!(rows.len(), 2);
         let err = RunnerError::WorkerPanicked {
             workload: "histo".into(),
@@ -669,7 +592,7 @@ mod tests {
     #[test]
     fn measurements_carry_conserving_ledgers() {
         let w = [by_name("histo").unwrap()];
-        let rows = run_matrix(&w, &[Scheme::None, Scheme::Pssm], Scale::Test, &small_cfg());
+        let rows = matrix(&w, &[Scheme::None, Scheme::Pssm]);
         for r in &rows {
             assert!(!r.ledger_partitions.is_empty());
             for (p, buckets) in r.ledger_partitions.iter().enumerate() {
@@ -693,11 +616,84 @@ mod tests {
     #[test]
     fn run_matrix_normalizes_against_baseline() {
         let w = [by_name("histo").unwrap()];
-        let rows = run_matrix(&w, &[Scheme::None, Scheme::Pssm], Scale::Test, &small_cfg());
+        let rows = matrix(&w, &[Scheme::None, Scheme::Pssm]);
         assert_eq!(rows.len(), 2);
         let none = rows.iter().find(|r| r.scheme == "no-security").unwrap();
         assert!((none.norm_ipc - 1.0).abs() < 1e-9);
         let pssm = rows.iter().find(|r| r.scheme == "pssm").unwrap();
         assert!(pssm.norm_ipc < 1.0);
+    }
+
+    /// Two workloads under {no-security, pssm}, feeding a fresh shared
+    /// registry on a four-worker pool.
+    fn registry_fed(trace: Option<(u64, usize)>) -> (Telemetry, Vec<Measurement>, Vec<TracedRun>) {
+        let tel = Telemetry::with_clock(Arc::new(CycleClock::new()));
+        let w = [by_name("bfs").unwrap(), by_name("histo").unwrap()];
+        let observe = Observe {
+            registry: Some(tel.clone()),
+            epoch_cycles: None,
+            trace,
+        };
+        let exec = Executor::new(Some(4));
+        let schemes = [Scheme::None, Scheme::Pssm];
+        let (rows, traces) =
+            run_matrix(&exec, &w, &schemes, Scale::Test, &small_cfg(), &observe).unwrap();
+        (tel, rows, traces)
+    }
+
+    /// The epoch labels in the fan-out's submission order: baselines
+    /// first, then the secured runs.
+    const SUBMISSION_ORDER: [&str; 4] = [
+        "bfs/no-security",
+        "histo/no-security",
+        "bfs/pssm",
+        "histo/pssm",
+    ];
+
+    #[test]
+    fn registry_fed_matrix_closes_one_epoch_per_run() {
+        let (tel, rows, traces) = registry_fed(None);
+        let labels: Vec<String> = tel.epochs().into_iter().map(|e| e.label).collect();
+        assert_eq!(labels, SUBMISSION_ORDER);
+        assert_eq!(rows.len(), 4);
+        assert!(traces.is_empty(), "no recorder was armed");
+        // Each epoch carries exactly its own run's DRAM traffic.
+        for epoch in tel.epochs() {
+            let (workload, scheme) = epoch.label.split_once('/').unwrap();
+            let row = rows
+                .iter()
+                .find(|r| r.workload == workload && r.scheme == scheme)
+                .unwrap();
+            let delta = |name: String| {
+                epoch
+                    .counter_deltas
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map_or(0, |(_, v)| *v)
+            };
+            for (class, bytes) in &row.class_bytes {
+                let moved = delta(format!("traffic.{class}.read_bytes"))
+                    + delta(format!("traffic.{class}.write_bytes"));
+                assert_eq!(moved, *bytes, "{}: {class} bytes", epoch.label);
+            }
+        }
+    }
+
+    #[test]
+    fn traced_registry_fed_matrix_keeps_epochs_and_conserves_bytes() {
+        let (tel, rows, traces) = registry_fed(Some((1, 1 << 20)));
+        let labels: Vec<String> = tel.epochs().into_iter().map(|e| e.label).collect();
+        assert_eq!(labels, SUBMISSION_ORDER);
+        assert_eq!(traces.len(), rows.len(), "one trace per matrix row");
+        for (row, trace) in rows.iter().zip(&traces) {
+            assert_eq!(
+                (&row.workload, &row.scheme),
+                (&trace.workload, &trace.scheme)
+            );
+            assert_eq!(trace.dropped, 0);
+            assert!(!trace.records.is_empty());
+            assert_eq!(trace.traced_class_bytes(), trace.class_bytes);
+            assert_eq!(trace.class_bytes, row.class_bytes);
+        }
     }
 }

@@ -8,7 +8,7 @@ use gpu_sim::{
     FaultKind, FaultSchedule, FaultTrigger, GpuConfig, MetaFault, RetryPolicy, ScheduledFault,
     SimResult, StallBucket, TransientConfig,
 };
-use plutus_bench::{ledger_gate, ledger_json, run_one, try_run_matrix_on, Scheme};
+use plutus_bench::{ledger_gate, ledger_json, run_matrix, run_one, Observe, Scheme};
 use plutus_exec::Executor;
 use secure_mem::{PssmEngine, SecureMemConfig};
 use workloads::{by_name, suite, Scale};
@@ -124,22 +124,20 @@ fn transient_retry_runs_conserve_and_book_retry_cycles() {
 fn ledger_export_is_identical_across_worker_counts() {
     let workloads = [by_name("bfs").unwrap(), by_name("histo").unwrap()];
     let schemes = [Scheme::None, Scheme::Pssm, Scheme::Plutus];
-    let rows1 = try_run_matrix_on(
-        &Executor::new(Some(1)),
-        &workloads,
-        &schemes,
-        Scale::Test,
-        &cfg(),
-    )
-    .unwrap();
-    let rows4 = try_run_matrix_on(
-        &Executor::new(Some(4)),
-        &workloads,
-        &schemes,
-        Scale::Test,
-        &cfg(),
-    )
-    .unwrap();
+    let run = |workers| {
+        let exec = Executor::new(Some(workers));
+        run_matrix(
+            &exec,
+            &workloads,
+            &schemes,
+            Scale::Test,
+            &cfg(),
+            &Observe::default(),
+        )
+        .unwrap()
+        .0
+    };
+    let (rows1, rows4) = (run(1), run(4));
     ledger_gate(&rows1).expect("matrix ledgers must conserve");
     let json1 = ledger_json(&rows1).to_string_pretty();
     let json4 = ledger_json(&rows4).to_string_pretty();

@@ -72,23 +72,8 @@ impl CrashRow {
     }
 }
 
-/// Runs the crash campaign on a default-sized pool: every workload ×
-/// every scheme × `crash_points` kill cycles. See
-/// [`run_crash_campaign_on`].
-///
-/// # Panics
-///
-/// Panics if a campaign job panics.
-pub fn run_crash_campaign(
-    workloads: &[WorkloadSpec],
-    schemes: &[Box<dyn SchemeProvider>],
-    campaign: &CrashCampaignConfig,
-    cfg: &GpuConfig,
-) -> Vec<CrashRow> {
-    run_crash_campaign_on(&Executor::new(None), workloads, schemes, campaign, cfg)
-}
-
-/// The crash fan-out on a caller-supplied pool, in three phases: build
+/// Runs the crash campaign on `exec`: every workload × every scheme ×
+/// `crash_points` kill cycles, in three phases: build
 /// every trace, learn every (workload, scheme) pair's run length so
 /// crash points span the whole execution, then audit every
 /// (workload, scheme, crash point) as an independent job. Rows come
@@ -235,7 +220,9 @@ mod tests {
             crash_points: 2,
             scale: Scale::Test,
         };
-        let rows = run_crash_campaign(&w, &all_schemes(), &campaign, &GpuConfig::test_small());
+        let exec = Executor::new(None);
+        let cfg = GpuConfig::test_small();
+        let rows = run_crash_campaign_on(&exec, &w, &all_schemes(), &campaign, &cfg);
         assert_eq!(rows.len(), 3 * 2);
         crash_gate(&rows).expect("all audits must be clean");
         assert!(rows.iter().all(|r| r.audited > 0));

@@ -2,7 +2,7 @@
 //!
 //! Three campaign families exercise the recovery machinery end-to-end:
 //!
-//! - **Transient** ([`run_transient_campaign`]): a seeded soft-error
+//! - **Transient** ([`run_transient_campaign_on`]): a seeded soft-error
 //!   process ([`gpu_sim::TransientConfig`]) corrupts individual DRAM
 //!   transfers while real workload traces run, and a bounded
 //!   [`gpu_sim::RetryPolicy`] re-fetches failed fills. The campaign
@@ -10,18 +10,18 @@
 //!   escalated to a recorded violation (a benign fault *misclassified*
 //!   as an attack), or never observed — and [`transient_gate`] fails
 //!   the run if any transient escalated.
-//! - **Crash** ([`run_crash_campaign`]): runs are killed at arbitrary
+//! - **Crash** ([`run_crash_campaign_on`]): runs are killed at arbitrary
 //!   cycles, volatile security metadata reverts to the last epoch
 //!   checkpoint, counters are reconstructed Phoenix-style against the
 //!   persistent MACs, and every resident sector is re-read and compared
 //!   against a pre-crash oracle. [`crash_gate`] fails unless every
 //!   audit came back bit-identical with no spurious violations.
-//! - **Storm / soak** ([`run_storm_campaign`]): a multi-tenant chaos
-//!   campaign — an adversarial tenant forces counter-group overflow
-//!   storms and fires tamper/replay faults at its own slab while victim
-//!   tenants run concurrently, a victim's key rotation walks live, and
-//!   crash-kills land mid-walk. [`storm_gate`] fails on any isolation,
-//!   conservation, Eq. 1, or recovery breach.
+//! - **Storm / soak** ([`run_storm_campaign_observed`]): a multi-tenant
+//!   chaos campaign — an adversarial tenant forces counter-group
+//!   overflow storms and fires tamper/replay faults at its own slab
+//!   while victim tenants run concurrently, a victim's key rotation
+//!   walks live, and crash-kills land mid-walk. [`storm_gate`] fails on
+//!   any isolation, conservation, Eq. 1, or recovery breach.
 //!
 //! Each family's rows render through one column declaration
 //! (`*_report`, a [`plutus_telemetry::Table`]) and pass or fail through
@@ -38,17 +38,14 @@ mod crash;
 mod storm;
 mod transient;
 
-pub use crash::{
-    crash_gate, crash_report, run_crash_campaign, run_crash_campaign_on, CrashCampaignConfig,
-    CrashRow,
-};
+pub use crash::{crash_gate, crash_report, run_crash_campaign_on, CrashCampaignConfig, CrashRow};
 pub use storm::{
-    run_storm_campaign, run_storm_campaign_observed, run_storm_campaign_on, storm_gate,
-    storm_report, storm_schemes, StormCampaignConfig, StormRow, ADVERSARY, FIRST_VICTIM,
+    run_storm_campaign_observed, storm_gate, storm_report, storm_schemes, StormCampaignConfig,
+    StormRow, ADVERSARY, FIRST_VICTIM,
 };
 pub use transient::{
-    run_transient_campaign, run_transient_campaign_on, transient_gate, transient_report,
-    TransientCampaignConfig, TransientRow,
+    run_transient_campaign_on, transient_gate, transient_report, TransientCampaignConfig,
+    TransientRow,
 };
 
 use gpu_sim::EngineFactory;

@@ -516,17 +516,7 @@ fn apply_ipc_ratio(row: &mut StormRow, baseline: &StormRow) {
     };
 }
 
-/// Runs the storm (or soak) campaign on a default-sized pool. See
-/// [`run_storm_campaign_on`].
-///
-/// # Panics
-///
-/// Panics if a campaign job panics.
-pub fn run_storm_campaign(campaign: &StormCampaignConfig, cfg: &GpuConfig) -> Vec<StormRow> {
-    run_storm_campaign_on(&Executor::new(None), campaign, cfg)
-}
-
-/// The storm fan-out on a caller-supplied pool. Per scheme (PSSM,
+/// Runs the storm (or soak) campaign on `exec`. Per scheme (PSSM,
 /// Common Counters, Plutus — all with per-tenant keys):
 ///
 /// 1. **baseline** — the honest company (adversary slot replaced by a
@@ -545,24 +535,12 @@ pub fn run_storm_campaign(campaign: &StormCampaignConfig, cfg: &GpuConfig) -> Ve
 /// campaign composes its own multi-tenant traces, so it takes no
 /// workload list.
 ///
-/// # Panics
-///
-/// Panics if a campaign job panics.
-pub fn run_storm_campaign_on(
-    exec: &Executor,
-    campaign: &StormCampaignConfig,
-    cfg: &GpuConfig,
-) -> Vec<StormRow> {
-    run_storm_campaign_observed(exec, campaign, cfg, &mut |_| {})
-}
-
-/// [`run_storm_campaign_on`] with a live row observer: `observer` is
-/// called on the caller thread the moment each campaign row is
-/// assembled — baseline/storm/soak rows right after the first parallel
-/// round lands (while the crash-audit jobs are still running), crash
-/// rows at final assembly. Observation order is the fixed phase order,
-/// independent of worker count, so observers that mirror rows into
-/// telemetry epochs or feed SLO trackers stay deterministic.
+/// `observer` is called on the caller thread the moment each campaign
+/// row is assembled — baseline/storm/soak rows right after the first
+/// parallel round lands (while the crash-audit jobs are still running),
+/// crash rows at final assembly. Observation order is the fixed phase
+/// order, independent of worker count, so observers that mirror rows
+/// into telemetry epochs or feed SLO trackers stay deterministic.
 ///
 /// # Panics
 ///
@@ -853,7 +831,12 @@ mod tests {
     #[test]
     fn honest_storm_campaign_passes_the_gate() {
         let campaign = quick(0xB00C);
-        let rows = run_storm_campaign(&campaign, &GpuConfig::test_small());
+        let rows = run_storm_campaign_observed(
+            &Executor::new(None),
+            &campaign,
+            &GpuConfig::test_small(),
+            &mut |_| {},
+        );
         // baseline + storm + 1 rotation crash, per scheme.
         assert_eq!(rows.len(), 3 * 3);
         storm_gate(&rows, &campaign).expect("honest storm must pass");
@@ -880,7 +863,12 @@ mod tests {
             inject_breach: true,
             ..quick(0xB00C)
         };
-        let rows = run_storm_campaign(&campaign, &GpuConfig::test_small());
+        let rows = run_storm_campaign_observed(
+            &Executor::new(None),
+            &campaign,
+            &GpuConfig::test_small(),
+            &mut |_| {},
+        );
         let err = storm_gate(&rows, &campaign).unwrap_err().to_string();
         assert!(
             err.contains("victim violations") || err.contains("frozen"),
@@ -892,8 +880,10 @@ mod tests {
     fn storm_campaign_is_deterministic_across_worker_counts() {
         let campaign = quick(7);
         let cfg = GpuConfig::test_small();
-        let a = run_storm_campaign_on(&Executor::new(Some(1)), &campaign, &cfg);
-        let b = run_storm_campaign_on(&Executor::new(Some(4)), &campaign, &cfg);
+        let run = |workers| {
+            run_storm_campaign_observed(&Executor::new(Some(workers)), &campaign, &cfg, &mut |_| {})
+        };
+        let (a, b) = (run(1), run(4));
         let (a, b) = (storm_report(&a, &campaign), storm_report(&b, &campaign));
         assert_eq!(
             a.to_csv(),

@@ -95,23 +95,9 @@ impl TransientRow {
     }
 }
 
-/// Runs the transient campaign on a default-sized pool: every workload
-/// × every scheme × `runs` seeded runs, each with an independent
-/// soft-error stream. See [`run_transient_campaign_on`].
-///
-/// # Panics
-///
-/// Panics if a campaign job panics.
-pub fn run_transient_campaign(
-    workloads: &[WorkloadSpec],
-    schemes: &[Box<dyn SchemeProvider>],
-    campaign: &TransientCampaignConfig,
-    cfg: &GpuConfig,
-) -> Vec<TransientRow> {
-    run_transient_campaign_on(&Executor::new(None), workloads, schemes, campaign, cfg)
-}
-
-/// The transient fan-out on a caller-supplied pool. Traces are built
+/// Runs the transient campaign on `exec`: every workload × every scheme
+/// × `runs` seeded runs, each with an independent soft-error stream.
+/// Traces are built
 /// once per workload (phase 1), then every (workload, scheme, run)
 /// triple is one independent job (phase 2) whose soft-error stream
 /// derives from [`plutus_exec::derive_seed`]; rows are accumulated in
@@ -244,6 +230,10 @@ mod tests {
     use crate::testutil::all_schemes;
     use workloads::by_name;
 
+    fn pool() -> Executor {
+        Executor::new(None)
+    }
+
     fn tiny(retry_limit: u32) -> TransientCampaignConfig {
         TransientCampaignConfig {
             soft_error_rate: 0.05,
@@ -257,7 +247,13 @@ mod tests {
     #[test]
     fn retry_recovers_every_transient() {
         let w = [by_name("bfs").unwrap()];
-        let rows = run_transient_campaign(&w, &all_schemes(), &tiny(3), &GpuConfig::test_small());
+        let rows = run_transient_campaign_on(
+            &pool(),
+            &w,
+            &all_schemes(),
+            &tiny(3),
+            &GpuConfig::test_small(),
+        );
         assert_eq!(rows.len(), 3);
         let injected: u64 = rows.iter().map(|r| r.injected).sum();
         let recovered: u64 = rows.iter().map(|r| r.recovered).sum();
@@ -272,7 +268,13 @@ mod tests {
     #[test]
     fn without_retry_transients_escalate() {
         let w = [by_name("bfs").unwrap()];
-        let rows = run_transient_campaign(&w, &all_schemes(), &tiny(0), &GpuConfig::test_small());
+        let rows = run_transient_campaign_on(
+            &pool(),
+            &w,
+            &all_schemes(),
+            &tiny(0),
+            &GpuConfig::test_small(),
+        );
         let escalated: u64 = rows.iter().map(|r| r.escalated).sum();
         assert!(escalated > 0, "fail-stop must misclassify transients");
         assert!(transient_gate(&rows).is_err());
@@ -282,10 +284,16 @@ mod tests {
     fn campaign_is_deterministic_per_seed() {
         let w = [by_name("bfs").unwrap()];
         let run = || {
-            run_transient_campaign(&w, &all_schemes(), &tiny(2), &GpuConfig::test_small())
-                .iter()
-                .map(|r| (r.injected, r.recovered, r.escalated, r.retry_cycles))
-                .collect::<Vec<_>>()
+            run_transient_campaign_on(
+                &pool(),
+                &w,
+                &all_schemes(),
+                &tiny(2),
+                &GpuConfig::test_small(),
+            )
+            .iter()
+            .map(|r| (r.injected, r.recovered, r.escalated, r.retry_cycles))
+            .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

@@ -3,7 +3,8 @@
 //! paper's first-order traffic orderings.
 
 use gpu_sim::GpuConfig;
-use plutus_bench::{run_matrix, run_one, Scheme};
+use plutus_bench::{run_matrix, run_one, Observe, Scheme};
+use plutus_exec::Executor;
 use workloads::{by_name, suite, Scale};
 
 fn cfg() -> GpuConfig {
@@ -129,8 +130,20 @@ fn no_tree_mode_removes_tree_traffic_only() {
 fn run_matrix_covers_all_cells_deterministically() {
     let ws = [by_name("kmeans").unwrap(), by_name("spmv").unwrap()];
     let schemes = [Scheme::None, Scheme::Pssm, Scheme::Plutus];
-    let a = run_matrix(&ws, &schemes, Scale::Test, &cfg());
-    let b = run_matrix(&ws, &schemes, Scale::Test, &cfg());
+    let run = || {
+        let exec = Executor::new(None);
+        run_matrix(
+            &exec,
+            &ws,
+            &schemes,
+            Scale::Test,
+            &cfg(),
+            &Observe::default(),
+        )
+        .unwrap()
+        .0
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.len(), 6);
     for row in &a {
         let twin = b

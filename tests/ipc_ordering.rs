@@ -5,7 +5,7 @@
 //! byte-deterministic for any worker count.
 
 use gpu_sim::{GpuConfig, SimStats, StallBucket};
-use plutus_bench::{bench_snapshot, run_trace, try_run_matrix_on, Scheme};
+use plutus_bench::{bench_snapshot, run_matrix, run_trace, Observe, Scheme};
 use plutus_exec::Executor;
 use workloads::{by_name, Scale, ScaleKnobs};
 
@@ -89,22 +89,20 @@ fn matrix_rows_identical_for_any_worker_count() {
         Scheme::Plutus,
     ];
     let cfg = bandwidth_bound_cfg();
-    let one = try_run_matrix_on(
-        &Executor::new(Some(1)),
-        &workloads,
-        &schemes,
-        Scale::Test,
-        &cfg,
-    )
-    .expect("serial matrix must succeed");
-    let four = try_run_matrix_on(
-        &Executor::new(Some(4)),
-        &workloads,
-        &schemes,
-        Scale::Test,
-        &cfg,
-    )
-    .expect("parallel matrix must succeed");
+    let run = |workers| {
+        let exec = Executor::new(Some(workers));
+        run_matrix(
+            &exec,
+            &workloads,
+            &schemes,
+            Scale::Test,
+            &cfg,
+            &Observe::default(),
+        )
+        .expect("matrix must succeed")
+        .0
+    };
+    let (one, four) = (run(1), run(4));
     assert_eq!(
         bench_snapshot(&one).to_string_pretty(),
         bench_snapshot(&four).to_string_pretty(),

@@ -166,14 +166,21 @@ fn metrics_doc_covers_registry_and_event_catalog() {
     assert_eq!(done.len(), 1);
     let workloads: Vec<_> = workloads::suite().into_iter().take(1).collect();
     let cfg = gpu_sim::GpuConfig::test_small();
-    plutus_bench::run_matrix_with_telemetry(
+    let observe = plutus_bench::Observe {
+        registry: Some(tel.clone()),
+        epoch_cycles: Some(500),
+        trace: None,
+    };
+    let schemes = [plutus_bench::Scheme::Pssm, plutus_bench::Scheme::Plutus];
+    plutus_bench::run_matrix(
+        &exec,
         &workloads,
-        &[plutus_bench::Scheme::Pssm, plutus_bench::Scheme::Plutus],
+        &schemes,
         workloads::Scale::Test,
         &cfg,
-        &tel,
-        Some(500),
-    );
+        &observe,
+    )
+    .expect("instrumented matrix must succeed");
     let snap = tel.snapshot();
     let names: Vec<String> = snap
         .counters

@@ -7,9 +7,10 @@ use gpu_sim::{
     ScheduledFault, SectorAddr, Simulator, TransientConfig, SECTOR_SIZE,
 };
 use plutus_bench::{recovery_schemes, Scheme};
+use plutus_exec::Executor;
 use plutus_recovery::{
-    crash_gate, run_crash_campaign, run_transient_campaign, transient_gate, CrashCampaignConfig,
-    SchemeProvider, TransientCampaignConfig,
+    crash_gate, run_crash_campaign_on, run_transient_campaign_on, transient_gate,
+    CrashCampaignConfig, SchemeProvider, TransientCampaignConfig,
 };
 use workloads::{by_name, Scale};
 
@@ -247,13 +248,14 @@ fn recovery_campaigns_gate_clean_through_bench_schemes() {
         seed: 3,
         scale: Scale::Test,
     };
-    let rows = run_transient_campaign(&w, &recovery_schemes(), &tc, &cfg);
+    let exec = Executor::new(None);
+    let rows = run_transient_campaign_on(&exec, &w, &recovery_schemes(), &tc, &cfg);
     transient_gate(&rows).expect("no transient may be misclassified as an attack");
     let cc = CrashCampaignConfig {
         checkpoint_cycles: 600,
         crash_points: 2,
         scale: Scale::Test,
     };
-    let crows = run_crash_campaign(&w, &recovery_schemes(), &cc, &cfg);
+    let crows = run_crash_campaign_on(&exec, &w, &recovery_schemes(), &cc, &cfg);
     crash_gate(&crows).expect("every crash audit must be bit-identical");
 }

@@ -12,16 +12,17 @@
 
 use gpu_sim::GpuConfig;
 use plutus_bench::{
-    campaign_report, recovery_schemes, run_campaign_on, try_run_matrix_on, CampaignConfig,
-    CampaignKind, Scheme,
+    campaign_report, recovery_schemes, run_campaign_on, run_matrix, CampaignConfig, CampaignKind,
+    Observe, Scheme,
 };
 use plutus_exec::Executor;
 use plutus_recovery::{
-    crash_report, run_crash_campaign_on, run_storm_campaign_on, run_transient_campaign_on,
+    crash_report, run_crash_campaign_on, run_storm_campaign_observed, run_transient_campaign_on,
     storm_report, transient_report, CrashCampaignConfig, StormCampaignConfig,
     TransientCampaignConfig,
 };
-use plutus_telemetry::Table;
+use plutus_telemetry::{CycleClock, Table, Telemetry};
+use std::sync::Arc;
 use workloads::{by_name, Scale, WorkloadSpec};
 
 /// One serial pool and one wide pool — wide enough that jobs outnumber
@@ -50,11 +51,24 @@ fn matrix_is_identical_across_worker_counts() {
     let w = victims();
     let schemes = [Scheme::None, Scheme::Pssm, Scheme::Plutus];
     let cfg = GpuConfig::test_small();
-    let a = try_run_matrix_on(&serial, &w, &schemes, Scale::Test, &cfg).unwrap();
-    let b = try_run_matrix_on(&wide, &w, &schemes, Scale::Test, &cfg).unwrap();
+    let run = |exec: &Executor, observe: &Observe| {
+        run_matrix(exec, &w, &schemes, Scale::Test, &cfg, observe)
+            .unwrap()
+            .0
+    };
+    let a = run(&serial, &Observe::default());
+    let b = run(&wide, &Observe::default());
     // Measurement carries floats; the Debug rendering is bit-faithful,
     // so string equality here is value equality.
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    // Observation never perturbs a measurement: feeding a registry and
+    // arming the recorder on the wide pool yields the same rows.
+    let observed = Observe {
+        registry: Some(Telemetry::with_clock(Arc::new(CycleClock::new()))),
+        epoch_cycles: Some(2000),
+        trace: Some((4, 1 << 16)),
+    };
+    assert_eq!(format!("{a:?}"), format!("{:?}", run(&wide, &observed)));
     // Row order is the submission order: workload-major, scheme-minor.
     let order: Vec<(String, String)> = a
         .iter()
@@ -113,8 +127,8 @@ fn storm_reports_are_byte_identical_across_worker_counts() {
         ..StormCampaignConfig::new(0xD17E)
     };
     let cfg = GpuConfig::test_small();
-    let a = run_storm_campaign_on(&serial, &campaign, &cfg);
-    let b = run_storm_campaign_on(&wide, &campaign, &cfg);
+    let a = run_storm_campaign_observed(&serial, &campaign, &cfg, &mut |_| {});
+    let b = run_storm_campaign_observed(&wide, &campaign, &cfg, &mut |_| {});
     assert_same(storm_report(&a, &campaign), storm_report(&b, &campaign));
 }
 

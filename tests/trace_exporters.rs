@@ -14,7 +14,7 @@
 
 use gpu_sim::GpuConfig;
 use plutus_bench::{
-    chrome_trace, collapsed_stack, run_one_traced, try_run_matrix_traced_on, Scheme, TracedRun,
+    chrome_trace, collapsed_stack, run_matrix, Measurement, Observe, Scheme, TracedRun,
 };
 use plutus_exec::Executor;
 use plutus_telemetry::{Json, TraceRecord, DEFAULT_TRACE_CAPACITY};
@@ -24,35 +24,63 @@ fn victims() -> Vec<WorkloadSpec> {
     vec![by_name("bfs").unwrap(), by_name("backprop").unwrap()]
 }
 
+/// A traced matrix of `bfs` under `schemes` at test scale, recording
+/// one access in every `sample` into a ring of `capacity` records.
+fn traced_bfs(
+    schemes: &[Scheme],
+    sample: u64,
+    capacity: usize,
+) -> (Vec<Measurement>, Vec<TracedRun>) {
+    let observe = Observe {
+        trace: Some((sample, capacity)),
+        ..Observe::default()
+    };
+    let w = [by_name("bfs").unwrap()];
+    let cfg = GpuConfig::test_small();
+    run_matrix(
+        &Executor::new(Some(2)),
+        &w,
+        schemes,
+        Scale::Test,
+        &cfg,
+        &observe,
+    )
+    .unwrap()
+}
+
+/// The flight-recorder trace of `bfs` under one scheme.
+fn traced_run(scheme: Scheme, sample: u64, capacity: usize) -> TracedRun {
+    traced_bfs(&[scheme], sample, capacity).1.remove(0)
+}
+
 #[test]
 fn attribution_conserves_class_bytes_for_every_scheme() {
-    let cfg = GpuConfig::test_small();
-    let w = by_name("bfs").unwrap();
-    for scheme in [
+    let schemes = [
         Scheme::None,
         Scheme::Pssm,
         Scheme::CommonCounters,
         Scheme::Plutus,
-    ] {
-        let (result, traced) =
-            run_one_traced(&w, scheme, Scale::Test, &cfg, 1, DEFAULT_TRACE_CAPACITY);
-        assert_eq!(traced.dropped, 0, "{scheme:?}: lossless trace expected");
+    ];
+    let (rows, traces) = traced_bfs(&schemes, 1, DEFAULT_TRACE_CAPACITY);
+    assert_eq!(traces.len(), schemes.len(), "one trace per matrix row");
+    for (row, traced) in rows.iter().zip(&traces) {
+        let scheme = &row.scheme;
+        assert_eq!(&traced.scheme, scheme);
+        assert_eq!(traced.dropped, 0, "{scheme}: lossless trace expected");
         let sim: Vec<(String, u64)> = traced.class_bytes.clone();
         assert_eq!(
             traced.traced_class_bytes(),
             sim,
-            "{scheme:?}: traced bytes must equal SimStats class totals"
+            "{scheme}: traced bytes must equal SimStats class totals"
         );
         let traced_total: u64 = traced.traced_class_bytes().iter().map(|(_, b)| b).sum();
-        assert_eq!(traced_total, result.stats.total_bytes());
+        assert_eq!(traced_total, row.total_bytes);
     }
 }
 
 #[test]
 fn sampling_preserves_causality_but_not_conservation() {
-    let cfg = GpuConfig::test_small();
-    let w = by_name("bfs").unwrap();
-    let (_, traced) = run_one_traced(&w, Scheme::Pssm, Scale::Test, &cfg, 8, 1 << 16);
+    let traced = traced_run(Scheme::Pssm, 8, 1 << 16);
     // Every child must reference a root that is present in the trace.
     let roots: Vec<u64> = traced
         .records
@@ -79,12 +107,13 @@ fn trace_content_is_identical_across_worker_counts() {
     let cfg = GpuConfig::test_small();
     let w = victims();
     let schemes = [Scheme::None, Scheme::Pssm, Scheme::Plutus];
-    let serial = Executor::sequential();
-    let wide = Executor::new(Some(4));
-    let (rows_a, traces_a) =
-        try_run_matrix_traced_on(&serial, &w, &schemes, Scale::Test, &cfg, 1, 1 << 20).unwrap();
-    let (rows_b, traces_b) =
-        try_run_matrix_traced_on(&wide, &w, &schemes, Scale::Test, &cfg, 1, 1 << 20).unwrap();
+    let observe = Observe {
+        trace: Some((1, 1 << 20)),
+        ..Observe::default()
+    };
+    let run = |exec: Executor| run_matrix(&exec, &w, &schemes, Scale::Test, &cfg, &observe);
+    let (rows_a, traces_a) = run(Executor::sequential()).unwrap();
+    let (rows_b, traces_b) = run(Executor::new(Some(4))).unwrap();
     assert_eq!(format!("{rows_a:?}"), format!("{rows_b:?}"));
     // Trace content (collapsed stacks and the Chrome trace without
     // scheduler lanes) is byte-identical for any worker count.
@@ -113,10 +142,7 @@ fn check_golden(actual: &str, golden: &str, path: &str) {
 
 #[test]
 fn collapsed_stack_matches_golden_file() {
-    let cfg = GpuConfig::test_small();
-    let w = by_name("bfs").unwrap();
-    let (_, traced) = run_one_traced(&w, Scheme::Pssm, Scale::Test, &cfg, 1, 1 << 20);
-    let text = collapsed_stack(&[traced]);
+    let text = collapsed_stack(&[traced_run(Scheme::Pssm, 1, 1 << 20)]);
     check_golden(
         &text,
         include_str!("golden/bfs_pssm.folded"),
@@ -167,10 +193,7 @@ fn chrome_trace_matches_golden_file() {
 
 #[test]
 fn real_chrome_trace_is_loadable_json() {
-    let cfg = GpuConfig::test_small();
-    let w = by_name("bfs").unwrap();
-    let (_, traced) = run_one_traced(&w, Scheme::Plutus, Scale::Test, &cfg, 1, 1 << 20);
-    let doc = chrome_trace(&[traced], None);
+    let doc = chrome_trace(&[traced_run(Scheme::Plutus, 1, 1 << 20)], None);
     let parsed = Json::parse(&doc.to_string_compact()).expect("Perfetto-loadable JSON");
     let events = parsed
         .get("traceEvents")
