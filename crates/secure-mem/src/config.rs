@@ -28,6 +28,16 @@ impl CounterOrg {
             CounterOrg::Monolithic => 4,
         }
     }
+
+    /// Bytes one counter group serializes to for BMT leaf hashing: the
+    /// 4-byte major plus 32 minor bytes (split), or four 8-byte counters
+    /// (monolithic).
+    pub fn group_bytes(self) -> usize {
+        match self {
+            CounterOrg::SplitSectored => 4 + 32,
+            CounterOrg::Monolithic => 4 * 8,
+        }
+    }
 }
 
 /// Data-path encryption mode.

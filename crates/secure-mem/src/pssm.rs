@@ -495,6 +495,21 @@ mod tests {
         assert!(e.on_fill(sector(0), &mut mem).violation.is_some());
     }
 
+    /// Regression: the zero leaf was hashed from split-organization
+    /// groups, so a never-written monolithic leaf failed its tree check.
+    #[test]
+    fn monolithic_unwritten_leaf_verifies_clean() {
+        let cfg = SecureMemConfig {
+            counter_org: crate::config::CounterOrg::Monolithic,
+            ..SecureMemConfig::test_small()
+        };
+        let mut e = PssmEngine::new(cfg);
+        let mut mem = BackingMemory::new();
+        let f = e.on_fill(sector(64), &mut mem);
+        assert_eq!(f.plaintext, [0; 32]);
+        assert!(f.violation.is_none(), "{:?}", f.violation);
+    }
+
     #[test]
     fn monolithic_replay_detected_via_tree() {
         let cfg = SecureMemConfig {
