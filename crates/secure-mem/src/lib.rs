@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block_map;
 pub mod bmt;
 pub mod cipher;
 pub mod common_counters;
@@ -53,6 +54,7 @@ pub mod pssm;
 pub mod region;
 pub mod tenant;
 
+pub use block_map::BlockMap;
 pub use cipher::DataCipher;
 pub use common_counters::{CommonCountersEngine, CommonCountersFactory};
 pub use config::{CipherKind, CounterOrg, SecureMemConfig};
