@@ -13,7 +13,7 @@ use workloads::{Scale, WorkloadSpec};
 pub struct AblationRow {
     /// Configuration label.
     pub label: String,
-    /// Geomean IPC normalized to no security.
+    /// Geomean steady-state IPC normalized to no security.
     pub norm_ipc: f64,
     /// Geomean metadata bytes relative to the first row.
     pub metadata_bytes: u64,
@@ -29,10 +29,11 @@ fn measure(
     let mut ratios = Vec::new();
     let mut meta = 0u64;
     for w in workloads {
-        let base = run_one(w, Scheme::None, scale, cfg);
+        // Steady-state IPC, as `run_matrix` normalizes every figure.
+        let base = run_one(w, Scheme::None, scale, cfg).stats.steady_ipc();
         let r = run_with_factory(w, factory, scale, cfg);
-        if base.ipc() > 0.0 {
-            ratios.push(r.ipc() / base.ipc());
+        if base > 0.0 {
+            ratios.push(r.stats.steady_ipc() / base);
         }
         meta += r.stats.metadata_bytes();
     }
@@ -283,6 +284,7 @@ pub fn run_all(workloads: &[WorkloadSpec], scale: Scale, cfg: &GpuConfig) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_matrix, Observe};
     use workloads::by_name;
 
     fn setup() -> (Vec<WorkloadSpec>, GpuConfig) {
@@ -308,6 +310,25 @@ mod tests {
         let get = |l: &str| rows.iter().find(|r| r.label == l).unwrap().norm_ipc;
         assert!(get("plutus-serial-walk") <= get("plutus-parallel-walk") + 1e-9);
         assert!(get("pssm-serial-walk") <= get("pssm-parallel-walk") + 1e-9);
+    }
+
+    #[test]
+    fn rows_normalize_steady_ipc_like_the_matrix() {
+        // The experiments binary measures past the warp-launch ramp; an
+        // ablation row must read the same steady-state IPC ratio as the
+        // figure matrix does for the same configuration.
+        let mut cfg = GpuConfig::test_small();
+        cfg.warmup_cycles = cfg.warps as u64 / 2;
+        let w: Vec<WorkloadSpec> = ["histo", "bfs"].map(|n| by_name(n).unwrap()).into();
+        let exec = plutus_exec::Executor::new(Some(2));
+        let schemes = [Scheme::None, Scheme::Pssm];
+        let observe = Observe::default();
+        let (rows, _) = run_matrix(&exec, &w, &schemes, Scale::Test, &cfg, &observe).unwrap();
+        let pssm = rows.iter().filter(|r| r.scheme == "pssm");
+        let matrix = geomean(pssm.map(|r| r.norm_ipc));
+        let mac8 = &mac_size(&w, Scale::Test, &cfg)[1];
+        assert_eq!(mac8.label, "pssm-mac8");
+        assert_eq!(mac8.norm_ipc, matrix);
     }
 
     #[test]
