@@ -1,6 +1,6 @@
 //! Experiment harness for the Plutus (HPCA 2023) reproduction: shared
 //! runner, energy model, and report formatting used by the `experiments`
-//! binary and the timing benches.
+//! binary.
 //!
 //! Run `cargo run --release -p plutus-bench --bin experiments -- all` to
 //! regenerate every paper table and figure; see `EXPERIMENTS.md` at the

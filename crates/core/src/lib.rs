@@ -21,7 +21,7 @@
 //! 3. **Fine-grain metadata blocks** (via
 //!    [`secure_mem::SecureMemConfig::all_32`]) — 32 B counter/MAC/BMT
 //!    blocks eliminate over-fetch at the cost of a taller tree; the paper's
-//!    Fig. 14 trade-off is swept by the benches.
+//!    Fig. 14 trade-off is swept by `experiments fig16`.
 //!
 //! The [`engine::PlutusEngine`] composes all three behind the
 //! [`gpu_sim::SecurityEngine`] interface, with per-technique toggles in
