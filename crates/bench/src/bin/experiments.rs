@@ -8,7 +8,16 @@
 //! its value, generated from the `FIGURES`/`EXTRAS` and `FLAGS` tables
 //! the dispatcher and the parser read; a bad value exits 2 with
 //! `error: <flag> requires <value>`. `all` (the default) runs table1
-//! through fig22. `figrepro` is the normalized-IPC figure-reproduction
+//! through fig22.
+//!
+//! Run plan: an experiment is data — its id, the schemes its matrix
+//! needs and a render function. One `run_matrix` call simulates the
+//! union of the selected experiments' schemes (the plan), so `all` runs
+//! each (workload, scheme) cell once; each experiment then renders its
+//! view, per workload its own schemes in its own order, after the
+//! degenerate gate, and saves it as `<id>.json`.
+//!
+//! `figrepro` is the normalized-IPC figure-reproduction
 //! report (Figs. 11-14 style): the no-security/PSSM/common-counters/
 //! Plutus matrix with per-scheme geomeans, the CPI stacks behind the
 //! numbers, and a prominent warning when the result is degenerate
@@ -41,7 +50,7 @@
 //! telemetry counter; jobs are never cancelled.
 //!
 //! Cycle ledger: `--ledger-out <path>` writes the per-cycle stall
-//! attribution of every matrix run — the JSON document (per-partition
+//! attribution of every cell of the run plan — the JSON document (per-partition
 //! bucket matrix + summed CPI stack per workload/scheme), a `.csv`
 //! sibling, and a `.folded` flamegraph collapsed-stack sibling — and
 //! prints the CPI-stack table. Its conservation gate fails if any
@@ -74,7 +83,7 @@
 //!
 //! Regression harness: `--bench-out <path>` writes the canonical perf
 //! snapshot (IPC, per-class DRAM bytes, metadata overhead, latencies)
-//! of every matrix experiment run; `--compare <baseline.json>` is the
+//! of every cell of the run plan; `--compare <baseline.json>` is the
 //! obs-diff of a committed baseline and that snapshot, exiting 1 when
 //! any metric moved its bad way beyond `--tolerance <frac>` (default
 //! 0.02).
@@ -138,7 +147,6 @@ use plutus_telemetry::{
     Telemetry, DEFAULT_TRACE_CAPACITY, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use secure_mem::SecureMemConfig;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -232,66 +240,130 @@ const FLAGS: &[Flag] = &[
     }),
 ];
 
-/// An experiment body, run by id.
-type Experiment = fn(&Args, &GpuConfig);
+/// An experiment: its id, the schemes of its matrix (none when it
+/// simulates no matrix) and how it renders its view of the run plan.
+type Experiment = (&'static str, &'static [Scheme], Render);
+
+/// Renders an experiment from its view: per workload, one row for each
+/// of the experiment's schemes, in its order.
+type Render = fn(&Args, &GpuConfig, &[Measurement]);
+
+/// The normalized-IPC matrix of Fig. 18 and `figrepro`.
+const HEADLINE: &[Scheme] = &[
+    Scheme::None,
+    Scheme::Pssm,
+    Scheme::CommonCounters,
+    Scheme::Plutus,
+];
 
 /// The experiments `all` runs, in order.
-const FIGURES: &[(&str, Experiment)] = &[
-    ("table1", |_, cfg| table1(cfg)),
-    ("table2", |_, _| table2()),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("fig9", fig9),
-    ("fig10", |args, _| fig10(args)),
-    ("fig15", |args, cfg| {
-        ipc_figure("fig15", args, cfg, &[Scheme::Pssm, Scheme::ValueVerifyOnly])
-    }),
-    ("fig16", |args, cfg| {
-        let schemes = [Scheme::Pssm, Scheme::FineLeafCoarseTree, Scheme::All32];
-        ipc_figure("fig16", args, cfg, &schemes)
-    }),
-    ("fig17", |args, cfg| {
-        let schemes = [
+const FIGURES: &[Experiment] = &[
+    ("table1", &[], |_, cfg, _| table1(cfg)),
+    ("table2", &[], |_, _, _| table2()),
+    ("fig6", &[Scheme::None, Scheme::Pssm], fig6),
+    ("fig7", &[Scheme::Pssm], fig7),
+    ("fig9", &[], |args, _, _| fig9(args)),
+    ("fig10", &[], |args, _, _| fig10(args)),
+    (
+        "fig15",
+        &[Scheme::None, Scheme::Pssm, Scheme::ValueVerifyOnly],
+        ipc_figure,
+    ),
+    (
+        "fig16",
+        &[
+            Scheme::None,
+            Scheme::Pssm,
+            Scheme::FineLeafCoarseTree,
+            Scheme::All32,
+        ],
+        ipc_figure,
+    ),
+    (
+        "fig17",
+        &[
+            Scheme::None,
             Scheme::Pssm,
             Scheme::Compact2Bit,
             Scheme::Compact3Bit,
             Scheme::CompactAdaptive,
-        ];
-        ipc_figure("fig17", args, cfg, &schemes)
-    }),
-    ("fig18", fig18),
-    ("fig19", fig19),
-    ("fig20", |args, cfg| {
-        let schemes = [Scheme::PssmNoTree, Scheme::PlutusNoTree];
-        ipc_figure("fig20", args, cfg, &schemes)
-    }),
-    ("fig21", |args, cfg| {
-        let schemes = [64, 128, 256, 512, 1024].map(Scheme::PlutusValueEntries);
-        ipc_figure("fig21", args, cfg, &schemes)
-    }),
-    ("fig22", fig22),
+        ],
+        ipc_figure,
+    ),
+    ("fig18", HEADLINE, fig18),
+    ("fig19", &[Scheme::Pssm, Scheme::Plutus], fig19),
+    (
+        "fig20",
+        &[Scheme::None, Scheme::PssmNoTree, Scheme::PlutusNoTree],
+        ipc_figure,
+    ),
+    (
+        "fig21",
+        &[
+            Scheme::None,
+            Scheme::PlutusValueEntries(64),
+            Scheme::PlutusValueEntries(128),
+            Scheme::PlutusValueEntries(256),
+            Scheme::PlutusValueEntries(512),
+            Scheme::PlutusValueEntries(1024),
+        ],
+        ipc_figure,
+    ),
+    (
+        "fig22",
+        &[Scheme::None, Scheme::Pssm, Scheme::Plutus],
+        fig22,
+    ),
 ];
 
 /// The experiments `all` leaves out.
-const EXTRAS: &[(&str, Experiment)] = &[
-    ("figrepro", figrepro),
-    ("cipher_bench", |args, _| cipher_bench_cli(args)),
-    ("overheads", |_, _| overheads()),
-    ("workloads", |args, _| workload_report(args)),
-    ("ablations", |args, cfg| {
+const EXTRAS: &[Experiment] = &[
+    ("figrepro", HEADLINE, |_, _, rows| {
+        print!("{}", figure_report(rows, &columns(rows)));
+    }),
+    ("cipher_bench", &[], |args, _, _| cipher_bench_cli(args)),
+    ("overheads", &[], |_, _, _| overheads()),
+    ("workloads", &[], |args, _, _| workload_report(args)),
+    ("ablations", &[], |args, cfg, _| {
         plutus_bench::ablations::run_all(&args.workloads, args.flags.scale(), cfg);
     }),
 ];
 
 /// The experiment declared under `id`.
-fn find_experiment(id: &str) -> Option<&'static (&'static str, Experiment)> {
-    FIGURES.iter().chain(EXTRAS).find(|(name, _)| *name == id)
+fn find_experiment(id: &str) -> Option<&'static Experiment> {
+    FIGURES.iter().chain(EXTRAS).find(|(name, ..)| *name == id)
+}
+
+/// The run plan: every scheme the experiments need, once each, in
+/// first-appearance order.
+fn plan(experiments: &[Experiment]) -> Vec<Scheme> {
+    let mut schemes = Vec::new();
+    for &scheme in experiments.iter().flat_map(|(_, s, _)| *s) {
+        if !schemes.contains(&scheme) {
+            schemes.push(scheme);
+        }
+    }
+    schemes
+}
+
+/// An experiment's view of the plan's rows: per workload, the row of
+/// each of `schemes`, in `schemes` order.
+fn view(rows: &[Measurement], schemes: &[Scheme]) -> Vec<Measurement> {
+    let mut view = Vec::new();
+    for cells in per_workload(rows) {
+        for scheme in schemes {
+            let label = scheme.label();
+            let row = cells.iter().find(|r| r.scheme == label);
+            view.push(row.expect("the plan covers every view").clone());
+        }
+    }
+    view
 }
 
 /// The generated `--help` text: every experiment id and every flag with
 /// its value, from the tables the parser and the dispatcher read.
 fn usage() -> String {
-    let ids = |table: &[(&str, Experiment)]| table.iter().map(|(id, _)| format!(" {id}")).collect();
+    let ids = |table: &[Experiment]| table.iter().map(|(id, ..)| format!(" {id}")).collect();
     let (figures, extras): (String, String) = (ids(FIGURES), ids(EXTRAS));
     let mut text = format!(
         "usage: experiments [<id>] [<flag>...]\n       \
@@ -361,56 +433,14 @@ struct Args {
     /// `--metrics-out`, `--stream-out` or `--serve-metrics` reads it, and
     /// arm the flight recorder under `--trace-out`.
     observe: Observe,
-    /// Causal traces collected by `--trace-out` matrix runs.
-    traces: RefCell<Vec<TracedRun>>,
-    /// The first measurement of each (workload, scheme) the matrix runs
-    /// produced, for `--bench-out`, `--compare` and `--ledger-out`.
-    measurements: RefCell<Vec<Measurement>>,
 }
 
-impl Args {
-    /// Runs a workload×scheme matrix through the one fan-out, observed
-    /// as [`Args::observe`] says. Measurements feed the `--bench-out` /
-    /// `--compare` regression harness and the `--ledger-out` exports.
-    fn matrix(&self, cfg: &GpuConfig, schemes: &[Scheme]) -> Vec<Measurement> {
-        let (exec, observe, scale) = (&self.exec, &self.observe, self.flags.scale());
-        let (rows, traces) = run_matrix(exec, &self.workloads, schemes, scale, cfg, observe)
-            .unwrap_or_else(|e| fail(&self.tel, e.to_string()));
-        self.traces.borrow_mut().extend(traces);
-        // Figures overlap in (workload, scheme) coverage: keep the first
-        // measurement of each pair.
-        let mut kept = self.measurements.borrow_mut();
-        for row in &rows {
-            let same = |k: &Measurement| k.workload == row.workload && k.scheme == row.scheme;
-            if !kept.iter().any(same) {
-                kept.push(row.clone());
-            }
-        }
-        // The central degenerate-case gate: when every scheme of a
-        // workload ran in the identical cycle count, the run is not
-        // bandwidth-bound, security traffic was free, and every figure
-        // built from this matrix is meaningless — print the diagnosis
-        // and exit nonzero so CI cannot green-light a decoupled model.
-        if let Some(warning) = degenerate_warning(&rows) {
-            eprint!("{warning}");
-            fail(
-                &self.tel,
-                "degenerate matrix: normalized IPC is 1.0 for every scheme; \
-                 increase --scale (or the workload set) until the run is \
-                 bandwidth-bound"
-                    .into(),
-            );
-        }
-        rows
-    }
-
-    /// Saves a measurement set, routing I/O failure through [`fail`]
-    /// so the CLI exits nonzero instead of panicking.
-    fn save(&self, name: &str, rows: &[Measurement]) {
-        match save_json(name, rows) {
-            Ok(p) => println!("saved {}", p.display()),
-            Err(e) => fail(&self.tel, format!("cannot write {name} results: {e}")),
-        }
+/// Saves a measurement set, routing I/O failure through [`fail`] so the
+/// CLI exits nonzero instead of panicking.
+fn save(args: &Args, name: &str, rows: &[Measurement]) {
+    match save_json(name, rows) {
+        Ok(p) => println!("saved {}", p.display()),
+        Err(e) => fail(&args.tel, format!("cannot write {name} results: {e}")),
     }
 }
 
@@ -580,8 +610,6 @@ fn parse_args(tel: &Telemetry) -> Args {
         tel: tel.clone(),
         exec,
         observe,
-        traces: RefCell::new(Vec::new()),
-        measurements: RefCell::new(Vec::new()),
     }
 }
 
@@ -930,15 +958,40 @@ fn main() {
         "all" => FIGURES,
         id => std::slice::from_ref(find_experiment(id).expect("the parser admits only known ids")),
     };
-    for (id, run) in experiments {
+    let (exec, observe, scale) = (&args.exec, &args.observe, args.flags.scale());
+    let (rows, traces) = match plan(experiments).as_slice() {
+        [] => Default::default(),
+        schemes => run_matrix(exec, &args.workloads, schemes, scale, &cfg, observe)
+            .unwrap_or_else(|e| fail(&args.tel, e.to_string())),
+    };
+    for &(id, schemes, render) in experiments {
         println!("\n=== {id} ===");
-        run(&args, &cfg);
+        let view = view(&rows, schemes);
+        // The central degenerate-case gate: when every scheme of a
+        // workload ran in the identical cycle count, the run is not
+        // bandwidth-bound, security traffic was free, and every figure
+        // built from this matrix is meaningless — print the diagnosis
+        // and exit nonzero so CI cannot green-light a decoupled model.
+        if let Some(warning) = degenerate_warning(&view) {
+            eprint!("{warning}");
+            fail(
+                &args.tel,
+                "degenerate matrix: normalized IPC is 1.0 for every scheme; \
+                 increase --scale (or the workload set) until the run is \
+                 bandwidth-bound"
+                    .into(),
+            );
+        }
+        render(&args, &cfg, &view);
+        if !schemes.is_empty() {
+            save(&args, id, &view);
+        }
     }
     write_sched_stats(&args);
     write_metrics(&args);
-    write_trace(&args);
-    write_ledger(&args);
-    run_bench_gate(&args);
+    write_trace(&args, &traces);
+    write_ledger(&args, &rows);
+    run_bench_gate(&args, &rows);
     finish_observability(&args, &mut server);
 }
 
@@ -1023,21 +1076,20 @@ fn cipher_bench_cli(args: &Args) {
 /// sibling; prints the CPI-stack table; and runs the conservation gate,
 /// exiting nonzero if any partition's buckets do not sum exactly to the
 /// run's cycle count.
-fn write_ledger(args: &Args) {
+fn write_ledger(args: &Args, rows: &[Measurement]) {
     let Some(path) = args.flags.out("--ledger-out") else {
         return;
     };
-    let rows = args.measurements.borrow();
     if rows.is_empty() {
         fail(
             &args.tel,
             "--ledger-out needs at least one matrix experiment (e.g. fig6 or figrepro)".into(),
         );
     }
-    let siblings = [("csv", ledger_csv(&rows)), ("folded", ledger_folded(&rows))];
-    let saved = save_report(&path, &ledger_json(&rows), &siblings);
+    let siblings = [("csv", ledger_csv(rows)), ("folded", ledger_folded(rows))];
+    let saved = save_report(&path, &ledger_json(rows), &siblings);
     let ok = format!("{} runs conservation-exact", rows.len());
-    let (table, gate) = (cpi_stack_table(&rows), ledger_gate(&rows));
+    let (table, gate) = (cpi_stack_table(rows), ledger_gate(rows));
     publish(args, "cycle ledger", &table, saved, gate, &ok);
 }
 
@@ -1072,13 +1124,12 @@ fn write_metrics(args: &Args) {
 /// Writes the Perfetto-loadable Chrome trace (`--trace-out`), a sibling
 /// `.folded` collapsed-stack file for flamegraphs, and prints the
 /// per-run bandwidth-attribution tables.
-fn write_trace(args: &Args) {
+fn write_trace(args: &Args, traces: &[TracedRun]) {
     let Some(path) = args.flags.out("--trace-out") else {
         return;
     };
-    let traces = args.traces.borrow();
     let sched = args.exec.stats();
-    let doc = chrome_trace(&traces, Some(&sched));
+    let doc = chrome_trace(traces, Some(&sched));
     if let Err(e) = plutus_telemetry::atomic_write(&path, doc.to_string_compact()) {
         fail(
             &args.tel,
@@ -1086,13 +1137,13 @@ fn write_trace(args: &Args) {
         );
     }
     let folded = path.with_extension("folded");
-    if let Err(e) = plutus_telemetry::atomic_write(&folded, collapsed_stack(&traces)) {
+    if let Err(e) = plutus_telemetry::atomic_write(&folded, collapsed_stack(traces)) {
         fail(
             &args.tel,
             format!("cannot write stacks to {}: {e}", folded.display()),
         );
     }
-    println!("\n{}", attribution_table(&traces));
+    println!("\n{}", attribution_table(traces));
     let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
     if dropped > 0 {
         eprintln!(
@@ -1111,11 +1162,10 @@ fn write_trace(args: &Args) {
 /// regression gate (`--compare`): the obs-diff of the committed
 /// baseline and this snapshot, exiting with status 1 when any metric
 /// regressed beyond `--tolerance`.
-fn run_bench_gate(args: &Args) {
+fn run_bench_gate(args: &Args, rows: &[Measurement]) {
     if !args.flags.on("--bench-out") && !args.flags.on("--compare") {
         return;
     }
-    let rows = args.measurements.borrow();
     if rows.is_empty() {
         fail(
             &args.tel,
@@ -1127,7 +1177,7 @@ fn run_bench_gate(args: &Args) {
         crypto_backend: plutus_crypto::backend::active().to_string(),
         version: env!("CARGO_PKG_VERSION").to_string(),
     };
-    let snapshot = bench_snapshot_with(&rows, &provenance);
+    let snapshot = bench_snapshot_with(rows, &provenance);
     if let Some(path) = args.flags.out("--bench-out") {
         if let Err(e) = save_report(&path, &snapshot, &[]) {
             fail(
@@ -1258,8 +1308,26 @@ fn table2() {
     );
 }
 
-fn labels(schemes: &[Scheme]) -> Vec<String> {
-    schemes.iter().map(Scheme::label).collect()
+/// A view's rows, one slice per workload.
+fn per_workload(rows: &[Measurement]) -> impl Iterator<Item = &[Measurement]> {
+    rows.chunk_by(|a, b| a.workload == b.workload)
+}
+
+/// A view's secured scheme labels, in the experiment's order.
+fn columns(rows: &[Measurement]) -> Vec<String> {
+    let first = per_workload(rows).next().unwrap_or_default();
+    let secured = first.iter().filter(|r| r.scheme != Scheme::None.label());
+    secured.map(|r| r.scheme.clone()).collect()
+}
+
+/// Prints a view's IPC normalized to no security, one column per
+/// secured scheme.
+fn ipc_table(rows: &[Measurement]) {
+    let title = "IPC normalized to no security";
+    println!(
+        "{}",
+        matrix_table(rows, &columns(rows), |m| m.norm_ipc, title)
+    );
 }
 
 fn summarize_vs(rows: &[Measurement], scheme: &str, baseline: &str) {
@@ -1290,58 +1358,32 @@ fn summarize_vs(rows: &[Measurement], scheme: &str, baseline: &str) {
     }
 }
 
-fn ipc_figure(name: &str, args: &Args, cfg: &GpuConfig, schemes: &[Scheme]) {
-    let mut all = vec![Scheme::None];
-    all.extend_from_slice(schemes);
-    let rows = args.matrix(cfg, &all);
-    let cols = labels(schemes);
-    println!(
-        "{}",
-        matrix_table(
-            &rows,
-            &cols,
-            |m| m.norm_ipc,
-            "IPC normalized to no security"
-        )
-    );
-    let base = schemes[0].label();
-    for s in &schemes[1..] {
-        summarize_vs(&rows, &s.label(), &base);
+/// The IPC table, then every later secured scheme against the first.
+fn ipc_figure(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
+    ipc_table(rows);
+    if let [base, rest @ ..] = columns(rows).as_slice() {
+        for s in rest {
+            summarize_vs(rows, s, base);
+        }
     }
-    args.save(name, &rows);
 }
 
-fn fig6(args: &Args, cfg: &GpuConfig) {
-    let rows = args.matrix(cfg, &[Scheme::None, Scheme::Pssm]);
-    println!(
-        "{}",
-        matrix_table(
-            &rows,
-            &["pssm".into()],
-            |m| m.norm_ipc,
-            "IPC normalized to no security"
-        )
-    );
-    let slowdowns: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.scheme == "pssm")
-        .map(|r| r.norm_ipc)
-        .collect();
+fn fig6(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
+    ipc_table(rows);
+    let pssm = rows.iter().filter(|r| r.scheme == "pssm");
     println!(
         "secure memory (PSSM) keeps {:.1}% of insecure IPC on geomean",
-        geomean(slowdowns.iter().copied()) * 100.0
+        geomean(pssm.map(|r| r.norm_ipc)) * 100.0
     );
-    args.save("fig6", &rows);
 }
 
-fn fig7(args: &Args, cfg: &GpuConfig) {
-    let rows = args.matrix(cfg, &[Scheme::Pssm]);
+fn fig7(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
     println!("DRAM traffic breakdown under PSSM (fraction of total bytes):");
     println!(
         "{:<14}{:>10}{:>10}{:>10}{:>10}{:>12}",
         "workload", "data", "counter", "mac", "bmt", "overhead%"
     );
-    for r in rows.iter().filter(|r| r.scheme == "pssm") {
+    for r in rows {
         let total = r.total_bytes.max(1) as f64;
         let get = |label: &str| {
             r.class_bytes
@@ -1361,10 +1403,9 @@ fn fig7(args: &Args, cfg: &GpuConfig) {
             (total - data) / data * 100.0
         );
     }
-    args.save("fig7", &rows);
 }
 
-fn fig9(args: &Args, _cfg: &GpuConfig) {
+fn fig9(args: &Args) {
     println!("Value-reuse percentage of reads (paper Fig. 9; 512-entry caches/partition):");
     println!(
         "{:<14}{:>12}{:>14}{:>20}",
@@ -1404,7 +1445,7 @@ fn fig9(args: &Args, _cfg: &GpuConfig) {
             ledger_partitions: Vec::new(),
         });
     }
-    args.save("fig9", &json_rows);
+    save(args, "fig9", &json_rows);
 }
 
 fn fig10(args: &Args) {
@@ -1422,31 +1463,13 @@ fn fig10(args: &Args) {
     }
 }
 
-fn fig18(args: &Args, cfg: &GpuConfig) {
-    let schemes = [
-        Scheme::None,
-        Scheme::Pssm,
-        Scheme::CommonCounters,
-        Scheme::Plutus,
-    ];
-    let rows = args.matrix(cfg, &schemes);
-    let cols = vec!["pssm".into(), "common-counters".into(), "plutus".into()];
-    println!(
-        "{}",
-        matrix_table(
-            &rows,
-            &cols,
-            |m| m.norm_ipc,
-            "IPC normalized to no security"
-        )
-    );
-    summarize_vs(&rows, "plutus", "pssm");
-    summarize_vs(&rows, "plutus", "common-counters");
-    args.save("fig18", &rows);
+fn fig18(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
+    ipc_table(rows);
+    summarize_vs(rows, "plutus", "pssm");
+    summarize_vs(rows, "plutus", "common-counters");
 }
 
-fn fig19(args: &Args, cfg: &GpuConfig) {
-    let rows = args.matrix(cfg, &[Scheme::Pssm, Scheme::Plutus]);
+fn fig19(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
     println!("Security-metadata DRAM traffic (bytes):");
     println!(
         "{:<14}{:>16}{:>16}{:>12}",
@@ -1454,26 +1477,18 @@ fn fig19(args: &Args, cfg: &GpuConfig) {
     );
     let mut ratios = Vec::new();
     let mut best: (f64, String) = (0.0, String::new());
-    let mut workload_names: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    workload_names.sort();
-    workload_names.dedup();
-    for w in &workload_names {
-        let p = rows
-            .iter()
-            .find(|r| &r.workload == w && r.scheme == "pssm")
-            .unwrap();
-        let q = rows
-            .iter()
-            .find(|r| &r.workload == w && r.scheme == "plutus")
-            .unwrap();
+    for cells in per_workload(rows) {
+        let [p, q] = cells else {
+            unreachable!("fig19's view holds pssm and plutus per workload")
+        };
         let reduction = 1.0 - q.metadata_bytes as f64 / p.metadata_bytes.max(1) as f64;
         if reduction > best.0 {
-            best = (reduction, w.clone());
+            best = (reduction, p.workload.clone());
         }
         ratios.push(1.0 - reduction);
         println!(
             "{:<14}{:>16}{:>16}{:>11.1}%",
-            w,
+            p.workload,
             p.metadata_bytes,
             q.metadata_bytes,
             reduction * 100.0
@@ -1485,62 +1500,29 @@ fn fig19(args: &Args, cfg: &GpuConfig) {
         best.0 * 100.0,
         best.1
     );
-    args.save("fig19", &rows);
 }
 
-/// The figure-reproduction report: the canonical
-/// no-security/PSSM/common-counters/Plutus matrix rendered as a
-/// normalized-IPC table (paper Figs. 11-14 style) with per-scheme
-/// geomeans and the CPI stacks behind the numbers, flagging the
-/// degenerate all-schemes-at-1.0 state prominently.
-fn figrepro(args: &Args, cfg: &GpuConfig) {
-    let schemes = [
-        Scheme::None,
-        Scheme::Pssm,
-        Scheme::CommonCounters,
-        Scheme::Plutus,
-    ];
-    let rows = args.matrix(cfg, &schemes);
-    let cols = vec!["pssm".into(), "common-counters".into(), "plutus".into()];
-    print!("{}", figure_report(&rows, &cols));
-    args.save("figrepro", &rows);
-}
-
-fn fig22(args: &Args, cfg: &GpuConfig) {
-    let rows = args.matrix(cfg, &[Scheme::None, Scheme::Pssm, Scheme::Plutus]);
+fn fig22(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
     let model = EnergyModel::default();
     println!("Average power normalized to no security (paper Fig. 22):");
     println!("{:<14}{:>12}{:>12}", "workload", "pssm", "plutus");
     let mut pssm_all = Vec::new();
     let mut plutus_all = Vec::new();
-    let mut workload_names: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    workload_names.sort();
-    workload_names.dedup();
-    for w in &workload_names {
-        let base = rows
-            .iter()
-            .find(|r| &r.workload == w && r.scheme == "no-security")
-            .unwrap();
-        let p = rows
-            .iter()
-            .find(|r| &r.workload == w && r.scheme == "pssm")
-            .unwrap();
-        let q = rows
-            .iter()
-            .find(|r| &r.workload == w && r.scheme == "plutus")
-            .unwrap();
+    for cells in per_workload(rows) {
+        let [base, p, q] = cells else {
+            unreachable!("fig22's view holds no-security, pssm and plutus per workload")
+        };
         let np = model.normalized_power(p, base);
         let nq = model.normalized_power(q, base);
         pssm_all.push(np);
         plutus_all.push(nq);
-        println!("{:<14}{:>12.3}{:>12.3}", w, np, nq);
+        println!("{:<14}{:>12.3}{:>12.3}", base.workload, np, nq);
     }
     println!(
         "power overhead: PSSM {:+.1}%, Plutus {:+.1}% (geomean)",
         (geomean(pssm_all.iter().copied()) - 1.0) * 100.0,
         (geomean(plutus_all.iter().copied()) - 1.0) * 100.0
     );
-    args.save("fig22", &rows);
 }
 
 #[cfg(test)]
@@ -1632,10 +1614,38 @@ mod tests {
         for flag in FLAGS {
             assert!(help.contains(flag.name), "--help omits {}", flag.name);
         }
-        for (id, _) in FIGURES.iter().chain(EXTRAS) {
+        for (id, ..) in FIGURES.iter().chain(EXTRAS) {
             assert!(help.contains(id), "--help omits {id}");
         }
         assert!(help.contains("all") && help.contains("obs-diff"));
+    }
+
+    #[test]
+    fn the_figure_plan_holds_each_scheme_once_baseline_first() {
+        let schemes = plan(FIGURES);
+        assert_eq!(schemes.len(), 17);
+        assert_eq!(schemes[0], Scheme::None);
+        for (i, scheme) in schemes.iter().enumerate() {
+            assert!(!schemes[..i].contains(scheme), "{scheme:?} planned twice");
+        }
+    }
+
+    #[test]
+    fn every_view_equals_its_experiments_own_matrix() {
+        let every: Vec<Experiment> = FIGURES.iter().chain(EXTRAS).copied().collect();
+        let (exec, cfg) = (Executor::new(Some(2)), GpuConfig::test_small());
+        let workloads = [workloads::by_name("hotspot").unwrap()];
+        let matrix = |schemes: &[Scheme]| {
+            let observe = Observe::default();
+            run_matrix(&exec, &workloads, schemes, Scale::Test, &cfg, &observe)
+                .unwrap()
+                .0
+        };
+        let rows = matrix(&plan(&every));
+        for (id, schemes, _) in every.iter().filter(|(_, s, _)| !s.is_empty()) {
+            let (own, shared) = (matrix(schemes), view(&rows, schemes));
+            assert_eq!(format!("{shared:?}"), format!("{own:?}"), "{id}");
+        }
     }
 
     /// Every `--flag` token in a document, minus trailing dashes.
