@@ -37,10 +37,10 @@
 //! on any host; `simd` fails fast when the CPU lacks AES-NI).
 //!
 //! Scheduling: simulator runs execute as independent jobs on a bounded
-//! work-stealing pool. `--jobs N` caps the worker count (default: one
-//! per available core); results are byte-identical for any `N`.
+//! pool with one job stack. `--jobs N` caps the worker count (default:
+//! one per available core); results are byte-identical for any `N`.
 //! `--sched-stats` prints the cumulative scheduler dump (queue latency,
-//! execution time, steals, per-worker utilization) on exit.
+//! execution time, per-worker utilization) on exit.
 //! `--heartbeat S` prints a progress line to stderr every S seconds
 //! while the pool runs (jobs done/total, the workload/scheme labels
 //! currently executing, elapsed wall time). Heartbeat runs arm a soft
@@ -583,12 +583,9 @@ fn parse_args(tel: &Telemetry) -> Args {
             fail(tel, format!("cannot start epoch stream: {e}"));
         }
     }
-    let exec = Executor::with_telemetry(flags.value("--jobs"), tel.clone());
+    let mut exec = Executor::with_telemetry(flags.value("--jobs"), tel.clone());
     if let Some(secs) = flags.value("--heartbeat") {
         exec.set_heartbeat(std::time::Duration::from_secs(secs));
-        // The watchdog observes from the heartbeat monitor thread, so it
-        // is on (4x the running median) whenever progress lines are.
-        exec.set_watchdog(4.0);
     }
     let feeds_registry = ["--metrics-out", "--stream-out", "--serve-metrics"];
     let observe = Observe {

@@ -24,17 +24,13 @@
 //!   when it moves the bad way beyond the tolerance, when it is NaN, or
 //!   when it vanished. A leaf that only B has is new coverage.
 //!
-//! Leaves whose path contains a known scheduler-nondeterministic
-//! metric ([`plutus_telemetry::STREAM_NONDETERMINISTIC`]) are skipped,
-//! for the same reason the epoch stream excludes them: steal counts
-//! vary run to run even at identical seeds. Wall-time series
-//! (`sched.queue_ns`, `sched.exec_ns`, `span.*.ns` histograms) and the
-//! worker-count gauge are skipped too — they describe the host and the
-//! `--jobs` setting, not the simulated run, so two byte-identical
-//! simulations legitimately disagree on them.
+//! Wall-time series (`sched.queue_ns`, `sched.exec_ns`, `span.*.ns`
+//! histograms) and the worker-count gauge are skipped: they describe
+//! the host and the `--jobs` setting, not the simulated run, so two
+//! byte-identical simulations legitimately disagree on them.
 
 use crate::report::pct_change;
-use plutus_telemetry::{Json, MANIFEST_FILE, MANIFEST_SCHEMA, STREAM_NONDETERMINISTIC};
+use plutus_telemetry::{Json, MANIFEST_FILE, MANIFEST_SCHEMA};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
@@ -313,17 +309,14 @@ fn json_reports(dir: &Path) -> Result<Vec<String>, String> {
 }
 
 /// Wall-time and environment-shaped series excluded from cross-run
-/// diffs on top of [`STREAM_NONDETERMINISTIC`]: these measure the host
-/// and the worker count, not the simulated run.
+/// diffs: these measure the host and the worker count, not the
+/// simulated run.
 const WALL_TIME_NONDETERMINISTIC: &[&str] = &["sched.queue_ns", "sched.exec_ns", "sched.workers"];
 
 /// True when a leaf path names a metric that legitimately differs
 /// between byte-identical simulations.
 fn nondeterministic(path: &str) -> bool {
-    STREAM_NONDETERMINISTIC
-        .iter()
-        .chain(WALL_TIME_NONDETERMINISTIC)
-        .any(|m| path.contains(m))
+    WALL_TIME_NONDETERMINISTIC.iter().any(|m| path.contains(m))
         || (path.contains("span.") && path.contains(".ns"))
 }
 
@@ -405,7 +398,6 @@ mod tests {
             Json::Array(vec![Json::object()
                 .set("ipc", ipc)
                 .set("clean", clean)
-                .set("sched.steals", 99u64)
                 .set("sched.exec_ns", if clean { 100u64 } else { 999u64 })
                 .set("span.engine.fill.ns", if clean { 7u64 } else { 8u64 })]),
         );
@@ -436,9 +428,8 @@ mod tests {
         write_run(&b, 42, 1.2, false);
         let diff = diff_run_dirs(&a, &b).unwrap();
         // The clean flip (1 -> 0, -100%) outranks the 20% IPC drop;
-        // the nondeterministic steal counter and the wall-time series
-        // (exec ns, span histogram) never show up even though they
-        // changed too.
+        // the wall-time series (exec ns, span histogram) never show up
+        // even though they changed too.
         let paths: Vec<&str> = diff.changed.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(paths, vec!["rows[0].clean", "rows[0].ipc"]);
         assert_eq!(

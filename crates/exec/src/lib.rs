@@ -1,4 +1,4 @@
-//! **plutus-exec** — the bounded, work-stealing experiment scheduler.
+//! **plutus-exec** — the bounded experiment scheduler.
 //!
 //! Every experiment surface in this workspace — the workload × scheme
 //! IPC matrix, the adversarial fault campaigns, and the fail-operational
@@ -14,12 +14,11 @@
 //! * **Bounded.** Worker count defaults to
 //!   [`std::thread::available_parallelism`] and never exceeds the
 //!   configured cap, regardless of how many jobs are submitted.
-//! * **Work-stealing.** Jobs are seeded round-robin into per-worker
-//!   deques with the overflow parked in a shared injector; an idle
-//!   worker drains its own deque first (LIFO), then grabs a batch from
-//!   the injector, then steals (FIFO) from a sibling — so
-//!   (workload × scheme × trial)-granularity jobs keep every core busy
-//!   until the tail.
+//! * **One job stack.** A `run` call puts its jobs in one stack; the
+//!   calling thread is worker 0 and `min(cap, jobs) - 1` scoped helper
+//!   threads join it, each popping until the stack is empty. With
+//!   helpers the newest job goes first; a lone worker runs the jobs in
+//!   submission order on the calling thread.
 //! * **Deterministic.** Results come back in submission order no matter
 //!   which worker ran what, and [`derive_seed`] makes every job's
 //!   random stream a pure function of (campaign seed, workload index,
@@ -28,10 +27,10 @@
 //! * **Panic-as-value.** A panicking job is caught and returned as a
 //!   [`JobPanic`] carrying its label and payload; the pool and the
 //!   remaining jobs keep running.
-//! * **Observable.** Per-job queue latency and execution time, steal
-//!   and injector-batch counts, and per-worker busy time are recorded
-//!   through `plutus-telemetry` (`sched.*` metrics) and aggregated in
-//!   [`SchedStats`] for the `experiments --sched-stats` dump.
+//! * **Observable.** Per-job queue latency and execution time, and
+//!   per-worker busy time are recorded through `plutus-telemetry`
+//!   (`sched.*` metrics) and aggregated in [`SchedStats`] for the
+//!   `experiments --sched-stats` dump.
 //!
 //! ```
 //! use plutus_exec::{Executor, Job};

@@ -1,11 +1,11 @@
-//! The bounded work-stealing pool.
+//! The bounded job-stack pool.
 
-use crate::stats::{SchedStats, StatsAcc, WorkerLocal};
+use crate::stats::{JobSpan, SchedStats, StatsAcc, WorkerLocal};
 use plutus_telemetry::{Counter, Event, Histogram, Telemetry};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One schedulable unit of work: a label (used when reporting panics)
@@ -77,34 +77,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// The largest injector batch one grab may take. Small enough that a
-/// worker never hoards the tail of a sweep, large enough to amortize
-/// the injector lock on thousand-job campaigns.
-const MAX_BATCH: usize = 8;
-
-/// A job tagged with its submission index (its result slot).
-type IndexedJob<'a, T> = (usize, Job<'a, T>);
-
-/// One lockable deque of indexed jobs.
-type JobDeque<'a, T> = Mutex<VecDeque<IndexedJob<'a, T>>>;
-
-struct Inner {
-    workers: usize,
-    tel: Telemetry,
-    queue_ns: Histogram,
-    exec_ns: Histogram,
-    jobs_ctr: Counter,
-    steals_ctr: Counter,
-    batches_ctr: Counter,
-    panics_ctr: Counter,
-    stats: Mutex<StatsAcc>,
-    /// Heartbeat interval in milliseconds; 0 disables progress lines.
-    heartbeat_ms: AtomicU64,
-    /// Watchdog multiple in thousandths (e.g. 4000 = 4x the running
-    /// median of completed job durations); 0 disables the watchdog.
-    watchdog_x1000: AtomicU64,
-    watchdog_ctr: Counter,
+/// Locks one of the pool's mutexes. Jobs run outside every pool lock
+/// and their panics are caught, so a poisoned lock is a pool bug.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("no pool lock is held while a job runs")
 }
+
+/// The soft watchdog's threshold, as a multiple of the running median
+/// of completed job durations.
+const WATCHDOG_MULTIPLE: u64 = 4;
 
 /// A job currently executing, as seen by the heartbeat monitor.
 struct RunningJob {
@@ -116,413 +97,248 @@ struct RunningJob {
     flagged: bool,
 }
 
-/// Progress state shared between a `run` call and its heartbeat thread:
-/// jobs finished, labels currently executing, and the run's start time.
+/// Progress of one `run` call, written by its workers and read by its
+/// heartbeat monitor.
 struct HeartbeatState {
     done: AtomicUsize,
     total: usize,
-    running: Mutex<Vec<RunningJob>>,
+    /// The job each worker slot is executing. Keyed by slot, not label:
+    /// labels need not be unique within a run.
+    running: Mutex<Vec<Option<RunningJob>>>,
     /// Durations of completed jobs this run, in nanoseconds; feeds the
     /// watchdog's running median.
     finished_ns: Mutex<Vec<u64>>,
-    stop: AtomicBool,
     start: Instant,
-    /// Watchdog multiple in thousandths (0 = watchdog off).
-    watchdog_x1000: u64,
-    watchdog_ctr: Counter,
-    /// Telemetry sink for typed progress/slow events — the stderr lines
-    /// are ephemeral, the events land in the stream and run artifacts.
-    tel: Telemetry,
 }
 
 impl HeartbeatState {
-    fn begin(&self, label: &str) {
-        self.running.lock().unwrap().push(RunningJob {
+    fn new(total: usize, workers: usize) -> Self {
+        Self {
+            done: AtomicUsize::new(0),
+            total,
+            running: Mutex::new((0..workers).map(|_| None).collect()),
+            finished_ns: Mutex::new(Vec::new()),
+            start: Instant::now(),
+        }
+    }
+
+    fn begin(&self, slot: usize, label: &str, started: Instant) {
+        lock(&self.running)[slot] = Some(RunningJob {
             label: label.to_string(),
-            started: Instant::now(),
+            started,
             flagged: false,
         });
     }
 
-    fn finish(&self, label: &str) {
-        let mut running = self.running.lock().unwrap();
-        if let Some(pos) = running.iter().position(|j| j.label == label) {
-            let job = running.remove(pos);
-            self.finished_ns
-                .lock()
-                .unwrap()
-                .push(job.started.elapsed().as_nanos() as u64);
-        }
-        drop(running);
+    fn finish(&self, slot: usize, exec_ns: u64) {
+        lock(&self.running)[slot] = None;
+        lock(&self.finished_ns).push(exec_ns);
         self.done.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The watchdog threshold in nanoseconds: `multiple` times the
-    /// median completed-job duration, once at least three jobs have
-    /// finished (before that there is no trustworthy baseline).
+    /// The watchdog threshold in nanoseconds: [`WATCHDOG_MULTIPLE`]
+    /// times the median completed-job duration, once at least three
+    /// jobs have finished (before that there is no trustworthy
+    /// baseline).
     fn watchdog_threshold_ns(&self) -> Option<u64> {
-        if self.watchdog_x1000 == 0 {
-            return None;
-        }
-        let mut finished = self.finished_ns.lock().unwrap().clone();
+        let mut finished = lock(&self.finished_ns).clone();
         if finished.len() < 3 {
             return None;
         }
         finished.sort_unstable();
-        let median = finished[finished.len() / 2];
-        Some(((median as u128 * self.watchdog_x1000 as u128) / 1000) as u64)
-    }
-
-    fn print_line(&self) {
-        let threshold = self.watchdog_threshold_ns();
-        let mut running = self.running.lock().unwrap();
-        let mut slow: Vec<(String, u64)> = Vec::new();
-        let labels: Vec<String> = running
-            .iter_mut()
-            .map(|job| match threshold {
-                Some(limit) if job.started.elapsed().as_nanos() as u64 > limit => {
-                    if !job.flagged {
-                        job.flagged = true;
-                        self.watchdog_ctr.inc();
-                        slow.push((job.label.clone(), job.started.elapsed().as_millis() as u64));
-                    }
-                    format!(
-                        "{} [SLOW {:.1}s]",
-                        job.label,
-                        job.started.elapsed().as_secs_f64()
-                    )
-                }
-                _ => job.label.clone(),
-            })
-            .collect();
-        let executing = labels.len() as u64;
-        drop(running);
-        // Typed twins of the stderr line: a progress tick per heartbeat
-        // and one slow event per freshly flagged straggler, so pool
-        // health reaches the stream and run artifacts, not just the
-        // terminal scrollback.
-        self.tel.event(Event::PoolProgress {
-            done: self.done.load(Ordering::SeqCst) as u64,
-            total: self.total as u64,
-            running: executing,
-        });
-        for (label, elapsed_ms) in slow {
-            self.tel.event(Event::JobSlow { label, elapsed_ms });
-        }
-        eprintln!(
-            "[plutus-exec] {}/{} jobs done, elapsed {:.0}s, running: [{}]",
-            self.done.load(Ordering::SeqCst),
-            self.total,
-            self.start.elapsed().as_secs_f64(),
-            labels.join(", "),
-        );
+        Some(finished[finished.len() / 2].saturating_mul(WATCHDOG_MULTIPLE))
     }
 }
 
-/// The bounded work-stealing executor. Clones share one worker cap,
-/// telemetry sink, and cumulative [`SchedStats`].
+/// The bounded job-stack executor.
 ///
 /// `run` blocks until every submitted job finished and returns results
 /// in **submission order** — callers can assemble reports by walking
 /// their (workload, scheme, trial) loop nest in the same order they
 /// submitted it, independent of which worker ran what.
-#[derive(Clone)]
 pub struct Executor {
-    inner: Arc<Inner>,
+    workers: usize,
+    tel: Telemetry,
+    queue_ns: Histogram,
+    exec_ns: Histogram,
+    jobs_ctr: Counter,
+    panics_ctr: Counter,
+    watchdog_ctr: Counter,
+    stats: Mutex<StatsAcc>,
+    /// Heartbeat interval; `None` disables progress lines and the
+    /// watchdog.
+    heartbeat: Option<Duration>,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("workers", &self.inner.workers)
+            .field("workers", &self.workers)
             .finish()
     }
 }
 
 impl Executor {
-    /// A pool of `workers` threads, or one worker per available core
-    /// when `None`. The cap is a hard bound: no `run` call ever has
-    /// more jobs in flight than this, however many jobs it receives.
+    /// A pool of `workers` workers, or one per available core when
+    /// `None`: the calling thread plus up to `workers - 1` helper
+    /// threads. The cap is a hard bound: no `run` call ever has more
+    /// jobs in flight than this, however many jobs it receives.
     pub fn new(workers: Option<usize>) -> Self {
         Self::with_telemetry(workers, Telemetry::disabled())
     }
 
     /// Like [`Executor::new`], recording `sched.*` metrics into `tel`:
     /// `sched.queue_ns` / `sched.exec_ns` histograms per job,
-    /// `sched.jobs` / `sched.steals` / `sched.injector_batches` /
-    /// `sched.panics` counters, and a `sched.workers` gauge.
+    /// `sched.jobs` / `sched.panics` / `sched.watchdog` counters, and a
+    /// `sched.workers` gauge.
     pub fn with_telemetry(workers: Option<usize>, tel: Telemetry) -> Self {
         let workers = workers
             .map(|n| n.max(1))
             .unwrap_or_else(default_parallelism);
         tel.gauge("sched.workers").set(workers as u64);
         Self {
-            inner: Arc::new(Inner {
-                workers,
-                queue_ns: tel.histogram("sched.queue_ns"),
-                exec_ns: tel.histogram("sched.exec_ns"),
-                jobs_ctr: tel.counter("sched.jobs"),
-                steals_ctr: tel.counter("sched.steals"),
-                batches_ctr: tel.counter("sched.injector_batches"),
-                panics_ctr: tel.counter("sched.panics"),
-                watchdog_ctr: tel.counter("sched.watchdog"),
-                tel,
-                stats: Mutex::new(StatsAcc::default()),
-                heartbeat_ms: AtomicU64::new(0),
-                watchdog_x1000: AtomicU64::new(0),
-            }),
+            workers,
+            queue_ns: tel.histogram("sched.queue_ns"),
+            exec_ns: tel.histogram("sched.exec_ns"),
+            jobs_ctr: tel.counter("sched.jobs"),
+            panics_ctr: tel.counter("sched.panics"),
+            watchdog_ctr: tel.counter("sched.watchdog"),
+            tel,
+            stats: Mutex::new(StatsAcc::default()),
+            heartbeat: None,
         }
     }
 
     /// Enables periodic progress lines on stderr during every `run`
     /// call: jobs done/total, the labels currently executing, and
-    /// elapsed wall time, printed every `interval`. Intervals under one
-    /// millisecond are clamped up; clones of this executor share the
-    /// setting.
-    pub fn set_heartbeat(&self, interval: Duration) {
-        let ms = u64::try_from(interval.as_millis())
-            .unwrap_or(u64::MAX)
-            .max(1);
-        self.inner.heartbeat_ms.store(ms, Ordering::SeqCst);
-    }
-
-    /// Arms the soft per-job watchdog: once at least three jobs of a
-    /// `run` have completed, any job still executing past `multiple`
-    /// times the running median of completed durations is flagged
-    /// `[SLOW]` in the heartbeat line and counted once in the
+    /// elapsed wall time, printed every `interval` (clamped up to one
+    /// millisecond).
+    ///
+    /// The heartbeat also arms the soft per-job watchdog: once at least
+    /// three jobs of a `run` have completed, any job still executing
+    /// past four times the running median of completed durations is
+    /// flagged `[SLOW]` in the progress line and counted once in the
     /// `sched.watchdog` telemetry counter. Soft means observe-and-report
-    /// only — the job is never cancelled. Requires an enabled heartbeat
-    /// (the watchdog rides its monitor thread); non-positive or
-    /// non-finite multiples disable it. Clones share the setting.
-    pub fn set_watchdog(&self, multiple: f64) {
-        let x1000 = if multiple.is_finite() && multiple > 0.0 {
-            (multiple * 1000.0).round().max(1.0) as u64
-        } else {
-            0
-        };
-        self.inner.watchdog_x1000.store(x1000, Ordering::SeqCst);
-    }
-
-    /// Spawns the heartbeat monitor for a `run` of `total` jobs, if
-    /// enabled. The monitor wakes frequently but prints only at the
-    /// configured interval, so stopping it is prompt.
-    fn start_heartbeat(
-        &self,
-        total: usize,
-    ) -> Option<(Arc<HeartbeatState>, std::thread::JoinHandle<()>)> {
-        let ms = self.inner.heartbeat_ms.load(Ordering::SeqCst);
-        if ms == 0 {
-            return None;
-        }
-        let state = Arc::new(HeartbeatState {
-            done: AtomicUsize::new(0),
-            total,
-            running: Mutex::new(Vec::new()),
-            finished_ns: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            start: Instant::now(),
-            watchdog_x1000: self.inner.watchdog_x1000.load(Ordering::SeqCst),
-            watchdog_ctr: self.inner.watchdog_ctr.clone(),
-            tel: self.inner.tel.clone(),
-        });
-        let shared = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let interval = Duration::from_millis(ms);
-            let tick = Duration::from_millis(25).min(interval);
-            let mut next = interval;
-            while !shared.stop.load(Ordering::SeqCst) {
-                std::thread::sleep(tick);
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if shared.start.elapsed() >= next {
-                    shared.print_line();
-                    next += interval;
-                }
-            }
-        });
-        Some((state, handle))
+    /// only — the job is never cancelled.
+    pub fn set_heartbeat(&mut self, interval: Duration) {
+        self.heartbeat = Some(interval.max(Duration::from_millis(1)));
     }
 
     /// A single-worker pool: jobs run on the calling thread, in
-    /// submission order. The `--jobs 1` reference configuration.
+    /// submission order, with no thread spawned. The `--jobs 1`
+    /// reference configuration.
     pub fn sequential() -> Self {
         Self::new(Some(1))
     }
 
     /// The configured worker cap.
     pub fn workers(&self) -> usize {
-        self.inner.workers
+        self.workers
     }
 
     /// The telemetry sink `sched.*` metrics flow into.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.inner.tel
+        &self.tel
     }
 
     /// Cumulative scheduler statistics over every `run` call so far.
     pub fn stats(&self) -> SchedStats {
-        self.inner
-            .stats
-            .lock()
-            .unwrap()
-            .snapshot(self.inner.workers)
+        lock(&self.stats).snapshot(self.workers)
     }
 
     /// Runs every job to completion and returns their results in
     /// submission order. Panicking jobs come back as [`JobPanic`]
     /// values; the pool itself never unwinds.
+    ///
+    /// The jobs sit in one stack. The calling thread is worker 0 and
+    /// `min(cap, jobs) - 1` scoped helper threads join it; each worker
+    /// pops until the stack is empty. With helpers the newest job goes
+    /// first, so a long job submitted last (`lbm/plutus` in the figure
+    /// matrix) starts at once instead of setting the makespan. A lone
+    /// worker runs the jobs in submission order: newest-first raised
+    /// its peak memory.
     pub fn run<'a, T: Send>(&self, jobs: Vec<Job<'a, T>>) -> Vec<Result<T, JobPanic>> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
         }
-        let workers = self.inner.workers.min(n);
-        let heartbeat = self.start_heartbeat(n);
-        let hb = heartbeat.as_ref().map(|(state, _)| state.as_ref());
+        let workers = self.workers.min(n);
         let submitted = Instant::now();
-        let results = if workers == 1 {
-            self.run_inline(jobs, submitted, hb)
-        } else {
-            self.run_stealing(jobs, workers, submitted, hb)
-        };
-        self.inner
-            .stats
-            .lock()
-            .unwrap()
-            .close_run(submitted.elapsed().as_nanos());
-        if let Some((state, handle)) = heartbeat {
-            state.stop.store(true, Ordering::SeqCst);
-            handle.join().ok();
+        let mut stack: Vec<(usize, Job<'a, T>)> = jobs.into_iter().enumerate().collect();
+        if workers == 1 {
+            stack.reverse();
         }
-        results
-    }
-
-    /// The `--jobs 1` path: every job executes on the caller thread.
-    /// Same accounting, no thread machinery at all.
-    fn run_inline<'a, T: Send>(
-        &self,
-        jobs: Vec<Job<'a, T>>,
-        submitted: Instant,
-        hb: Option<&HeartbeatState>,
-    ) -> Vec<Result<T, JobPanic>> {
-        let mut local = WorkerLocal::default();
-        let out: Vec<Result<T, JobPanic>> = jobs
-            .into_iter()
-            .map(|job| self.execute(job, submitted, &mut local, hb))
-            .collect();
-        self.publish_worker_counters(&local);
-        let mut acc = self.inner.stats.lock().unwrap();
-        acc.merge_worker(0, &local);
-        acc.raise_peak(1);
-        out
-    }
-
-    /// Mirrors a worker's steal/injector tallies into the telemetry
-    /// counters (per-job metrics are recorded inline in `execute`).
-    fn publish_worker_counters(&self, local: &WorkerLocal) {
-        self.inner.steals_ctr.add(local.steals);
-        self.inner.batches_ctr.add(local.injector_batches);
-    }
-
-    /// The work-stealing path: per-worker deques seeded round-robin,
-    /// overflow in a shared injector, idle workers steal from siblings.
-    fn run_stealing<'a, T: Send>(
-        &self,
-        jobs: Vec<Job<'a, T>>,
-        workers: usize,
-        submitted: Instant,
-        hb: Option<&HeartbeatState>,
-    ) -> Vec<Result<T, JobPanic>> {
-        let n = jobs.len();
+        let stack = Mutex::new(stack);
         let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let mut seed_deques: Vec<VecDeque<IndexedJob<'a, T>>> =
-            (0..workers).map(|_| VecDeque::new()).collect();
-        let mut overflow: VecDeque<IndexedJob<'a, T>> = VecDeque::new();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            if idx < workers {
-                seed_deques[idx].push_back((idx, job));
-            } else {
-                overflow.push_back((idx, job));
-            }
-        }
-        let queues: Vec<JobDeque<'a, T>> = seed_deques.into_iter().map(Mutex::new).collect();
-        let injector = Mutex::new(overflow);
-        // Jobs whose execution has been claimed by some worker. Idle
-        // workers exit once every job is claimed: whoever claimed the
-        // stragglers finishes them, and the scope join waits for that.
-        let claimed = AtomicUsize::new(0);
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
+        let heartbeat = self.heartbeat.map(|_| HeartbeatState::new(n, workers));
+        let hb = heartbeat.as_ref();
 
+        let work = |slot: usize| {
+            let mut local = WorkerLocal::default();
+            loop {
+                // Pop in its own statement: the guard must drop before
+                // the job runs.
+                let next = lock(&stack).pop();
+                let Some((idx, job)) = next else { break };
+                let depth = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(depth, Ordering::SeqCst);
+                let res = self.execute(job, slot, submitted, &mut local, hb);
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                *lock(&slots[idx]) = Some(res);
+            }
+            local
+        };
         let locals: Vec<WorkerLocal> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let queues = &queues;
-                    let injector = &injector;
-                    let slots = &slots;
-                    let claimed = &claimed;
-                    let in_flight = &in_flight;
-                    let peak = &peak;
-                    scope.spawn(move || {
-                        let mut local = WorkerLocal::default();
-                        loop {
-                            let next = pop_own(queues, me)
-                                .or_else(|| {
-                                    grab_injector_batch(injector, queues, me, workers, &mut local)
-                                })
-                                .or_else(|| steal(queues, me, workers, &mut local));
-                            match next {
-                                Some((idx, job)) => {
-                                    claimed.fetch_add(1, Ordering::SeqCst);
-                                    let depth = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                                    peak.fetch_max(depth, Ordering::SeqCst);
-                                    let res = self.execute(job, submitted, &mut local, hb);
-                                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                                    *slots[idx].lock().unwrap() = Some(res);
-                                }
-                                None => {
-                                    if claimed.load(Ordering::SeqCst) >= n {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
+            // The monitor exits when `done` is dropped, after the last
+            // worker joined (or while the caller unwinds).
+            let (done, wait) = mpsc::channel::<()>();
+            if let (Some(interval), Some(state)) = (self.heartbeat, hb) {
+                scope.spawn(move || {
+                    while let Err(RecvTimeoutError::Timeout) = wait.recv_timeout(interval) {
+                        self.tick(state);
+                    }
+                });
+            }
+            let work = &work;
+            let helpers: Vec<_> = (1..workers)
+                .map(|slot| scope.spawn(move || work(slot)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker threads never unwind"))
-                .collect()
+            let mut locals = vec![work(0)];
+            locals.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("pool workers catch every job panic")),
+            );
+            drop(done);
+            locals
         });
 
-        let mut acc = self.inner.stats.lock().unwrap();
+        let mut acc = lock(&self.stats);
         for (slot, local) in locals.iter().enumerate() {
-            self.publish_worker_counters(local);
             acc.merge_worker(slot, local);
         }
         acc.raise_peak(peak.load(Ordering::SeqCst));
+        acc.close_run(submitted.elapsed().as_nanos());
         drop(acc);
-
         slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap()
-                    .expect("every claimed job stores a result")
+                    .expect("no pool lock is held while a job runs")
+                    .expect("every job stores its result")
             })
             .collect()
     }
 
-    /// Runs one job with full timing/panic accounting, reporting to the
-    /// heartbeat monitor when one is active.
+    /// Runs one job on worker `slot` with full timing/panic accounting,
+    /// reporting to the heartbeat monitor when one is active.
     fn execute<T>(
         &self,
         job: Job<'_, T>,
+        slot: usize,
         submitted: Instant,
         local: &mut WorkerLocal,
         hb: Option<&HeartbeatState>,
@@ -531,18 +347,18 @@ impl Executor {
         let queue_ns = start.duration_since(submitted).as_nanos() as u64;
         let Job { label, run } = job;
         if let Some(h) = hb {
-            h.begin(&label);
+            h.begin(slot, &label, start);
         }
         let outcome = catch_unwind(AssertUnwindSafe(run));
-        if let Some(h) = hb {
-            h.finish(&label);
-        }
         let exec_ns = start.elapsed().as_nanos() as u64;
-        self.inner.queue_ns.record(queue_ns);
-        self.inner.exec_ns.record(exec_ns);
-        self.inner.jobs_ctr.inc();
+        if let Some(h) = hb {
+            h.finish(slot, exec_ns);
+        }
+        self.queue_ns.record(queue_ns);
+        self.exec_ns.record(exec_ns);
+        self.jobs_ctr.inc();
         local.record_job(queue_ns, exec_ns);
-        local.spans.push(crate::stats::JobSpan {
+        local.spans.push(JobSpan {
             label: label.clone(),
             worker: 0, // stamped with the real slot at merge time
             start_ns: queue_ns,
@@ -551,7 +367,7 @@ impl Executor {
         match outcome {
             Ok(v) => Ok(v),
             Err(payload) => {
-                self.inner.panics_ctr.inc();
+                self.panics_ctr.inc();
                 local.panics += 1;
                 Err(JobPanic {
                     label,
@@ -560,59 +376,53 @@ impl Executor {
             }
         }
     }
-}
 
-/// Pops the newest job from the worker's own deque (LIFO: cache-warm
-/// work first).
-fn pop_own<'a, T>(queues: &[JobDeque<'a, T>], me: usize) -> Option<IndexedJob<'a, T>> {
-    queues[me].lock().unwrap().pop_back()
-}
-
-/// Takes a batch from the shared injector: the first job is returned
-/// for immediate execution, the rest land in the worker's own deque
-/// (where siblings can steal them back).
-fn grab_injector_batch<'a, T>(
-    injector: &JobDeque<'a, T>,
-    queues: &[JobDeque<'a, T>],
-    me: usize,
-    workers: usize,
-    local: &mut WorkerLocal,
-) -> Option<IndexedJob<'a, T>> {
-    let mut inj = injector.lock().unwrap();
-    if inj.is_empty() {
-        return None;
-    }
-    let grab = inj.len().div_ceil(workers).clamp(1, MAX_BATCH);
-    let first = inj.pop_front();
-    if grab > 1 {
-        let mut own = queues[me].lock().unwrap();
-        for _ in 1..grab {
-            match inj.pop_front() {
-                Some(item) => own.push_back(item),
-                None => break,
-            }
+    /// One heartbeat: the progress line on stderr and its typed twins
+    /// in the event log, flagging jobs past the watchdog threshold.
+    fn tick(&self, hb: &HeartbeatState) {
+        let threshold = hb.watchdog_threshold_ns();
+        let mut running = lock(&hb.running);
+        let mut slow: Vec<(String, u64)> = Vec::new();
+        let labels: Vec<String> = running
+            .iter_mut()
+            .flatten()
+            .map(|job| {
+                let elapsed = job.started.elapsed();
+                match threshold {
+                    Some(limit) if elapsed.as_nanos() > u128::from(limit) => {
+                        if !job.flagged {
+                            job.flagged = true;
+                            self.watchdog_ctr.inc();
+                            slow.push((job.label.clone(), elapsed.as_millis() as u64));
+                        }
+                        format!("{} [SLOW {:.1}s]", job.label, elapsed.as_secs_f64())
+                    }
+                    _ => job.label.clone(),
+                }
+            })
+            .collect();
+        drop(running);
+        // Typed twins of the stderr line: a progress tick per heartbeat
+        // and one slow event per freshly flagged straggler, so pool
+        // health reaches the stream and run artifacts, not just the
+        // terminal scrollback.
+        let done = hb.done.load(Ordering::SeqCst);
+        self.tel.event(Event::PoolProgress {
+            done: done as u64,
+            total: hb.total as u64,
+            running: labels.len() as u64,
+        });
+        for (label, elapsed_ms) in slow {
+            self.tel.event(Event::JobSlow { label, elapsed_ms });
         }
+        eprintln!(
+            "[plutus-exec] {}/{} jobs done, elapsed {:.0}s, running: [{}]",
+            done,
+            hb.total,
+            hb.start.elapsed().as_secs_f64(),
+            labels.join(", "),
+        );
     }
-    local.injector_batches += 1;
-    first
-}
-
-/// Steals the oldest job from the first non-empty sibling deque (FIFO:
-/// take the work its owner would reach last).
-fn steal<'a, T>(
-    queues: &[JobDeque<'a, T>],
-    me: usize,
-    workers: usize,
-    local: &mut WorkerLocal,
-) -> Option<IndexedJob<'a, T>> {
-    for offset in 1..workers {
-        let victim = (me + offset) % workers;
-        if let Some(item) = queues[victim].lock().unwrap().pop_front() {
-            local.steals += 1;
-            return Some(item);
-        }
-    }
-    None
 }
 
 /// The default worker cap: one per core the OS will give us.
@@ -761,7 +571,7 @@ mod tests {
     #[test]
     fn heartbeat_does_not_perturb_results() {
         for workers in [1, 4] {
-            let pool = Executor::new(Some(workers));
+            let mut pool = Executor::new(Some(workers));
             pool.set_heartbeat(std::time::Duration::from_millis(1));
             let jobs: Vec<Job<'_, usize>> = (0..16)
                 .map(|i| {
@@ -779,12 +589,11 @@ mod tests {
     #[test]
     fn watchdog_flags_the_straggler_exactly_once() {
         let tel = Telemetry::new();
-        let pool = Executor::with_telemetry(Some(4), tel.clone());
+        let mut pool = Executor::with_telemetry(Some(4), tel.clone());
         pool.set_heartbeat(std::time::Duration::from_millis(10));
-        pool.set_watchdog(8.0);
         // 8 fast jobs establish a ~1ms median and finish before the
         // first heartbeat tick; the straggler runs ~150x the median,
-        // far past the 8x threshold, across many ticks.
+        // far past the 4x threshold, across many ticks.
         let jobs: Vec<Job<'_, usize>> = (0..9)
             .map(|i| {
                 Job::new(format!("wd{i}"), move || {
@@ -825,24 +634,9 @@ mod tests {
     #[test]
     fn watchdog_stays_silent_when_disabled_or_all_jobs_are_uniform() {
         let tel = Telemetry::new();
-        let pool = Executor::with_telemetry(Some(2), tel.clone());
-        pool.set_heartbeat(std::time::Duration::from_millis(5));
-        // Watchdog never armed: uniform jobs, no flag set.
-        let jobs: Vec<Job<'_, ()>> = (0..8)
-            .map(|i| {
-                Job::new(format!("u{i}"), || {
-                    std::thread::sleep(std::time::Duration::from_millis(2))
-                })
-            })
-            .collect();
-        assert!(pool.run(jobs).iter().all(Result::is_ok));
-        assert_eq!(
-            tel.report().totals.counter("sched.watchdog").unwrap_or(0),
-            0
-        );
-        // Explicitly disabling after arming also holds it silent.
-        pool.set_watchdog(4.0);
-        pool.set_watchdog(0.0);
+        let mut pool = Executor::with_telemetry(Some(2), tel.clone());
+        let watchdog = || tel.report().totals.counter("sched.watchdog").unwrap_or(0);
+        // No heartbeat, no watchdog: a straggler goes unflagged.
         let jobs: Vec<Job<'_, ()>> = (0..8)
             .map(|i| {
                 Job::new(format!("v{i}"), move || {
@@ -852,33 +646,67 @@ mod tests {
             })
             .collect();
         assert!(pool.run(jobs).iter().all(Result::is_ok));
-        assert_eq!(
-            tel.report().totals.counter("sched.watchdog").unwrap_or(0),
-            0
-        );
-    }
-
-    #[test]
-    fn wide_batches_exercise_injector_and_stealing() {
-        let pool = Executor::new(Some(4));
-        // Uneven job durations force idle workers through the injector
-        // and steal paths.
-        let jobs: Vec<Job<'_, usize>> = (0..64)
+        assert_eq!(watchdog(), 0);
+        // Armed by the heartbeat: uniform 20 ms jobs stay far below 4x
+        // their median even when a loaded host wakes one a little late.
+        pool.set_heartbeat(std::time::Duration::from_millis(5));
+        let jobs: Vec<Job<'_, ()>> = (0..8)
             .map(|i| {
-                Job::new(format!("j{i}"), move || {
-                    if i % 7 == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    i
+                Job::new(format!("u{i}"), || {
+                    std::thread::sleep(std::time::Duration::from_millis(20))
                 })
             })
             .collect();
-        let out = pool.run(jobs);
-        assert_eq!(out.len(), 64);
-        let stats = pool.stats();
-        assert!(
-            stats.injector_batches > 0,
-            "64 jobs on 4 workers must overflow into the injector"
-        );
+        assert!(pool.run(jobs).iter().all(Result::is_ok));
+        assert_eq!(watchdog(), 0);
+    }
+
+    #[test]
+    fn every_job_runs_exactly_once() {
+        for workers in [1, 2, 3, 4, 7] {
+            let pool = Executor::new(Some(workers));
+            let log = Mutex::new(Vec::new());
+            let jobs: Vec<Job<'_, usize>> = (0..20)
+                .map(|i| {
+                    let log = &log;
+                    Job::new(format!("e{i}"), move || {
+                        std::thread::sleep(std::time::Duration::from_micros(100 * (i % 5) as u64));
+                        log.lock().unwrap().push(i);
+                        i
+                    })
+                })
+                .collect();
+            let out: Vec<usize> = pool.run(jobs).into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(out, (0..20).collect::<Vec<_>>(), "workers={workers}");
+            let mut ran = log.into_inner().unwrap();
+            if workers == 1 {
+                assert_eq!(ran, out, "a lone worker runs jobs in submission order");
+            }
+            ran.sort_unstable();
+            assert_eq!(ran, out, "workers={workers}: each job runs exactly once");
+        }
+    }
+
+    #[test]
+    fn a_run_spawns_at_most_one_thread_per_job() {
+        // The barrier holds all three jobs in flight at once, so a cap-8
+        // pool must run them on exactly three threads: the caller and
+        // two helpers.
+        let pool = Executor::new(Some(8));
+        let barrier = std::sync::Barrier::new(3);
+        let jobs: Vec<Job<'_, std::thread::ThreadId>> = (0..3)
+            .map(|i| {
+                let barrier = &barrier;
+                Job::new(format!("t{i}"), move || {
+                    barrier.wait();
+                    std::thread::current().id()
+                })
+            })
+            .collect();
+        let threads: std::collections::HashSet<_> =
+            pool.run(jobs).into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(threads.len(), 3);
+        assert!(threads.contains(&std::thread::current().id()));
+        assert_eq!(pool.stats().worker_busy_ns.len(), 3, "one worker per job");
     }
 }

@@ -8,7 +8,7 @@
 pub struct JobSpan {
     /// Job label as submitted.
     pub label: String,
-    /// Worker slot the job executed on (0 for inline runs).
+    /// Worker slot the job executed on (0 is the calling thread).
     pub worker: usize,
     /// Execution start, ns since the executor's first submission.
     pub start_ns: u64,
@@ -22,8 +22,6 @@ pub struct JobSpan {
 pub(crate) struct WorkerLocal {
     pub jobs: u64,
     pub panics: u64,
-    pub steals: u64,
-    pub injector_batches: u64,
     pub busy_ns: u128,
     pub queue_ns_total: u128,
     pub queue_ns_max: u64,
@@ -49,8 +47,6 @@ pub(crate) struct StatsAcc {
     runs: u64,
     jobs: u64,
     panics: u64,
-    steals: u64,
-    injector_batches: u64,
     queue_ns_total: u128,
     queue_ns_max: u64,
     exec_ns_total: u128,
@@ -65,8 +61,6 @@ impl StatsAcc {
     pub fn merge_worker(&mut self, slot: usize, local: &WorkerLocal) {
         self.jobs += local.jobs;
         self.panics += local.panics;
-        self.steals += local.steals;
-        self.injector_batches += local.injector_batches;
         self.queue_ns_total += local.queue_ns_total;
         self.queue_ns_max = self.queue_ns_max.max(local.queue_ns_max);
         self.exec_ns_total += local.busy_ns;
@@ -101,8 +95,6 @@ impl StatsAcc {
             runs: self.runs,
             jobs: self.jobs,
             panics: self.panics,
-            steals: self.steals,
-            injector_batches: self.injector_batches,
             queue_ns_mean: mean(self.queue_ns_total, self.jobs),
             queue_ns_max: self.queue_ns_max,
             exec_ns_mean: mean(self.exec_ns_total, self.jobs),
@@ -124,9 +116,9 @@ fn mean(total: u128, count: u64) -> f64 {
     }
 }
 
-/// A point-in-time view of everything the scheduler has done: job and
-/// steal counts, queue/execution timing, wall-clock, and per-worker
-/// busy time. Cumulative over every `run` call of one [`Executor`].
+/// A point-in-time view of everything the scheduler has done: job
+/// counts, queue/execution timing, wall-clock, and per-worker busy
+/// time. Cumulative over every `run` call of one [`Executor`].
 ///
 /// [`Executor`]: crate::Executor
 #[derive(Debug, Clone, PartialEq)]
@@ -139,10 +131,6 @@ pub struct SchedStats {
     pub jobs: u64,
     /// Jobs that panicked (returned as `JobPanic` values).
     pub panics: u64,
-    /// Jobs taken from a sibling worker's deque.
-    pub steals: u64,
-    /// Batches grabbed from the shared injector.
-    pub injector_batches: u64,
     /// Mean submission-to-start latency, nanoseconds.
     pub queue_ns_mean: f64,
     /// Worst submission-to-start latency, nanoseconds.
@@ -214,11 +202,9 @@ impl SchedStats {
         );
         let _ = writeln!(
             out,
-            "  wall-clock {:>10}   speedup {:.2}x   steals {}   injector batches {}",
+            "  wall-clock {:>10}   speedup {:.2}x",
             fmt_ns(self.wall_ns_total as f64),
-            self.speedup(),
-            self.steals,
-            self.injector_batches
+            self.speedup()
         );
         let util = self.utilization();
         if !util.is_empty() {
@@ -258,14 +244,12 @@ mod tests {
         w0.record_job(300, 3_000);
         let mut w1 = WorkerLocal::default();
         w1.record_job(200, 2_000);
-        w1.steals = 1;
         acc.merge_worker(0, &w0);
         acc.merge_worker(1, &w1);
         acc.raise_peak(2);
         acc.close_run(3_000);
         let s = acc.snapshot(2);
         assert_eq!(s.jobs, 3);
-        assert_eq!(s.steals, 1);
         assert_eq!(s.exec_ns_total, 6_000);
         assert_eq!(s.exec_ns_max, 3_000);
         assert!((s.queue_ns_mean - 200.0).abs() < 1e-9);

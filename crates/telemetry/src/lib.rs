@@ -64,7 +64,7 @@ pub use rundir::{
     clear_run_dir, in_run_dir, report_dir, run_dir, set_run_dir, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 pub use slo::{Anomaly, SloPolicy, SloTracker};
-pub use stream::{StreamSink, STREAM_NONDETERMINISTIC, STREAM_SCHEMA};
+pub use stream::{StreamSink, STREAM_SCHEMA};
 pub use table::{save_report, Gate, GateFailure, Table};
 pub use trace::{TraceId, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY};
 

@@ -13,11 +13,11 @@
 //!    bounded [`crate::EventLog`] uses.
 //! 2. **Deterministic bytes.** A stream produced under `--jobs 4` must
 //!    be byte-identical to one produced under `--jobs 1` (the repo's
-//!    pinned determinism property). Two rules follow: counters whose
-//!    value depends on worker count (work-stealing internals) are
-//!    excluded from the per-epoch deltas, and wall-clock timestamps are
-//!    omitted entirely — epoch `start`/`end` and event `t` fields only
-//!    appear when the telemetry clock counts simulated cycles.
+//!    pinned determinism property). No registered counter depends on
+//!    the worker count, so every nonzero delta is streamed; wall-clock
+//!    timestamps are omitted entirely — epoch `start`/`end` and event
+//!    `t` fields only appear when the telemetry clock counts simulated
+//!    cycles.
 //!
 //! Stream grammar: the first line is a header object carrying the
 //! schema tag; every following line is one closed epoch with its
@@ -32,12 +32,6 @@ use crate::json::Json;
 
 /// Schema tag written in the stream header line.
 pub const STREAM_SCHEMA: &str = "plutus-stream/v1";
-
-/// Counters excluded from stream deltas because their values depend on
-/// how many workers the pool ran with (stealing and batching are
-/// scheduling accidents, not simulation facts). Keeping them out is
-/// what makes the stream byte-identical across `--jobs N`.
-pub const STREAM_NONDETERMINISTIC: &[&str] = &["sched.steals", "sched.injector_batches"];
 
 /// One open stream: a writer plus the cursor of events already emitted.
 pub struct StreamSink {
@@ -111,7 +105,7 @@ impl StreamSink {
 }
 
 /// Renders one epoch line: index, label, optional deterministic
-/// timestamps, nonzero deterministic counter deltas, fresh events, and
+/// timestamps, nonzero counter deltas, fresh events, and
 /// the cumulative count of lines dropped by backpressure.
 pub fn stream_line(
     epoch: &EpochSnapshot,
@@ -122,7 +116,7 @@ pub fn stream_line(
     let deltas = epoch
         .counter_deltas
         .iter()
-        .filter(|(n, v)| *v != 0 && !STREAM_NONDETERMINISTIC.contains(&n.as_str()))
+        .filter(|(_, v)| *v != 0)
         .fold(Json::object(), |o, (n, v)| o.set(n, *v));
     let events: Vec<Json> = events
         .iter()
@@ -164,21 +158,21 @@ mod tests {
             end_time: 400,
             counter_deltas: vec![
                 ("traffic.data.read_bytes".into(), 4096),
-                ("sched.steals".into(), 7),
+                ("sched.jobs".into(), 7),
                 ("zeros".into(), 0),
             ],
         }
     }
 
     #[test]
-    fn line_filters_zero_and_nondeterministic_deltas() {
+    fn line_filters_zero_deltas() {
         let line = stream_line(&epoch(), &[], 0, true);
         let deltas = line.get("deltas").unwrap();
         assert_eq!(
             deltas.get("traffic.data.read_bytes").and_then(Json::as_u64),
             Some(4096)
         );
-        assert!(deltas.get("sched.steals").is_none());
+        assert_eq!(deltas.get("sched.jobs").and_then(Json::as_u64), Some(7));
         assert!(deltas.get("zeros").is_none());
         assert_eq!(line.get("start").and_then(Json::as_u64), Some(200));
     }

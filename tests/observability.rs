@@ -5,7 +5,7 @@
 //! typed-event catalog.
 
 use plutus_exec::{Executor, Job};
-use plutus_telemetry::{CycleClock, Json, Telemetry, EVENT_KINDS, STREAM_NONDETERMINISTIC};
+use plutus_telemetry::{CycleClock, Json, Telemetry, EVENT_KINDS};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -68,7 +68,7 @@ fn streamed_epoch_deltas_conserve_and_match_across_worker_counts() {
     let (wide, totals_wide) = streamed_run(4);
     // Byte-identity: the stream is part of the repo's determinism
     // contract, so `--jobs 1` and `--jobs 4` must produce the same
-    // bytes (worker-count-dependent counters are excluded by design).
+    // bytes.
     assert_eq!(serial, wide, "stream bytes differ across worker counts");
 
     let lines: Vec<&str> = serial.lines().collect();
@@ -98,13 +98,6 @@ fn streamed_epoch_deltas_conserve_and_match_across_worker_counts() {
         );
     }
     for (name, total) in totals_serial {
-        if STREAM_NONDETERMINISTIC.contains(&name.as_str()) {
-            assert!(
-                !summed.contains_key(&name),
-                "nondeterministic counter {name} leaked into the stream"
-            );
-            continue;
-        }
         assert_eq!(
             summed.get(&name).copied().unwrap_or(0),
             total,
@@ -181,16 +174,8 @@ fn metrics_doc_covers_registry_and_event_catalog() {
         &observe,
     )
     .expect("instrumented matrix must succeed");
-    let snap = tel.snapshot();
-    let names: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(n, _)| n.clone())
-        .chain(snap.gauges.iter().map(|(n, _)| n.clone()))
-        .chain(snap.histograms.iter().map(|(n, _)| n.clone()))
-        .collect();
     let mut missing = Vec::new();
-    for name in names {
+    for name in metric_names(&tel) {
         // Parameterized families are documented as patterns, not one
         // row per instance: `tenant.t<id>.*` and `span.<name>.ns`.
         let doc_name = normalize(&name);
@@ -210,6 +195,37 @@ fn metrics_doc_covers_registry_and_event_catalog() {
         undocumented.is_empty(),
         "event kinds missing from METRICS.md: {undocumented:?}"
     );
+}
+
+#[test]
+fn metrics_doc_sched_rows_name_executor_metrics() {
+    // The other direction for the scheduler's rows: a `sched.*` row in
+    // METRICS.md must name a metric the executor registers, so a
+    // deleted metric cannot linger in the reference.
+    let tel = Telemetry::new();
+    let _exec = Executor::with_telemetry(Some(1), tel.clone());
+    let registered = metric_names(&tel);
+    let stale: Vec<&str> = include_str!("../METRICS.md")
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|row| row.split('`').next())
+        .filter(|name| name.starts_with("sched.") && !registered.iter().any(|r| r == name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "METRICS.md documents sched metrics the executor does not register: {stale:?}"
+    );
+}
+
+/// Every counter, gauge and histogram name registered in `tel`.
+fn metric_names(tel: &Telemetry) -> Vec<String> {
+    let snap = tel.snapshot();
+    snap.counters
+        .iter()
+        .map(|(n, _)| n.clone())
+        .chain(snap.gauges.iter().map(|(n, _)| n.clone()))
+        .chain(snap.histograms.iter().map(|(n, _)| n.clone()))
+        .collect()
 }
 
 /// `tenant.t7.instructions` -> `tenant.t<id>.instructions`;

@@ -26,7 +26,8 @@ use std::sync::Arc;
 use workloads::{by_name, Scale, WorkloadSpec};
 
 /// One serial pool and one wide pool — wide enough that jobs outnumber
-/// workers and work-stealing actually reorders execution.
+/// workers and the helpers run them newest first, out of submission
+/// order.
 fn pools() -> (Executor, Executor) {
     (Executor::sequential(), Executor::new(Some(4)))
 }
