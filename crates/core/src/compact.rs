@@ -365,7 +365,7 @@ impl CompactCounters {
             for ev in outcome.evicted {
                 out.writes.push(DramReq::new(
                     ev.addr,
-                    SECTOR_SIZE as u32,
+                    NODE_BYTES as u32,
                     TrafficClass::CompactBmt,
                 ));
             }
@@ -383,7 +383,7 @@ impl CompactCounters {
         for ev in outcome.evicted {
             out.writes.push(DramReq::new(
                 ev.addr,
-                SECTOR_SIZE as u32,
+                NODE_BYTES as u32,
                 TrafficClass::CompactBmt,
             ));
         }
