@@ -23,6 +23,7 @@ use crate::fault::{FaultKind, FaultSchedule, ScheduledFault};
 use crate::hash::FastHashMap;
 use crate::ledger::{CycleLedger, LedgerWeights, StallBucket, NUM_STALL_BUCKETS};
 use crate::mem::BackingMemory;
+use crate::queue::EventQueue;
 use crate::security::{
     EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport, SecurityEngine, Violation,
 };
@@ -35,8 +36,7 @@ use crate::trace::{AccessKind, Trace, TraceAccess};
 use crate::transient::{RetryPolicy, TransientConfig, TransientKind, TransientSampler};
 use plutus_telemetry::{Counter, Event as TelEvent, Gauge, Histogram, Telemetry, TraceId, Tracer};
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Initial-image sectors buffered per partition before one
 /// [`SecurityEngine::install_image`] call.
@@ -50,25 +50,6 @@ enum EventKind {
     Arrive { access: TraceAccess },
     /// A miss's fill is complete at the memory controller.
     FillDone { partition: u32, sector: SectorAddr },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A fault applied to a sector, awaiting resolution (detected / escaped /
@@ -152,8 +133,8 @@ struct Partition {
 /// [`SimStats`] stays the synchronous source of truth for results (its
 /// accessors are the compatibility facade every experiment reads); these
 /// handles feed the same observations into the shared registry so epoch
-/// deltas, exports, and cross-run aggregation see them. All handles are
-/// branch-free no-ops when telemetry is disabled.
+/// deltas, exports, and cross-run aggregation see them. When telemetry
+/// is disabled every handle returns before any atomic operation.
 struct SimTelemetry {
     /// Per-class DRAM read bytes, indexed by [`TrafficClass::idx`].
     read_bytes: [Counter; 6],
@@ -299,8 +280,7 @@ pub struct Simulator {
     cursor: usize,
     partitions: Vec<Partition>,
     backing: BackingMemory,
-    events: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    events: EventQueue<EventKind>,
     horizon: u64,
     stats: SimStats,
     engine_name: &'static str,
@@ -438,8 +418,7 @@ impl Simulator {
             cursor: 0,
             partitions,
             backing,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             horizon: 0,
             stats: SimStats::default(),
             engine_name,
@@ -584,12 +563,7 @@ impl Simulator {
     }
 
     fn schedule(&mut self, time: u64, kind: EventKind) {
-        self.seq += 1;
-        self.events.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            kind,
-        }));
+        self.events.push(time, kind);
     }
 
     /// Extends the measured horizon to `time`. Called only at points where
@@ -673,14 +647,14 @@ impl Simulator {
             }
         }
         let mut halted = false;
-        while let Some(&Reverse(ev)) = self.events.peek() {
-            if ev.time > limit {
+        while let Some(due) = self.events.peek() {
+            if due > limit {
                 halted = true;
                 break;
             }
-            self.events.pop();
-            self.last_event_time = ev.time;
-            if !self.warmup_done && ev.time >= self.cfg.warmup_cycles {
+            let (time, kind) = self.events.pop().expect("a peeked event is queued");
+            self.last_event_time = time;
+            if !self.warmup_done && time >= self.cfg.warmup_cycles {
                 // Steady-state cutoff: events are processed in time
                 // order, so this snapshots the instruction count exactly
                 // at the warm-up boundary.
@@ -689,27 +663,27 @@ impl Simulator {
                 self.warmup_done = true;
             }
             if self.tel.enabled() {
-                self.tel.advance_clock(ev.time);
-                if ev.time >= self.next_epoch_at {
-                    self.roll_epochs(ev.time);
+                self.tel.advance_clock(time);
+                if time >= self.next_epoch_at {
+                    self.roll_epochs(time);
                 }
             }
-            if ev.time >= self.next_checkpoint_at {
-                self.roll_checkpoints(ev.time);
+            if time >= self.next_checkpoint_at {
+                self.roll_checkpoints(time);
             }
             if !self.faults.is_empty() {
-                if matches!(ev.kind, EventKind::Arrive { .. }) {
+                if matches!(kind, EventKind::Arrive { .. }) {
                     self.accesses_seen += 1;
                 }
-                while let Some(f) = self.faults.pop_due(ev.time, self.accesses_seen) {
-                    self.apply_fault(ev.time, f);
+                while let Some(f) = self.faults.pop_due(time, self.accesses_seen) {
+                    self.apply_fault(time, f);
                 }
             }
-            match ev.kind {
-                EventKind::WarpNext { warp } => self.warp_next(ev.time, warp),
-                EventKind::Arrive { access } => self.arrive(ev.time, access, 0),
+            match kind {
+                EventKind::WarpNext { warp } => self.warp_next(time, warp),
+                EventKind::Arrive { access } => self.arrive(time, access, 0),
                 EventKind::FillDone { partition, sector } => {
-                    self.fill_done(ev.time, partition as usize, sector)
+                    self.fill_done(time, partition as usize, sector)
                 }
             }
             if self.halt_on_violation && self.stats.violations > 0 {

@@ -7,7 +7,6 @@
 //! timelines and post-mortems, so it is bounded: once full, new events
 //! are counted as dropped rather than growing without limit.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -352,20 +351,35 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 16_384;
 
 /// A bounded, thread-safe event log. When full, new events are dropped
 /// (and counted) rather than evicting history: the head of a timeline
-/// is usually more diagnostic than its tail.
+/// is usually more diagnostic than its tail. Lifecycle markers
+/// (`run_start`, `run_end`, `epoch_end`) are kept even then, so a reader
+/// still sees where every run and epoch ends; there is one per run or
+/// epoch, so they cannot grow the log without bound.
 #[derive(Debug)]
 pub struct EventLog {
-    events: Mutex<VecDeque<TimedEvent>>,
+    events: Mutex<Retained>,
     capacity: usize,
     dropped: AtomicU64,
     high_water: AtomicU64,
 }
 
+/// The retained events: `head ++ markers` is record order.
+#[derive(Debug, Default)]
+struct Retained {
+    /// The first `capacity` events.
+    head: Vec<TimedEvent>,
+    /// Markers recorded once `head` was full. A separate list, because
+    /// pushing them onto a full `head` doubled its buffer: that raised
+    /// the host benchmark's `observed` peak RSS by 6.3 MiB.
+    markers: Vec<TimedEvent>,
+}
+
 impl EventLog {
-    /// A log retaining at most `capacity` events.
+    /// A log retaining at most `capacity` events besides the markers
+    /// recorded once it is full.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            events: Mutex::new(VecDeque::new()),
+            events: Mutex::new(Retained::default()),
             capacity,
             dropped: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
@@ -382,19 +396,27 @@ impl EventLog {
         if self.capacity == 0 {
             return;
         }
-        let mut events = self.events.lock().unwrap();
-        if events.len() >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut log = self.events.lock().unwrap();
+        let timed = TimedEvent { time, event };
+        if log.head.len() < self.capacity {
+            log.head.push(timed);
+        } else if matches!(
+            timed.event,
+            Event::RunStart { .. } | Event::RunEnd { .. } | Event::EpochEnd { .. }
+        ) {
+            log.markers.push(timed);
         } else {
-            events.push_back(TimedEvent { time, event });
-            self.high_water
-                .fetch_max(events.len() as u64, Ordering::Relaxed);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        let len = log.head.len() + log.markers.len();
+        self.high_water.fetch_max(len as u64, Ordering::Relaxed);
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
+        let log = self.events.lock().unwrap();
+        log.head.len() + log.markers.len()
     }
 
     /// Whether the log holds no events.
@@ -408,20 +430,23 @@ impl EventLog {
     }
 
     /// The most events the log ever held at once (a gauge of how close
-    /// the run came to the capacity bound; equals `capacity` iff any
-    /// event was dropped).
+    /// the run came to the capacity bound; at least `capacity` when any
+    /// event was dropped, and past it by the markers kept since).
     pub fn high_water(&self) -> u64 {
         self.high_water.load(Ordering::Relaxed)
     }
 
     /// A copy of the retained events, oldest first.
     pub fn to_vec(&self) -> Vec<TimedEvent> {
-        self.events.lock().unwrap().iter().cloned().collect()
+        let log = self.events.lock().unwrap();
+        log.head.iter().chain(&log.markers).cloned().collect()
     }
 
     /// Removes and returns all retained events, oldest first.
     pub fn drain(&self) -> Vec<TimedEvent> {
-        self.events.lock().unwrap().drain(..).collect()
+        let mut log = self.events.lock().unwrap();
+        let Retained { head, markers } = &mut *log;
+        head.drain(..).chain(markers.drain(..)).collect()
     }
 }
 
@@ -450,6 +475,41 @@ mod tests {
         assert_eq!(log.dropped(), 3);
         // Overflow pins the high-water mark at capacity.
         assert_eq!(log.high_water(), 2);
+    }
+
+    #[test]
+    fn full_log_keeps_lifecycle_markers_and_counts_other_drops() {
+        let log = EventLog::with_capacity(2);
+        let run = |workload: &str| Event::RunStart {
+            workload: workload.into(),
+            scheme: "pssm".into(),
+        };
+        log.record(0, run("bfs"));
+        log.record(1, Event::BmtWalk { depth: 2 });
+        log.record(2, Event::MacFetch { addr: 64 });
+        log.record(
+            3,
+            Event::RunEnd {
+                workload: "bfs".into(),
+                scheme: "pssm".into(),
+            },
+        );
+        log.record(
+            4,
+            Event::EpochEnd {
+                label: "bfs/pssm".into(),
+            },
+        );
+        log.record(5, run("lbm"));
+        log.record(6, Event::CounterFetch { addr: 96 });
+        let kinds: Vec<&str> = log.to_vec().iter().map(|e| e.event.kind()).collect();
+        // The head is kept, so earlier indexes (a stream's cursor) stay valid.
+        assert_eq!(
+            kinds,
+            ["run_start", "bmt_walk", "run_end", "epoch_end", "run_start"]
+        );
+        assert_eq!(log.dropped(), 2);
+        assert_eq!(log.high_water(), 5);
     }
 
     #[test]

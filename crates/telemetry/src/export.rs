@@ -48,8 +48,8 @@ pub struct Report {
     pub events: Vec<TimedEvent>,
     /// Events dropped because the log was full.
     pub events_dropped: u64,
-    /// Peak event-log occupancy over the run (equals the log capacity
-    /// iff any event was dropped).
+    /// Peak event-log occupancy over the run (at least the log capacity
+    /// when any event was dropped).
     pub events_high_water: u64,
 }
 

@@ -19,8 +19,8 @@
 //!   through [`save_report`] and gated by named checks ([`Gate`]).
 //!
 //! Instrumentation is opt-out: [`Telemetry::disabled`] hands out
-//! handles whose record calls are branch-free no-ops (masked atomics),
-//! so the hot paths carry no conditionals either way.
+//! handles that hold no cell, so a record call is one predictable
+//! branch and no atomic operation.
 //!
 //! ```
 //! use plutus_telemetry::{Event, Telemetry};
@@ -115,8 +115,9 @@ impl Telemetry {
         Self::build(true, clock, capacity)
     }
 
-    /// A disabled instance: every handle it hands out is a branch-free
-    /// no-op, events and epochs are discarded.
+    /// A disabled instance: every handle it hands out holds no cell and
+    /// returns before any atomic operation; events and epochs are
+    /// discarded.
     pub fn disabled() -> Self {
         Self::build(false, Arc::new(NullClock), 0)
     }
@@ -286,7 +287,10 @@ impl Telemetry {
         };
         let events = self.inner.events.to_vec();
         let dropped = self.inner.stream_dropped.load(Ordering::Relaxed);
-        if sink.emit(epoch, &events, dropped).is_err() {
+        if sink
+            .emit(epoch, &events, dropped, self.inner.events.dropped())
+            .is_err()
+        {
             self.inner.stream_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }

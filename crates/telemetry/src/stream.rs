@@ -21,8 +21,12 @@
 //!
 //! Stream grammar: the first line is a header object carrying the
 //! schema tag; every following line is one closed epoch with its
-//! nonzero counter deltas and the typed events recorded since the
-//! previous line.
+//! nonzero counter deltas, the typed events recorded since the
+//! previous line, and two cumulative loss counts: `stream_dropped`,
+//! the lines lost to backpressure, and `events_dropped`, the events the
+//! bounded [`crate::EventLog`] dropped because it was full. A line whose
+//! `events_dropped` grew lists only part of its epoch's events; the
+//! `run_start`, `run_end` and `epoch_end` markers are never dropped.
 
 use std::io::Write;
 
@@ -82,16 +86,24 @@ impl StreamSink {
 
     /// Serializes and flushes one epoch line. `events` is the full event
     /// log; the sink's cursor picks out the suffix not yet streamed.
+    /// `events_dropped` is the log's cumulative drop count.
     pub fn emit(
         &mut self,
         epoch: &EpochSnapshot,
         events: &[TimedEvent],
         dropped_so_far: u64,
+        events_dropped: u64,
     ) -> std::io::Result<()> {
         let first = self.events_seen.min(events.len());
         let fresh = &events[first..];
         self.events_seen = events.len();
-        let line = stream_line(epoch, fresh, dropped_so_far, self.with_times);
+        let line = stream_line(
+            epoch,
+            fresh,
+            dropped_so_far,
+            events_dropped,
+            self.with_times,
+        );
         writeln!(self.out, "{}", line.to_string_compact())?;
         self.out.flush()?;
         self.lines += 1;
@@ -105,12 +117,14 @@ impl StreamSink {
 }
 
 /// Renders one epoch line: index, label, optional deterministic
-/// timestamps, nonzero counter deltas, fresh events, and
-/// the cumulative count of lines dropped by backpressure.
+/// timestamps, nonzero counter deltas, fresh events, the cumulative
+/// count of lines dropped by backpressure, and the cumulative count of
+/// events the event log dropped.
 pub fn stream_line(
     epoch: &EpochSnapshot,
     events: &[TimedEvent],
     dropped_so_far: u64,
+    events_dropped: u64,
     with_times: bool,
 ) -> Json {
     let deltas = epoch
@@ -143,12 +157,15 @@ pub fn stream_line(
     line.set("deltas", deltas)
         .set("events", events)
         .set("stream_dropped", dropped_so_far)
+        .set("events_dropped", events_dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::Event;
+    use crate::{CycleClock, Telemetry};
+    use std::sync::{Arc, Mutex};
 
     fn epoch() -> EpochSnapshot {
         EpochSnapshot {
@@ -166,7 +183,7 @@ mod tests {
 
     #[test]
     fn line_filters_zero_deltas() {
-        let line = stream_line(&epoch(), &[], 0, true);
+        let line = stream_line(&epoch(), &[], 0, 0, true);
         let deltas = line.get("deltas").unwrap();
         assert_eq!(
             deltas.get("traffic.data.read_bytes").and_then(Json::as_u64),
@@ -183,7 +200,7 @@ mod tests {
             time: 123,
             event: Event::ValueCacheMiss,
         };
-        let line = stream_line(&epoch(), &[ev], 3, false);
+        let line = stream_line(&epoch(), &[ev], 3, 5, false);
         assert!(line.get("start").is_none());
         assert!(line.get("end").is_none());
         let events = line.get("events").and_then(Json::as_array).unwrap();
@@ -193,22 +210,33 @@ mod tests {
             Some("value_cache_miss")
         );
         assert_eq!(line.get("stream_dropped").and_then(Json::as_u64), Some(3));
+        assert_eq!(line.get("events_dropped").and_then(Json::as_u64), Some(5));
+    }
+
+    /// A writer whose bytes stay readable through the shared buffer.
+    struct Tee(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Tee {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn lines_of(shared: &Mutex<Vec<u8>>) -> Vec<Json> {
+        String::from_utf8(shared.lock().unwrap().clone())
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect()
     }
 
     #[test]
     fn sink_writes_header_then_epochs_and_tracks_cursor() {
-        let buf: Vec<u8> = Vec::new();
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(buf));
-        struct Tee(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl Write for Tee {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+        let shared = Arc::new(Mutex::new(Vec::new()));
         let mut sink = StreamSink::new(Box::new(Tee(shared.clone())), "cycles").unwrap();
         let evs = vec![
             TimedEvent {
@@ -220,24 +248,68 @@ mod tests {
                 event: Event::ValueVerified,
             },
         ];
-        sink.emit(&epoch(), &evs[..1], 0).unwrap();
-        sink.emit(&epoch(), &evs, 0).unwrap();
+        sink.emit(&epoch(), &evs[..1], 0, 0).unwrap();
+        sink.emit(&epoch(), &evs, 0, 0).unwrap();
         assert_eq!(sink.lines(), 3);
-        let text = String::from_utf8(shared.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines = lines_of(&shared);
         assert_eq!(lines.len(), 3);
-        let header = Json::parse(lines[0]).unwrap();
         assert_eq!(
-            header.get("schema").and_then(Json::as_str),
+            lines[0].get("schema").and_then(Json::as_str),
             Some(STREAM_SCHEMA)
         );
         // Second line already consumed event 0; third carries only event 1.
-        let third = Json::parse(lines[2]).unwrap();
-        let evs = third.get("events").and_then(Json::as_array).unwrap();
+        let evs = lines[2].get("events").and_then(Json::as_array).unwrap();
         assert_eq!(evs.len(), 1);
         assert_eq!(
             evs[0].get("kind").and_then(Json::as_str),
             Some("value_verified")
         );
+    }
+
+    /// Two runs overflow a two-event log: each line still carries its
+    /// run's `run_end` and its epoch's `epoch_end`, the next run's
+    /// `run_start` is not lost, and `events_dropped` counts the rest.
+    #[test]
+    fn full_event_log_streams_markers_and_its_drop_count() {
+        let tel = Telemetry::with_event_capacity(Arc::new(CycleClock::new()), 2);
+        let shared = Arc::new(Mutex::new(Vec::new()));
+        tel.stream_to(Box::new(Tee(shared.clone()))).unwrap();
+        for (end, workload) in [(100, "bfs"), (200, "lbm")] {
+            let (workload, scheme) = (workload.to_string(), "pssm".to_string());
+            tel.event(Event::RunStart {
+                workload: workload.clone(),
+                scheme: scheme.clone(),
+            });
+            for addr in 0..3 {
+                tel.event(Event::MacFetch { addr });
+            }
+            tel.advance_clock(end);
+            tel.event(Event::RunEnd {
+                workload: workload.clone(),
+                scheme,
+            });
+            tel.end_epoch(&format!("{workload}/pssm"));
+        }
+        tel.close_stream();
+        let lines = lines_of(&shared);
+        assert_eq!(lines.len(), 3);
+        let kinds = |line: &Json| -> Vec<String> {
+            line.get("events")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|e| e.get("kind").and_then(Json::as_str).unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(
+            kinds(&lines[1]),
+            ["run_start", "mac_fetch", "run_end", "epoch_end"]
+        );
+        assert_eq!(kinds(&lines[2]), ["run_start", "run_end", "epoch_end"]);
+        let dropped: Vec<u64> = lines[1..]
+            .iter()
+            .map(|l| l.get("events_dropped").and_then(Json::as_u64).unwrap())
+            .collect();
+        assert_eq!(dropped, [2, 5]);
     }
 }

@@ -138,9 +138,10 @@ fn snapshot_deltas_of_identical_snapshots_are_zero() {
         .is_empty());
 }
 
-/// Acceptance criterion: disabled-handle record calls are branch-free
-/// no-ops with near-zero cost. Only meaningful with optimizations on,
-/// so it is gated to release builds (`cargo test --release`).
+/// Acceptance criterion: disabled-handle record calls return before any
+/// atomic operation, at near-zero cost. Only meaningful with
+/// optimizations on, so it is gated to release builds
+/// (`cargo test --release`).
 #[cfg(not(debug_assertions))]
 #[test]
 fn disabled_recording_is_near_zero_cost() {
@@ -161,10 +162,10 @@ fn disabled_recording_is_near_zero_cost() {
 
     assert_eq!(counter.get(), 0, "disabled counter must stay zero");
     assert_eq!(hist.count(), 0, "disabled histogram must stay empty");
-    // Masked atomics on uncontended cache lines run in a few ns; 50 ns
-    // leaves two orders of magnitude of headroom over the locked-map
-    // designs this layer exists to avoid, while staying robust on slow
-    // or shared CI hardware.
+    // A disabled call is one predictable branch; 50 ns leaves two orders
+    // of magnitude of headroom over the locked-map designs this layer
+    // exists to avoid, while staying robust on slow or shared CI
+    // hardware.
     assert!(
         ns_per_op < 50.0,
         "disabled record calls cost {ns_per_op:.1} ns/op — not near-zero"
