@@ -24,7 +24,7 @@
 //!   when it moves the bad way beyond the tolerance, when it is NaN, or
 //!   when it vanished. A leaf that only B has is new coverage.
 //!
-//! Wall-time series (`sched.queue_ns`, `sched.exec_ns`, `span.*.ns`
+//! Wall-time series (the `sched.queue_ns` and `sched.exec_ns`
 //! histograms) and the worker-count gauge are skipped: they describe
 //! the host and the `--jobs` setting, not the simulated run, so two
 //! byte-identical simulations legitimately disagree on them.
@@ -317,7 +317,6 @@ const WALL_TIME_NONDETERMINISTIC: &[&str] = &["sched.queue_ns", "sched.exec_ns",
 /// between byte-identical simulations.
 fn nondeterministic(path: &str) -> bool {
     WALL_TIME_NONDETERMINISTIC.iter().any(|m| path.contains(m))
-        || (path.contains("span.") && path.contains(".ns"))
 }
 
 /// Fields that name an array row, joined with `/` into its key.
@@ -398,8 +397,7 @@ mod tests {
             Json::Array(vec![Json::object()
                 .set("ipc", ipc)
                 .set("clean", clean)
-                .set("sched.exec_ns", if clean { 100u64 } else { 999u64 })
-                .set("span.engine.fill.ns", if clean { 7u64 } else { 8u64 })]),
+                .set("sched.exec_ns", if clean { 100u64 } else { 999u64 })]),
         );
         std::fs::write(dir.join("campaign-storm.json"), report.to_string_pretty()).unwrap();
     }
@@ -428,8 +426,8 @@ mod tests {
         write_run(&b, 42, 1.2, false);
         let diff = diff_run_dirs(&a, &b).unwrap();
         // The clean flip (1 -> 0, -100%) outranks the 20% IPC drop;
-        // the wall-time series (exec ns, span histogram) never show up
-        // even though they changed too.
+        // the wall-time series (exec ns) never shows up even though it
+        // changed too.
         let paths: Vec<&str> = diff.changed.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(paths, vec!["rows[0].clean", "rows[0].ipc"]);
         assert_eq!(

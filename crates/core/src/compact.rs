@@ -31,7 +31,7 @@ use gpu_sim::{
     SECTOR_SIZE,
 };
 use plutus_crypto::Cmac;
-use plutus_telemetry::{Counter, Event, Telemetry};
+use plutus_telemetry::{Counter, Telemetry};
 use secure_mem::BlockMap;
 
 /// Which compact-counter design is active (the paper's three options).
@@ -149,7 +149,6 @@ pub struct CompactCounters {
     saturations: u64,
     disables: u64,
     tree_fetches: u64,
-    tel: Telemetry,
     tel_saturations: Counter,
     tel_disables: Counter,
 }
@@ -215,21 +214,19 @@ impl CompactCounters {
             saturations: 0,
             disables: 0,
             tree_fetches: 0,
-            tel: Telemetry::disabled(),
             tel_saturations: Counter::disabled(),
             tel_disables: Counter::disabled(),
         }
     }
 
     /// Mirrors the compact caches into `tel` (`compact_cache.*`,
-    /// `compact_tree_cache.*`), registers saturation/disable counters and
-    /// emits [`Event::CompactOverflow`]/[`Event::CompactDisable`].
+    /// `compact_tree_cache.*`) and registers the saturation/disable
+    /// counters.
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.cache.attach_telemetry(tel, "compact_cache");
         self.tree_cache.attach_telemetry(tel, "compact_tree_cache");
         self.tel_saturations = tel.counter("compact.saturations");
         self.tel_disables = tel.counter("compact.block_disables");
-        self.tel = tel.clone();
     }
 
     fn block_of(&self, sector: SectorAddr) -> u64 {
@@ -434,21 +431,12 @@ impl CompactCounters {
             // Saturating write: propagate to the original counters.
             self.saturations += 1;
             self.tel_saturations.inc();
-            if self.tel.enabled() {
-                self.tel
-                    .event(Event::CompactOverflow { addr: sector.raw() });
-            }
             out.propagate = Some(sat);
             let count = self.saturated_in_block.entry(block).or_insert(0);
             *count += 1;
             if self.cfg.kind == CompactKind::Adaptive3 && *count >= self.cfg.disable_threshold {
                 self.disables += 1;
                 self.tel_disables.inc();
-                if self.tel.enabled() {
-                    self.tel.event(Event::CompactDisable {
-                        addr: self.block_addr(block),
-                    });
-                }
                 self.disabled_blocks.insert(block);
                 let copies = self
                     .block_values(block)
@@ -513,11 +501,6 @@ impl CompactCounters {
         }
         self.disables += 1;
         self.tel_disables.inc();
-        if self.tel.enabled() {
-            self.tel.event(Event::CompactDisable {
-                addr: self.block_addr(block),
-            });
-        }
         self.disabled_blocks.insert(block);
         let sat = self.cfg.kind.saturation();
         self.block_values(block)

@@ -165,9 +165,6 @@ impl PlutusEngine {
             // sequentially (the paper's two-access cost).
             self.compact_fallbacks += 1;
             self.tel_compact_fallbacks.inc();
-            if self.tel.enabled() {
-                self.tel.event(Event::CompactFallback);
-            }
             self.tracer
                 .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
         }
@@ -352,7 +349,6 @@ impl SecurityEngine for PlutusEngine {
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {
         self.region.fills += 1;
-        let _span = self.tel.span("engine.fill");
         let mut plan = FillPlan::default();
         let mut chain = Vec::new();
         let (ctr, ctr_hit) = self.resolve_read_counter(
@@ -397,10 +393,6 @@ impl SecurityEngine for PlutusEngine {
                 plan.verified_by_value = true;
                 self.mac_fetches_avoided += 1;
                 self.tel_mac_avoided.inc();
-                if self.tel.enabled() {
-                    self.tel.event(Event::ValueVerified);
-                    self.tel.event(Event::MacFetchAvoided);
-                }
                 self.tracer
                     .mark(self.cur_trace, "value_vouch", addr.raw(), 0);
             }
@@ -463,7 +455,6 @@ impl SecurityEngine for PlutusEngine {
         mem: &mut BackingMemory,
     ) -> WritePlan {
         self.region.writebacks += 1;
-        let _span = self.tel.span("engine.writeback");
         let mut plan = WritePlan::default();
         let mut chain = Vec::new();
         self.region.storm_tick(addr);
@@ -488,9 +479,6 @@ impl SecurityEngine for PlutusEngine {
                     } else {
                         self.compact_fallbacks += 1;
                         self.tel_compact_fallbacks.inc();
-                        if self.tel.enabled() {
-                            self.tel.event(Event::CompactFallback);
-                        }
                         self.tracer
                             .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
                         self.region.counters.increment(addr)
@@ -535,9 +523,6 @@ impl SecurityEngine for PlutusEngine {
             Some(WriteScreen::SkipMac) => {
                 self.mac_updates_skipped += 1;
                 self.tel_mac_skipped.inc();
-                if self.tel.enabled() {
-                    self.tel.event(Event::MacUpdateSkipped);
-                }
                 self.tracer.mark(self.cur_trace, "mac_skip", addr.raw(), 0);
                 true
             }

@@ -19,7 +19,7 @@
 //! and list order decides them.
 
 use gpu_sim::FastHashMap;
-use plutus_telemetry::{Counter, Event, Telemetry};
+use plutus_telemetry::{Counter, Telemetry};
 
 /// Value-cache configuration (paper Table II: 1 kB, fully associative,
 /// 25% pinned, 256 entries of 28-bit value + 4-bit counter).
@@ -132,7 +132,6 @@ pub struct ValueCache {
     hits: u64,
     misses: u64,
     promotions: u64,
-    tel: Telemetry,
     tel_hits: Counter,
     tel_misses: Counter,
     tel_promotions: Counter,
@@ -156,7 +155,6 @@ impl ValueCache {
             hits: 0,
             misses: 0,
             promotions: 0,
-            tel: Telemetry::disabled(),
             tel_hits: Counter::disabled(),
             tel_misses: Counter::disabled(),
             tel_promotions: Counter::disabled(),
@@ -164,12 +162,11 @@ impl ValueCache {
     }
 
     /// Mirrors probe outcomes into `tel` (`value_cache.hits`/`.misses`/
-    /// `.promotions`) and emits typed probe events.
+    /// `.promotions`).
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.tel_hits = tel.counter("value_cache.hits");
         self.tel_misses = tel.counter("value_cache.misses");
         self.tel_promotions = tel.counter("value_cache.promotions");
-        self.tel = tel.clone();
     }
 
     /// The configuration in use.
@@ -188,14 +185,6 @@ impl ValueCache {
         match result {
             ProbeResult::Miss => self.tel_misses.inc(),
             ProbeResult::HitPinned | ProbeResult::HitTransient => self.tel_hits.inc(),
-        }
-        if self.tel.enabled() {
-            self.tel.event(match result {
-                ProbeResult::Miss => Event::ValueCacheMiss,
-                hit => Event::ValueCacheHit {
-                    pinned: hit == ProbeResult::HitPinned,
-                },
-            });
         }
         result
     }
@@ -233,9 +222,6 @@ impl ValueCache {
             self.pin(key);
             self.promotions += 1;
             self.tel_promotions.inc();
-            if self.tel.enabled() {
-                self.tel.event(Event::ValueCachePromotion);
-            }
             return ProbeResult::HitPinned;
         }
         ProbeResult::HitTransient

@@ -363,9 +363,11 @@ pub trait SecurityEngine {
         Vec::new()
     }
 
-    /// Hands the engine a telemetry handle so it can register metrics and
-    /// emit events (value-cache hits, MAC fetches, BMT walks, …). Called
-    /// once per engine, right after construction and before any traffic.
+    /// Hands the engine a telemetry handle so it can register metrics
+    /// (value-cache hits, MAC fetches, BMT walk depths, …), emit run-level
+    /// events such as degradation steps, and mark flight-recorder
+    /// records. Called once per engine, right after construction and
+    /// before any traffic.
     /// The default implementation ignores it.
     fn attach_telemetry(&mut self, _tel: &plutus_telemetry::Telemetry) {}
 

@@ -7,7 +7,7 @@ use crate::counter_store::{CounterStore, IncrementOutcome};
 use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::{DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
-use plutus_telemetry::{Event, Telemetry};
+use plutus_telemetry::Telemetry;
 
 /// Everything an engine needs from one counter operation.
 #[derive(Debug, Clone, Default)]
@@ -50,7 +50,6 @@ pub struct CounterSystem {
     bmt: Bmt,
     hits: u64,
     misses: u64,
-    tel: Telemetry,
 }
 
 impl CounterSystem {
@@ -69,16 +68,14 @@ impl CounterSystem {
             layout,
             hits: 0,
             misses: 0,
-            tel: Telemetry::disabled(),
         }
     }
 
-    /// Mirrors the counter cache into `tel` (`ctr_cache.hits`/`.misses`),
-    /// forwards to the BMT, and emits [`Event::CounterFetch`] on misses.
+    /// Mirrors the counter cache into `tel` (`ctr_cache.hits`/`.misses`)
+    /// and forwards to the BMT.
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.cache.attach_telemetry(tel, "ctr_cache");
         self.bmt.attach_telemetry(tel, "bmt");
-        self.tel = tel.clone();
     }
 
     /// The metadata layout in use.
@@ -159,9 +156,6 @@ impl CounterSystem {
         self.misses += 1;
         let fetch_addr = self.layout.ctr_fetch_addr(sector);
         let fetch_bytes = self.layout.ctr_fetch_bytes();
-        if self.tel.enabled() {
-            self.tel.event(Event::CounterFetch { addr: fetch_addr });
-        }
         out.chain.push(DramReq::new(
             fetch_addr,
             fetch_bytes as u32,

@@ -10,7 +10,7 @@ use crate::layout::Layout;
 use crate::mac_store::MacStore;
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::{DramReq, SectorAddr, TrafficClass, SECTOR_SIZE};
-use plutus_telemetry::{Event, Telemetry};
+use plutus_telemetry::Telemetry;
 
 /// Timing products of one MAC-cache operation.
 #[derive(Debug, Clone, Default)]
@@ -31,7 +31,6 @@ pub struct MacSystem {
     cache: SectoredCache,
     hits: u64,
     misses: u64,
-    tel: Telemetry,
 }
 
 impl MacSystem {
@@ -54,15 +53,12 @@ impl MacSystem {
             ),
             hits: 0,
             misses: 0,
-            tel: Telemetry::disabled(),
         }
     }
 
-    /// Mirrors the MAC cache into `tel` (`mac_cache.hits`/`.misses`) and
-    /// emits [`Event::MacFetch`] on read misses.
+    /// Mirrors the MAC cache into `tel` (`mac_cache.hits`/`.misses`).
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.cache.attach_telemetry(tel, "mac_cache");
-        self.tel = tel.clone();
     }
 
     fn mac_piece(&self, sector: SectorAddr) -> u64 {
@@ -83,9 +79,6 @@ impl MacSystem {
         self.misses += 1;
         let fetch_addr = self.layout.mac_fetch_addr(sector);
         let fetch_bytes = self.layout.mac_fetch_bytes();
-        if self.tel.enabled() {
-            self.tel.event(Event::MacFetch { addr: fetch_addr });
-        }
         out.chain.push(DramReq::new(
             fetch_addr,
             fetch_bytes as u32,

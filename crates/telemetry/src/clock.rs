@@ -2,9 +2,7 @@
 //!
 //! The simulator advances a [`CycleClock`] as its event loop drains, so
 //! telemetry timestamps are *simulated cycles*; standalone tools use
-//! [`WallClock`] and get nanoseconds. Span guards always profile wall
-//! time (see [`crate::Telemetry::span`]) — simulated components cannot
-//! know their own host-side cost.
+//! [`WallClock`] and get nanoseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -1,11 +1,14 @@
 //! Typed events and the bounded event log.
 //!
-//! Events capture *discrete* happenings on the secure-memory pipeline —
-//! a MAC fetch, a compact-counter overflow, a BMT walk of a given depth
-//! — with a timestamp from the telemetry clock. High-frequency totals
-//! belong in [`crate::MetricsRegistry`] counters; the event log is for
-//! timelines and post-mortems, so it is bounded: once full, new events
-//! are counted as dropped rather than growing without limit.
+//! An event marks something that happens at most once per run, epoch,
+//! injected fault, detected violation, recovery step or scheduler tick —
+//! a run starting, a fault injected, an engine degrading — stamped with
+//! the telemetry clock. Per-access happenings (a MAC fetch, a BMT walk, a
+//! value-cache hit) are not events: [`crate::MetricsRegistry`] counters
+//! total them, and the flight recorder ([`crate::Tracer`]) keeps each one
+//! when it is armed. The log is still bounded, because a campaign logs
+//! per injected fault or transient: once full, new events are counted as
+//! dropped rather than growing without limit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -26,50 +29,6 @@ pub enum Event {
         workload: String,
         /// Scheme label.
         scheme: String,
-    },
-    /// A sector was verified by value reuse alone (no MAC fetch).
-    ValueVerified,
-    /// A value-cache probe hit (`pinned` when the entry was pinned).
-    ValueCacheHit {
-        /// Whether the hit landed in the pinned region.
-        pinned: bool,
-    },
-    /// A value-cache probe missed.
-    ValueCacheMiss,
-    /// A transient value-cache entry was promoted to pinned.
-    ValueCachePromotion,
-    /// A MAC line was fetched from DRAM.
-    MacFetch {
-        /// Sector address whose MAC was fetched.
-        addr: u64,
-    },
-    /// A MAC fetch was avoided by value verification.
-    MacFetchAvoided,
-    /// A MAC update was skipped on a write (pinned-value guarantee).
-    MacUpdateSkipped,
-    /// A compact counter saturated and fell back to the original
-    /// counters ("overflow" in the paper's Fig. 13 terminology).
-    CompactOverflow {
-        /// Sector address whose compact counter saturated.
-        addr: u64,
-    },
-    /// Adaptive compaction disabled itself for a write-hot block.
-    CompactDisable {
-        /// Block address compaction gave up on.
-        addr: u64,
-    },
-    /// A read fell back from compact to original counters.
-    CompactFallback,
-    /// An encryption-counter line was fetched from DRAM.
-    CounterFetch {
-        /// Sector address whose counter was fetched.
-        addr: u64,
-    },
-    /// A BMT verification walk terminated after `depth` levels.
-    BmtWalk {
-        /// Number of tree levels climbed before hitting a cached node
-        /// or the root.
-        depth: u32,
     },
     /// An integrity violation was raised.
     Violation {
@@ -167,13 +126,6 @@ pub enum Event {
         /// Whether this finding fails `--slo-gate`.
         gating: bool,
     },
-    /// A free-form event for call sites without a dedicated variant.
-    Custom {
-        /// Static event name.
-        name: &'static str,
-        /// Event payload.
-        value: u64,
-    },
 }
 
 impl Event {
@@ -182,18 +134,6 @@ impl Event {
         match self {
             Event::RunStart { .. } => "run_start",
             Event::RunEnd { .. } => "run_end",
-            Event::ValueVerified => "value_verified",
-            Event::ValueCacheHit { .. } => "value_cache_hit",
-            Event::ValueCacheMiss => "value_cache_miss",
-            Event::ValueCachePromotion => "value_cache_promotion",
-            Event::MacFetch { .. } => "mac_fetch",
-            Event::MacFetchAvoided => "mac_fetch_avoided",
-            Event::MacUpdateSkipped => "mac_update_skipped",
-            Event::CompactOverflow { .. } => "compact_overflow",
-            Event::CompactDisable { .. } => "compact_disable",
-            Event::CompactFallback => "compact_fallback",
-            Event::CounterFetch { .. } => "counter_fetch",
-            Event::BmtWalk { .. } => "bmt_walk",
             Event::Violation { .. } => "violation",
             Event::FaultInjected { .. } => "fault_injected",
             Event::EpochEnd { .. } => "epoch_end",
@@ -207,7 +147,6 @@ impl Event {
             Event::PoolProgress { .. } => "sched_progress",
             Event::JobSlow { .. } => "sched_slow",
             Event::Anomaly { .. } => "anomaly",
-            Event::Custom { .. } => "custom",
         }
     }
 
@@ -221,12 +160,6 @@ impl Event {
                     ("scheme", Str(scheme.clone())),
                 ]
             }
-            Event::ValueCacheHit { pinned } => vec![("pinned", Bool(*pinned))],
-            Event::MacFetch { addr }
-            | Event::CompactOverflow { addr }
-            | Event::CompactDisable { addr }
-            | Event::CounterFetch { addr } => vec![("addr", Num(*addr))],
-            Event::BmtWalk { depth } => vec![("depth", Num(u64::from(*depth)))],
             Event::Violation {
                 kind,
                 layer,
@@ -283,10 +216,6 @@ impl Event {
                 ("expected_milli", Num(*expected_milli)),
                 ("gating", Bool(*gating)),
             ],
-            Event::Custom { name, value } => {
-                vec![("name", Str((*name).to_string())), ("value", Num(*value))]
-            }
-            _ => vec![],
         }
     }
 }
@@ -298,18 +227,6 @@ impl Event {
 pub const EVENT_KINDS: &[&str] = &[
     "run_start",
     "run_end",
-    "value_verified",
-    "value_cache_hit",
-    "value_cache_miss",
-    "value_cache_promotion",
-    "mac_fetch",
-    "mac_fetch_avoided",
-    "mac_update_skipped",
-    "compact_overflow",
-    "compact_disable",
-    "compact_fallback",
-    "counter_fetch",
-    "bmt_walk",
     "violation",
     "fault_injected",
     "epoch_end",
@@ -323,7 +240,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "sched_progress",
     "sched_slow",
     "anomaly",
-    "custom",
 ];
 
 /// A typed event payload value.
@@ -351,38 +267,26 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 16_384;
 
 /// A bounded, thread-safe event log. When full, new events are dropped
 /// (and counted) rather than evicting history: the head of a timeline
-/// is usually more diagnostic than its tail. Lifecycle markers
-/// (`run_start`, `run_end`, `epoch_end`) are kept even then, so a reader
-/// still sees where every run and epoch ends; there is one per run or
-/// epoch, so they cannot grow the log without bound.
+/// is usually more diagnostic than its tail, and earlier indexes stay
+/// valid cursors for [`EventLog::since`]. Lifecycle markers
+/// (`run_start`, `run_end`, `epoch_end`) are pushed even then, so a
+/// reader still sees where every run and epoch ends; there is one per
+/// run or epoch, so they cannot grow the log without bound.
 #[derive(Debug)]
 pub struct EventLog {
-    events: Mutex<Retained>,
+    events: Mutex<Vec<TimedEvent>>,
     capacity: usize,
     dropped: AtomicU64,
-    high_water: AtomicU64,
-}
-
-/// The retained events: `head ++ markers` is record order.
-#[derive(Debug, Default)]
-struct Retained {
-    /// The first `capacity` events.
-    head: Vec<TimedEvent>,
-    /// Markers recorded once `head` was full. A separate list, because
-    /// pushing them onto a full `head` doubled its buffer: that raised
-    /// the host benchmark's `observed` peak RSS by 6.3 MiB.
-    markers: Vec<TimedEvent>,
 }
 
 impl EventLog {
-    /// A log retaining at most `capacity` events besides the markers
-    /// recorded once it is full.
+    /// A log retaining at most `capacity` events besides the lifecycle
+    /// markers recorded once it is full.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            events: Mutex::new(Retained::default()),
+            events: Mutex::new(Vec::new()),
             capacity,
             dropped: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
         }
     }
 
@@ -396,27 +300,21 @@ impl EventLog {
         if self.capacity == 0 {
             return;
         }
-        let mut log = self.events.lock().unwrap();
-        let timed = TimedEvent { time, event };
-        if log.head.len() < self.capacity {
-            log.head.push(timed);
-        } else if matches!(
-            timed.event,
+        let marker = matches!(
+            event,
             Event::RunStart { .. } | Event::RunEnd { .. } | Event::EpochEnd { .. }
-        ) {
-            log.markers.push(timed);
-        } else {
+        );
+        let mut log = self.events.lock().unwrap();
+        if log.len() >= self.capacity && !marker {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let len = log.head.len() + log.markers.len();
-        self.high_water.fetch_max(len as u64, Ordering::Relaxed);
+        log.push(TimedEvent { time, event });
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        let log = self.events.lock().unwrap();
-        log.head.len() + log.markers.len()
+        self.events.lock().unwrap().len()
     }
 
     /// Whether the log holds no events.
@@ -431,22 +329,22 @@ impl EventLog {
 
     /// The most events the log ever held at once (a gauge of how close
     /// the run came to the capacity bound; at least `capacity` when any
-    /// event was dropped, and past it by the markers kept since).
+    /// event was dropped, and past it by the markers kept since). The
+    /// log never shrinks, so this is its length.
     pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
+        self.len() as u64
+    }
+
+    /// A copy of the events retained after the first `cursor`, oldest
+    /// first (empty when `cursor` is at or past the end).
+    pub fn since(&self, cursor: usize) -> Vec<TimedEvent> {
+        let log = self.events.lock().unwrap();
+        log.get(cursor..).unwrap_or_default().to_vec()
     }
 
     /// A copy of the retained events, oldest first.
     pub fn to_vec(&self) -> Vec<TimedEvent> {
-        let log = self.events.lock().unwrap();
-        log.head.iter().chain(&log.markers).cloned().collect()
-    }
-
-    /// Removes and returns all retained events, oldest first.
-    pub fn drain(&self) -> Vec<TimedEvent> {
-        let mut log = self.events.lock().unwrap();
-        let Retained { head, markers } = &mut *log;
-        head.drain(..).chain(markers.drain(..)).collect()
+        self.since(0)
     }
 }
 
@@ -454,22 +352,33 @@ impl EventLog {
 mod tests {
     use super::*;
 
+    fn checkpoint(cycle: u64) -> Event {
+        Event::Checkpoint { cycle }
+    }
+
+    fn run_start(workload: &str) -> Event {
+        Event::RunStart {
+            workload: workload.into(),
+            scheme: "pssm".into(),
+        }
+    }
+
     #[test]
     fn records_in_order() {
         let log = EventLog::with_capacity(10);
-        log.record(1, Event::ValueCacheMiss);
-        log.record(2, Event::BmtWalk { depth: 3 });
+        log.record(1, checkpoint(100));
+        log.record(2, checkpoint(200));
         let v = log.to_vec();
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].time, 1);
-        assert_eq!(v[1].event, Event::BmtWalk { depth: 3 });
+        assert_eq!(v[1].event, checkpoint(200));
     }
 
     #[test]
     fn bounded_log_counts_drops() {
         let log = EventLog::with_capacity(2);
         for i in 0..5 {
-            log.record(i, Event::ValueCacheMiss);
+            log.record(i, checkpoint(i));
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
@@ -480,13 +389,13 @@ mod tests {
     #[test]
     fn full_log_keeps_lifecycle_markers_and_counts_other_drops() {
         let log = EventLog::with_capacity(2);
-        let run = |workload: &str| Event::RunStart {
-            workload: workload.into(),
-            scheme: "pssm".into(),
+        let fault = |addr: u64| Event::FaultInjected {
+            addr,
+            kind: "corrupt_data".into(),
         };
-        log.record(0, run("bfs"));
-        log.record(1, Event::BmtWalk { depth: 2 });
-        log.record(2, Event::MacFetch { addr: 64 });
+        log.record(0, run_start("bfs"));
+        log.record(1, fault(32));
+        log.record(2, fault(64));
         log.record(
             3,
             Event::RunEnd {
@@ -500,57 +409,71 @@ mod tests {
                 label: "bfs/pssm".into(),
             },
         );
-        log.record(5, run("lbm"));
-        log.record(6, Event::CounterFetch { addr: 96 });
+        log.record(5, run_start("lbm"));
+        log.record(6, fault(96));
         let kinds: Vec<&str> = log.to_vec().iter().map(|e| e.event.kind()).collect();
         // The head is kept, so earlier indexes (a stream's cursor) stay valid.
         assert_eq!(
             kinds,
-            ["run_start", "bmt_walk", "run_end", "epoch_end", "run_start"]
+            [
+                "run_start",
+                "fault_injected",
+                "run_end",
+                "epoch_end",
+                "run_start"
+            ]
         );
         assert_eq!(log.dropped(), 2);
         assert_eq!(log.high_water(), 5);
     }
 
     #[test]
+    fn since_is_the_suffix_past_a_cursor() {
+        let log = EventLog::with_capacity(3);
+        for i in 0..3 {
+            log.record(i, checkpoint(i));
+        }
+        // Full: one marker is pushed, the checkpoint after it dropped.
+        log.record(3, run_start("bfs"));
+        log.record(4, checkpoint(4));
+        let all = log.to_vec();
+        assert_eq!(all.len(), 4);
+        for k in [0, 2, 3, all.len()] {
+            assert_eq!(log.since(k), all[k..], "cursor {k}");
+        }
+        assert!(log.since(all.len() + 1).is_empty());
+    }
+
+    #[test]
     fn high_water_tracks_peak_occupancy() {
-        let log = EventLog::with_capacity(8);
+        let log = EventLog::with_capacity(3);
         assert_eq!(log.high_water(), 0);
-        log.record(0, Event::ValueCacheMiss);
-        log.record(1, Event::ValueCacheMiss);
-        log.record(2, Event::ValueCacheMiss);
+        log.record(0, checkpoint(0));
+        log.record(1, checkpoint(1));
+        assert_eq!(log.high_water(), 2);
+        log.record(2, checkpoint(2));
+        log.record(3, checkpoint(3));
         assert_eq!(log.high_water(), 3);
-        // Draining does not reset the peak.
-        log.drain();
-        assert_eq!(log.high_water(), 3);
-        log.record(3, Event::ValueCacheMiss);
-        assert_eq!(log.high_water(), 3);
-        assert_eq!(log.dropped(), 0);
+        assert_eq!(log.dropped(), 1);
+        // A marker kept past the bound raises the peak past capacity.
+        log.record(4, run_start("bfs"));
+        assert_eq!(log.high_water(), 4);
     }
 
     #[test]
     fn disabled_log_records_nothing() {
         let log = EventLog::disabled();
-        log.record(0, Event::MacFetchAvoided);
+        log.record(0, checkpoint(0));
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
         assert_eq!(log.high_water(), 0);
     }
 
     #[test]
-    fn drain_empties_the_log() {
-        let log = EventLog::with_capacity(4);
-        log.record(0, Event::ValueCacheMiss);
-        assert_eq!(log.drain().len(), 1);
-        assert!(log.is_empty());
-    }
-
-    #[test]
     fn kinds_and_fields_are_stable() {
-        let e = Event::MacFetch { addr: 0x40 };
-        assert_eq!(e.kind(), "mac_fetch");
-        assert_eq!(e.fields(), vec![("addr", FieldValue::Num(0x40))]);
-        assert!(Event::ValueCacheMiss.fields().is_empty());
+        let e = checkpoint(0x40);
+        assert_eq!(e.kind(), "checkpoint");
+        assert_eq!(e.fields(), vec![("cycle", FieldValue::Num(0x40))]);
         let v = Event::Violation {
             kind: "MAC mismatch at 0x40".into(),
             layer: "mac".into(),
@@ -598,18 +521,6 @@ mod tests {
                 workload: "bfs".into(),
                 scheme: "plutus".into(),
             },
-            Event::ValueVerified,
-            Event::ValueCacheHit { pinned: true },
-            Event::ValueCacheMiss,
-            Event::ValueCachePromotion,
-            Event::MacFetch { addr: 1 },
-            Event::MacFetchAvoided,
-            Event::MacUpdateSkipped,
-            Event::CompactOverflow { addr: 1 },
-            Event::CompactDisable { addr: 1 },
-            Event::CompactFallback,
-            Event::CounterFetch { addr: 1 },
-            Event::BmtWalk { depth: 1 },
             Event::Violation {
                 kind: "k".into(),
                 layer: "mac".into(),
@@ -658,10 +569,6 @@ mod tests {
                 value_milli: 1,
                 expected_milli: 2,
                 gating: true,
-            },
-            Event::Custom {
-                name: "n",
-                value: 1,
             },
         ]
     }

@@ -309,7 +309,7 @@ mod tests {
             epochs: vec![epoch],
             events: vec![TimedEvent {
                 time: 42,
-                event: Event::BmtWalk { depth: 3 },
+                event: Event::Checkpoint { cycle: 42 },
             }],
             events_dropped: 0,
             events_high_water: 1,

@@ -8,9 +8,10 @@
 //! * a [`MetricsRegistry`] of named [`Counter`]s, [`Gauge`]s, and
 //!   log-scale [`Histogram`]s with cheap `Arc`-shared handles and
 //!   atomic updates;
-//! * a structured [`Event`] log plus [`Span`] guards that profile
-//!   wall-clock time, with event timestamps read from a pluggable
-//!   [`Clock`] (simulated cycles or nanoseconds);
+//! * a bounded [`Event`] log of run-level happenings (lifecycle
+//!   markers, injected faults, violations, recovery steps, scheduler
+//!   ticks), timestamped by a pluggable [`Clock`] (simulated cycles or
+//!   nanoseconds);
 //! * per-epoch snapshot/delta support ([`Telemetry::end_epoch`]) so
 //!   long simulations can emit time-series;
 //! * JSON and CSV exporters and a human-readable summary table
@@ -28,7 +29,7 @@
 //! let tel = Telemetry::new();
 //! let bytes = tel.counter("traffic.data.read_bytes");
 //! bytes.add(4096);
-//! tel.event(Event::BmtWalk { depth: 2 });
+//! tel.event(Event::Checkpoint { cycle: 100 });
 //! tel.end_epoch("warmup");
 //! let report = tel.report();
 //! assert_eq!(report.totals.counter("traffic.data.read_bytes"), Some(4096));
@@ -205,16 +206,6 @@ impl Telemetry {
         }
     }
 
-    /// A guard profiling the wall-clock time from now until drop into
-    /// the histogram `span.<name>.ns`. See also [`span!`].
-    pub fn span(&self, name: &str) -> Span {
-        if self.inner.enabled {
-            Span::running(self.inner.registry.histogram(&format!("span.{name}.ns")))
-        } else {
-            Span::noop()
-        }
-    }
-
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
         self.inner.registry.snapshot(self.inner.clock.now())
@@ -285,10 +276,10 @@ impl Telemetry {
         let Some(sink) = guard.as_mut() else {
             return;
         };
-        let events = self.inner.events.to_vec();
+        let fresh = self.inner.events.since(sink.events_seen());
         let dropped = self.inner.stream_dropped.load(Ordering::Relaxed);
         if sink
-            .emit(epoch, &events, dropped, self.inner.events.dropped())
+            .emit(epoch, &fresh, dropped, self.inner.events.dropped())
             .is_err()
         {
             self.inner.stream_dropped.fetch_add(1, Ordering::Relaxed);
@@ -320,61 +311,6 @@ impl Default for Telemetry {
     }
 }
 
-/// An RAII guard recording its elapsed wall-clock nanoseconds into a
-/// histogram on drop. Create via [`Telemetry::span`], the [`span!`]
-/// macro, or [`Span::enter`] with a pre-fetched histogram handle.
-#[derive(Debug)]
-pub struct Span {
-    hist: Histogram,
-    /// `None` when telemetry is disabled — the drop-time clock read is
-    /// skipped entirely.
-    start: Option<std::time::Instant>,
-}
-
-impl Span {
-    fn running(hist: Histogram) -> Span {
-        Span {
-            hist,
-            start: Some(std::time::Instant::now()),
-        }
-    }
-
-    fn noop() -> Span {
-        Span {
-            hist: Histogram::disabled(),
-            start: None,
-        }
-    }
-
-    /// A span recording into a pre-fetched histogram handle — use this
-    /// on hot paths to avoid the name lookup of [`Telemetry::span`].
-    pub fn enter(tel: &Telemetry, hist: &Histogram) -> Span {
-        if tel.enabled() {
-            Span::running(hist.clone())
-        } else {
-            Span::noop()
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.hist.record(start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Opens a profiling span: `span!(tel, "verify_sector")` returns a
-/// guard recording wall-clock ns into `span.verify_sector.ns` when it
-/// drops.
-#[macro_export]
-macro_rules! span {
-    ($tel:expr, $name:expr) => {
-        $tel.span($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,7 +322,7 @@ mod tests {
         tel.counter("c").add(2);
         tel.gauge("g").set(5);
         tel.histogram("h").record(9);
-        tel.event(Event::ValueCacheMiss);
+        tel.event(Event::Checkpoint { cycle: 1 });
         let r = tel.report();
         assert_eq!(r.totals.counter("c"), Some(2));
         assert_eq!(r.events.len(), 1);
@@ -398,7 +334,7 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.enabled());
         tel.counter("c").add(2);
-        tel.event(Event::ValueCacheMiss);
+        tel.event(Event::Checkpoint { cycle: 1 });
         assert!(tel.end_epoch("e").is_none());
         let r = tel.report();
         assert!(r.totals.counters.is_empty());
@@ -419,21 +355,6 @@ mod tests {
         assert_eq!(e1.index, 1);
         let total: u64 = tel.epochs().iter().map(|e| e.delta("x")).sum();
         assert_eq!(total, tel.snapshot().counter("x").unwrap());
-    }
-
-    #[test]
-    fn spans_record_durations() {
-        let tel = Telemetry::new();
-        {
-            let _guard = span!(tel, "verify_sector");
-            std::hint::black_box(0u64);
-        }
-        let hist = tel.histogram("span.verify_sector.ns");
-        assert_eq!(hist.count(), 1);
-        // Disabled spans record nothing.
-        let off = Telemetry::disabled();
-        drop(off.span("verify_sector"));
-        assert_eq!(off.report().totals.histograms.len(), 0);
     }
 
     #[test]
@@ -547,8 +468,8 @@ mod tests {
     #[test]
     fn report_surfaces_event_high_water() {
         let tel = Telemetry::with_event_capacity(Arc::new(NullClock), 2);
-        for _ in 0..3 {
-            tel.event(Event::ValueCacheMiss);
+        for cycle in 0..3 {
+            tel.event(Event::Checkpoint { cycle });
         }
         let r = tel.report();
         assert_eq!(r.events_dropped, 1);

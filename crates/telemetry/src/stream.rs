@@ -24,9 +24,12 @@
 //! nonzero counter deltas, the typed events recorded since the
 //! previous line, and two cumulative loss counts: `stream_dropped`,
 //! the lines lost to backpressure, and `events_dropped`, the events the
-//! bounded [`crate::EventLog`] dropped because it was full. A line whose
-//! `events_dropped` grew lists only part of its epoch's events; the
-//! `run_start`, `run_end` and `epoch_end` markers are never dropped.
+//! bounded [`crate::EventLog`] dropped because it was full. The log
+//! holds only run-level events (per-access happenings are counters), so
+//! `events_dropped` stays 0 unless a campaign injects more faults than
+//! the log holds; a line whose count grew lists only part of its
+//! epoch's events, but never loses a `run_start`, `run_end` or
+//! `epoch_end` marker.
 
 use std::io::Write;
 
@@ -84,19 +87,23 @@ impl StreamSink {
         self.lines
     }
 
-    /// Serializes and flushes one epoch line. `events` is the full event
-    /// log; the sink's cursor picks out the suffix not yet streamed.
+    /// The cursor into the event log: how many events earlier lines
+    /// carried.
+    pub fn events_seen(&self) -> usize {
+        self.events_seen
+    }
+
+    /// Serializes and flushes one epoch line. `fresh` is the event log
+    /// past [`StreamSink::events_seen`], which moves past them;
     /// `events_dropped` is the log's cumulative drop count.
     pub fn emit(
         &mut self,
         epoch: &EpochSnapshot,
-        events: &[TimedEvent],
+        fresh: &[TimedEvent],
         dropped_so_far: u64,
         events_dropped: u64,
     ) -> std::io::Result<()> {
-        let first = self.events_seen.min(events.len());
-        let fresh = &events[first..];
-        self.events_seen = events.len();
+        self.events_seen += fresh.len();
         let line = stream_line(
             epoch,
             fresh,
@@ -198,7 +205,7 @@ mod tests {
     fn wall_clock_lines_omit_times() {
         let ev = TimedEvent {
             time: 123,
-            event: Event::ValueCacheMiss,
+            event: Event::Checkpoint { cycle: 100 },
         };
         let line = stream_line(&epoch(), &[ev], 3, 5, false);
         assert!(line.get("start").is_none());
@@ -207,7 +214,7 @@ mod tests {
         assert!(events[0].get("t").is_none());
         assert_eq!(
             events[0].get("kind").and_then(Json::as_str),
-            Some("value_cache_miss")
+            Some("checkpoint")
         );
         assert_eq!(line.get("stream_dropped").and_then(Json::as_u64), Some(3));
         assert_eq!(line.get("events_dropped").and_then(Json::as_u64), Some(5));
@@ -238,18 +245,22 @@ mod tests {
     fn sink_writes_header_then_epochs_and_tracks_cursor() {
         let shared = Arc::new(Mutex::new(Vec::new()));
         let mut sink = StreamSink::new(Box::new(Tee(shared.clone())), "cycles").unwrap();
-        let evs = vec![
+        let evs = [
             TimedEvent {
                 time: 1,
-                event: Event::ValueCacheMiss,
+                event: Event::Checkpoint { cycle: 1 },
             },
             TimedEvent {
                 time: 2,
-                event: Event::ValueVerified,
+                event: Event::CrashRestore {
+                    checkpoint_cycle: 1,
+                },
             },
         ];
         sink.emit(&epoch(), &evs[..1], 0, 0).unwrap();
-        sink.emit(&epoch(), &evs, 0, 0).unwrap();
+        assert_eq!(sink.events_seen(), 1);
+        sink.emit(&epoch(), &evs[1..], 0, 0).unwrap();
+        assert_eq!(sink.events_seen(), 2);
         assert_eq!(sink.lines(), 3);
         let lines = lines_of(&shared);
         assert_eq!(lines.len(), 3);
@@ -257,12 +268,12 @@ mod tests {
             lines[0].get("schema").and_then(Json::as_str),
             Some(STREAM_SCHEMA)
         );
-        // Second line already consumed event 0; third carries only event 1.
+        // Each line carries only the events it was handed.
         let evs = lines[2].get("events").and_then(Json::as_array).unwrap();
         assert_eq!(evs.len(), 1);
         assert_eq!(
             evs[0].get("kind").and_then(Json::as_str),
-            Some("value_verified")
+            Some("crash_restore")
         );
     }
 
@@ -281,7 +292,10 @@ mod tests {
                 scheme: scheme.clone(),
             });
             for addr in 0..3 {
-                tel.event(Event::MacFetch { addr });
+                tel.event(Event::FaultInjected {
+                    addr,
+                    kind: "corrupt_data".into(),
+                });
             }
             tel.advance_clock(end);
             tel.event(Event::RunEnd {
@@ -303,7 +317,7 @@ mod tests {
         };
         assert_eq!(
             kinds(&lines[1]),
-            ["run_start", "mac_fetch", "run_end", "epoch_end"]
+            ["run_start", "fault_injected", "run_end", "epoch_end"]
         );
         assert_eq!(kinds(&lines[2]), ["run_start", "run_end", "epoch_end"]);
         let dropped: Vec<u64> = lines[1..]

@@ -61,7 +61,7 @@ pub struct TraceRecord {
     pub cause: u64,
     /// Record kind: `"fill"` / `"writeback"` for roots, `"traffic"` for
     /// DRAM transfers, and marker kinds (`"value_vouch"`, `"mac_skip"`,
-    /// `"compact_fallback"`, `"compact_spill"`, `"retry"`,
+    /// `"compact_fallback"`, `"counter_overflow_spill"`, `"retry"`,
     /// `"violation"`, `"degrade"`) for causal annotations.
     pub kind: &'static str,
     /// Traffic class label (matches `TrafficClass::label`; empty for
@@ -198,10 +198,10 @@ impl Tracer {
     }
 
     /// Records a non-traffic causal marker (`"value_vouch"`,
-    /// `"mac_skip"`, `"compact_fallback"`, `"compact_spill"`, `"retry"`,
-    /// `"violation"`, `"degrade"`) caused by `cause`. `info` carries a
-    /// kind-specific payload (retry attempt, violation latency,
-    /// degradation code).
+    /// `"mac_skip"`, `"compact_fallback"`, `"counter_overflow_spill"`,
+    /// `"retry"`, `"violation"`, `"degrade"`) caused by `cause`. `info`
+    /// carries a kind-specific payload (retry attempt, violation
+    /// latency, degradation code).
     pub fn mark(&self, cause: TraceId, kind: &'static str, addr: u64, info: u64) {
         if cause.is_none() {
             return;

@@ -1,8 +1,8 @@
 //! The live observability plane, end to end: epoch-stream delta
 //! conservation under concurrent counter updates, byte-identity of the
-//! stream across worker counts, run-directory report routing, and the
-//! METRICS.md reference staying in sync with the registry and the
-//! typed-event catalog.
+//! stream across worker counts, run-directory report routing, an honest
+//! run logging only its lifecycle events, and the METRICS.md reference
+//! staying in sync with the registry and the typed-event catalog.
 
 use plutus_exec::{Executor, Job};
 use plutus_telemetry::{CycleClock, Json, Telemetry, EVENT_KINDS};
@@ -157,27 +157,11 @@ fn metrics_doc_covers_registry_and_event_catalog() {
     let exec = Executor::with_telemetry(Some(2), tel.clone());
     let done: Vec<_> = exec.run(vec![Job::new("noop", || ())]);
     assert_eq!(done.len(), 1);
-    let workloads: Vec<_> = workloads::suite().into_iter().take(1).collect();
-    let cfg = gpu_sim::GpuConfig::test_small();
-    let observe = plutus_bench::Observe {
-        registry: Some(tel.clone()),
-        epoch_cycles: Some(500),
-        trace: None,
-    };
-    let schemes = [plutus_bench::Scheme::Pssm, plutus_bench::Scheme::Plutus];
-    plutus_bench::run_matrix(
-        &exec,
-        &workloads,
-        &schemes,
-        workloads::Scale::Test,
-        &cfg,
-        &observe,
-    )
-    .expect("instrumented matrix must succeed");
+    instrumented_matrix(&exec, &tel);
     let mut missing = Vec::new();
     for name in metric_names(&tel) {
         // Parameterized families are documented as patterns, not one
-        // row per instance: `tenant.t<id>.*` and `span.<name>.ns`.
+        // row per instance: `tenant.t<id>.*`.
         let doc_name = normalize(&name);
         if !doc.contains(&format!("`{doc_name}`")) {
             missing.push(doc_name);
@@ -198,6 +182,40 @@ fn metrics_doc_covers_registry_and_event_catalog() {
 }
 
 #[test]
+fn metrics_doc_event_rows_name_cataloged_kinds() {
+    // The other direction for the event table: every row under
+    // `## Event kinds` must name a kind in `EVENT_KINDS`, so a deleted
+    // kind cannot linger in the reference.
+    let section = include_str!("../METRICS.md")
+        .split("\n## Event kinds")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("METRICS.md has an `## Event kinds` section");
+    let rows: Vec<&str> = row_names(section).collect();
+    assert!(!rows.is_empty(), "no event-kind rows found in METRICS.md");
+    let stale: Vec<&&str> = rows.iter().filter(|k| !EVENT_KINDS.contains(k)).collect();
+    assert!(
+        stale.is_empty(),
+        "METRICS.md documents event kinds the catalog does not have: {stale:?}"
+    );
+}
+
+#[test]
+fn honest_run_logs_only_lifecycle_events() {
+    // Per-access happenings are counters (and flight-recorder records),
+    // not events: an honest instrumented matrix logs its markers alone
+    // and never fills the bounded event log.
+    let tel = Telemetry::with_clock(Arc::new(CycleClock::new()));
+    instrumented_matrix(&Executor::sequential(), &tel);
+    let report = tel.report();
+    let mut kinds: Vec<&str> = report.events.iter().map(|e| e.event.kind()).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds, ["epoch_end", "run_end", "run_start"]);
+    assert_eq!(report.events_dropped, 0);
+}
+
+#[test]
 fn metrics_doc_sched_rows_name_executor_metrics() {
     // The other direction for the scheduler's rows: a `sched.*` row in
     // METRICS.md must name a metric the executor registers, so a
@@ -205,16 +223,43 @@ fn metrics_doc_sched_rows_name_executor_metrics() {
     let tel = Telemetry::new();
     let _exec = Executor::with_telemetry(Some(1), tel.clone());
     let registered = metric_names(&tel);
-    let stale: Vec<&str> = include_str!("../METRICS.md")
-        .lines()
-        .filter_map(|line| line.strip_prefix("| `"))
-        .filter_map(|row| row.split('`').next())
+    let stale: Vec<&str> = row_names(include_str!("../METRICS.md"))
         .filter(|name| name.starts_with("sched.") && !registered.iter().any(|r| r == name))
         .collect();
     assert!(
         stale.is_empty(),
         "METRICS.md documents sched metrics the executor does not register: {stale:?}"
     );
+}
+
+/// Runs `pssm` and `plutus` on one suite workload at test scale through
+/// `exec`, feeding `tel` as `--metrics-out` runs do (one epoch per 500
+/// cycles).
+fn instrumented_matrix(exec: &Executor, tel: &Telemetry) {
+    let workloads: Vec<_> = workloads::suite().into_iter().take(1).collect();
+    let cfg = gpu_sim::GpuConfig::test_small();
+    let observe = plutus_bench::Observe {
+        registry: Some(tel.clone()),
+        epoch_cycles: Some(500),
+        trace: None,
+    };
+    let schemes = [plutus_bench::Scheme::Pssm, plutus_bench::Scheme::Plutus];
+    plutus_bench::run_matrix(
+        exec,
+        &workloads,
+        &schemes,
+        workloads::Scale::Test,
+        &cfg,
+        &observe,
+    )
+    .expect("instrumented matrix must succeed");
+}
+
+/// The backticked name opening each table row of `text`.
+fn row_names(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|row| row.split('`').next())
 }
 
 /// Every counter, gauge and histogram name registered in `tel`.
@@ -228,12 +273,8 @@ fn metric_names(tel: &Telemetry) -> Vec<String> {
         .collect()
 }
 
-/// `tenant.t7.instructions` -> `tenant.t<id>.instructions`;
-/// `span.engine.fill.ns` -> `span.<name>.ns`.
+/// `tenant.t7.instructions` -> `tenant.t<id>.instructions`.
 fn normalize(name: &str) -> String {
-    if name.starts_with("span.") && name.ends_with(".ns") {
-        return "span.<name>.ns".to_string();
-    }
     if let Some(rest) = name.strip_prefix("tenant.t") {
         if let Some(dot) = rest.find('.') {
             if rest[..dot].chars().all(|c| c.is_ascii_digit()) {
