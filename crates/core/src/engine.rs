@@ -230,8 +230,8 @@ impl PlutusEngine {
 
     /// True while the value-verification fast path is in use (configured
     /// and not frozen by the degradation ladder). Under tenancy this is
-    /// the any-tenant view; per-address scoping is
-    /// [`Self::verifier_frozen_for`].
+    /// the any-tenant view; [`Self::verifier_active_for`] scopes it to
+    /// one tenant.
     pub fn verifier_active(&self) -> bool {
         self.verifier.is_some() && !self.verifier_frozen
     }

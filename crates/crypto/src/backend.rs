@@ -3,7 +3,8 @@
 //! The crate ships two interchangeable implementations of every primitive:
 //! the portable scalar T-table path (always available, the pinned reference
 //! for golden-file determinism suites) and an `x86_64` AES-NI + PCLMULQDQ
-//! path ([`crate::aesni`]) that pipelines batches of independent blocks.
+//! path (the private `aesni` module) that pipelines batches of
+//! independent blocks.
 //! Both produce byte-identical output — the SIMD path is a pure speedup, so
 //! simulated results never depend on the host CPU.
 //!

@@ -154,8 +154,13 @@ pub struct DramConfig {
 impl Default for DramConfig {
     /// HBM2-class channel: with 4 bank groups × 4 banks per pseudo-channel
     /// and 2 pseudo-channels, ~32 banks are concurrently schedulable per
-    /// partition, so random 32 B traffic is bus-limited rather than
-    /// activation-limited — the bandwidth-bound regime the paper studies.
+    /// partition. For random 32 B traffic the two limits nearly coincide:
+    /// 32 banks ÷ a 40-cycle activation (`t_rp + t_rcd`) allow 0.8
+    /// activations per cycle, and the 24 B/cycle bus moves 0.75 bursts
+    /// per cycle. Measured, scattered workloads are activation-bound
+    /// (no-security bfs: 70.7% of cycles in `bank_conflict`, 0% in
+    /// `bus_backlog`) and streaming ones mixed (stencil: 20.3% and
+    /// 42.9%); DESIGN.md lists the regime of each workload.
     fn default() -> Self {
         Self {
             bytes_per_cycle: 24.0,

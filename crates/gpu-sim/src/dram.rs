@@ -216,14 +216,6 @@ impl DramChannel {
         (self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas) + burst.ceil() as u64
     }
 
-    /// Instantaneous bus-queue depth in cycles as seen by a request at
-    /// `now` (diagnostic).
-    pub fn queue_depth_cycles(&self, now: u64) -> f64 {
-        let elapsed = (now as f64 - self.last_time).max(0.0);
-        ((self.backlog_bytes - elapsed * self.cfg.bytes_per_cycle) / self.cfg.bytes_per_cycle)
-            .max(0.0)
-    }
-
     /// Total bytes moved over this channel.
     pub fn bytes_transferred(&self) -> u64 {
         self.bytes_transferred

@@ -270,17 +270,20 @@ impl MetaFault {
 
 /// Timing plan for serving one L2 read miss.
 ///
-/// The simulator executes it as:
+/// The simulator books it in `Simulator::book_plan` (`sim.rs`), whose
+/// doc states the booking rule. In short:
 ///
 /// ```text
-/// t_meta  = max over pre_chains of (sequential DRAM reads in the chain)
-/// t_data  = DRAM read of the 32 B data sector (issued by the simulator)
-/// t_ready = max(t_meta, t_data) + crypto_latency
-/// if post_chain: t_ready = (sequential reads from t_ready) + post_latency
+/// t_data  = completion of the 32 B data-sector read (issued by the simulator)
+/// t_meta  = latest completion of the pre_chains reads
+/// t_ready = max(t_data, t_meta) + crypto_latency
+///           + one unloaded DRAM round trip per post_chain read + post_latency
 /// ```
 ///
-/// Metadata writebacks in `writes` are fire-and-forget (they consume
-/// bandwidth but nothing waits on them).
+/// A post-chain read's bandwidth is booked at the fill's start, not
+/// after decryption; its dependence shows only as the added round trip.
+/// Nothing waits on `async_reads` or the metadata writebacks in
+/// `writes`; they consume bandwidth only.
 #[derive(Debug, Clone, Default)]
 pub struct FillPlan {
     /// Parallel chains of *sequential* metadata reads required before the
@@ -307,7 +310,9 @@ pub struct FillPlan {
     pub verified_by_value: bool,
 }
 
-/// Timing plan for one dirty-sector writeback.
+/// Timing plan for one dirty-sector writeback, booked like a
+/// [`FillPlan`] without a post chain; the simulator's 32 B data write
+/// books after `async_reads`.
 #[derive(Debug, Clone, Default)]
 pub struct WritePlan {
     /// Parallel chains of sequential metadata reads needed to perform the

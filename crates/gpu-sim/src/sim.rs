@@ -6,14 +6,15 @@
 //! A pool of warps round-robins over the trace: each warp claims the next
 //! access, spends its `think_cycles`, then issues. Reads block the warp
 //! until the fill returns; writes are fire-and-forget (GPU store buffers).
-//! With the default 1024-warp pool, latency is hidden and throughput is set
+//! With the default 4096-warp pool, latency is hidden and throughput is set
 //! by DRAM bandwidth — the regime in which the paper's security-metadata
 //! traffic matters.
 //!
 //! Every L2 miss and dirty writeback is routed through the partition's
 //! [`SecurityEngine`], which returns a [`FillPlan`]/[`WritePlan`] of extra
-//! metadata DRAM requests and crypto latencies; the simulator books those
-//! on the partition's DRAM channel and classifies the traffic.
+//! metadata DRAM requests and crypto latencies; `Simulator::book_plan`
+//! books those on the partition's DRAM channel and classifies the
+//! traffic.
 
 use crate::address::{partition_of, SectorAddr, SECTOR_SIZE};
 use crate::cache::{EvictedSector, SectoredCache};
@@ -25,7 +26,8 @@ use crate::ledger::{CycleLedger, LedgerWeights, StallBucket, NUM_STALL_BUCKETS};
 use crate::mem::BackingMemory;
 use crate::queue::EventQueue;
 use crate::security::{
-    EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport, SecurityEngine, Violation,
+    DramReq, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport, SecurityEngine,
+    Violation, WritePlan,
 };
 use crate::stats::{
     DramStats, FaultOutcome, FaultRecord, SimStats, TrafficClass, TransientOutcome,
@@ -35,7 +37,6 @@ use crate::tenant::{TenantMap, TenantStat};
 use crate::trace::{AccessKind, Trace, TraceAccess};
 use crate::transient::{RetryPolicy, TransientConfig, TransientKind, TransientSampler};
 use plutus_telemetry::{Counter, Event as TelEvent, Gauge, Histogram, Telemetry, TraceId, Tracer};
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Initial-image sectors buffered per partition before one
@@ -136,10 +137,9 @@ struct Partition {
 /// deltas, exports, and cross-run aggregation see them. When telemetry
 /// is disabled every handle returns before any atomic operation.
 struct SimTelemetry {
-    /// Per-class DRAM read bytes, indexed by [`TrafficClass::idx`].
-    read_bytes: [Counter; 6],
-    /// Per-class DRAM write bytes.
-    write_bytes: [Counter; 6],
+    /// Per-class DRAM bytes, reads then writes, each indexed by
+    /// [`TrafficClass::idx`].
+    traffic_bytes: [[Counter; 6]; 2],
     l2_hits: Counter,
     l2_misses: Counter,
     mshr_merges: Counter,
@@ -157,20 +157,15 @@ struct SimTelemetry {
     /// The causal flight recorder (disarmed unless the run enabled
     /// tracing; every call against it is then a single compare).
     tracer: Tracer,
-    /// Root trace id of the demand access currently being served, so
-    /// `book_traffic` can attribute each transfer without threading an
-    /// argument through every plan-booking path.
-    cur_root: Cell<TraceId>,
 }
 
 impl SimTelemetry {
     fn new(tel: &Telemetry) -> Self {
-        let per_class = |dir: &str| {
-            TrafficClass::ALL.map(|c| tel.counter(&format!("traffic.{}.{dir}_bytes", c.label())))
-        };
         Self {
-            read_bytes: per_class("read"),
-            write_bytes: per_class("write"),
+            traffic_bytes: ["read", "write"].map(|dir| {
+                TrafficClass::ALL
+                    .map(|c| tel.counter(&format!("traffic.{}.{dir}_bytes", c.label())))
+            }),
             l2_hits: tel.counter("l2.hits"),
             l2_misses: tel.counter("l2.misses"),
             mshr_merges: tel.counter("mshr.merges"),
@@ -181,30 +176,8 @@ impl SimTelemetry {
             mshr_gauge: tel.gauge("mshr.occupancy"),
             fill_latency: tel.histogram("fill.latency_cycles"),
             tracer: tel.tracer(),
-            cur_root: Cell::new(TraceId::NONE),
         }
     }
-}
-
-/// Books one DRAM transfer into both the per-run [`SimStats`] and the
-/// shared registry (free function so callers can hold disjoint borrows of
-/// other `Simulator` fields).
-fn book_traffic(
-    stats: &mut SimStats,
-    tel: &SimTelemetry,
-    class: TrafficClass,
-    bytes: u64,
-    is_write: bool,
-    level: u32,
-) {
-    stats.record_traffic(class, bytes, is_write);
-    if is_write {
-        tel.write_bytes[class.idx()].add(bytes);
-    } else {
-        tel.read_bytes[class.idx()].add(bytes);
-    }
-    tel.tracer
-        .traffic(tel.cur_root.get(), class.label(), bytes, is_write, level);
 }
 
 /// Commits one activity span into the cycle ledger and mirrors the
@@ -238,6 +211,75 @@ fn weigh_breakdown(
     weights.add_class(class, rep.activation + rep.service);
     weights.add(StallBucket::BankConflict, rep.bank_wait);
     weights.add(StallBucket::BusBacklog, rep.backlog_wait);
+}
+
+/// One fill's or writeback's DRAM requests, borrowed from its
+/// [`FillPlan`] or [`WritePlan`], for `Simulator::book_plan`.
+struct Requests<'a> {
+    /// The 32 B data sector is written after the async reads (a
+    /// writeback) rather than read first (a fill).
+    data_write: bool,
+    pre_chains: &'a [Vec<DramReq>],
+    crypto_latency: u64,
+    post_chain: &'a [DramReq],
+    post_latency: u64,
+    async_reads: &'a [DramReq],
+    writes: &'a [DramReq],
+}
+
+impl<'a> From<&'a FillPlan> for Requests<'a> {
+    fn from(plan: &'a FillPlan) -> Self {
+        Requests {
+            data_write: false,
+            pre_chains: &plan.pre_chains,
+            crypto_latency: plan.crypto_latency,
+            post_chain: &plan.post_chain,
+            post_latency: plan.post_latency,
+            async_reads: &plan.async_reads,
+            writes: &plan.writes,
+        }
+    }
+}
+
+impl<'a> From<&'a WritePlan> for Requests<'a> {
+    fn from(plan: &'a WritePlan) -> Self {
+        Requests {
+            data_write: true,
+            pre_chains: &plan.pre_chains,
+            crypto_latency: plan.crypto_latency,
+            post_chain: &[],
+            post_latency: 0,
+            async_reads: &plan.async_reads,
+            writes: &plan.writes,
+        }
+    }
+}
+
+/// The disjoint `Simulator` borrows that booking one request needs.
+struct Booker<'a> {
+    dram: &'a mut DramChannel,
+    stats: &'a mut SimStats,
+    tel: &'a SimTelemetry,
+    weights: &'a mut LedgerWeights,
+    /// Trace root of the access the requests serve.
+    root: TraceId,
+}
+
+impl Booker<'_> {
+    /// Books `req` on the channel at cycle `at`, weighs its wait into
+    /// the ledger weights, and records its bytes in [`SimStats`], the
+    /// registry and the flight recorder. Returns its completion cycle.
+    fn book(&mut self, at: u64, req: &DramReq, is_write: bool) -> u64 {
+        let rep = self.dram.access_report(at, req.addr, req.bytes);
+        weigh_breakdown(self.weights, req.class, &rep);
+        let bytes = u64::from(req.bytes);
+        self.stats.record_traffic(req.class, bytes, is_write);
+        self.tel.traffic_bytes[usize::from(is_write)][req.class.idx()].add(bytes);
+        self.tel
+            .tracer
+            .traffic(self.root, req.class.label(), bytes, is_write, req.level);
+        rep.done
+    }
 }
 
 /// Result of a completed simulation.
@@ -922,10 +964,11 @@ impl Simulator {
         }
     }
 
-    /// Books a detected violation into stats and telemetry. `latency` is
+    /// Books a detected violation into stats and telemetry, marking it
+    /// under the trace root `root` of the detecting access. `latency` is
     /// the verification latency of the detecting request (0 on the
     /// writeback path, which nothing waits on).
-    fn record_violation(&mut self, now: u64, v: Violation, latency: u64) {
+    fn record_violation(&mut self, now: u64, v: Violation, latency: u64, root: TraceId) {
         self.stats.violations += 1;
         self.simtel.violations.inc();
         let tenant = self.tenants.tenant_of(v.addr());
@@ -948,12 +991,9 @@ impl Simulator {
                 latency,
             });
         }
-        self.simtel.tracer.mark(
-            self.simtel.cur_root.get(),
-            "violation",
-            v.addr().raw(),
-            latency,
-        );
+        self.simtel
+            .tracer
+            .mark(root, "violation", v.addr().raw(), latency);
     }
 
     /// Resolves the armed fault on `sector` (if any) into a fault record,
@@ -1095,10 +1135,9 @@ impl Simulator {
     }
 
     fn schedule_arrive(&mut self, time: u64, access: TraceAccess, warp: u32) {
-        // The issuing warp id rides in `think_cycles`' place? No — pack it
-        // into the access via the MSHR at arrival. We must carry it through
-        // the event instead: reads encode the warp in `data_idx`, which is
-        // unused for reads.
+        // A read carries its issuing warp to `arrive` in `data_idx`, which
+        // only writes use, so the warp can be woken when the read is
+        // served.
         let mut tagged = access;
         if access.kind == AccessKind::Read {
             tagged.data_idx = warp;
@@ -1219,143 +1258,103 @@ impl Simulator {
         }
     }
 
-    /// Books the data + metadata DRAM requests of one fill attempt
-    /// starting at `start`, accumulating stall-attribution weights into
-    /// `weights`. Returns `(ready, end)`: the cycle at which the verified
-    /// plaintext is ready at the controller, and the end of all DRAM
-    /// activity booked by this attempt (≥ `ready`; async reads and
-    /// writes can outlive the fill).
-    fn book_fill_plan(
+    /// Books one fill's or writeback's DRAM requests on partition
+    /// `p_idx`, issued at `start`: the one place the simulator books DRAM
+    /// traffic. The order is fixed: the 32 B data read (fills), each
+    /// metadata chain in `pre_chains`, the post-decryption chain, the
+    /// async reads, the 32 B data write (writebacks), the metadata writes.
+    ///
+    /// Every request books its bus bandwidth at `start`, and dependence
+    /// extends latency only: bandwidth contention stays exact while
+    /// latency, which the warp pool hides, is approximated. Two rules
+    /// follow from that:
+    ///
+    /// - Under [`GpuConfig::serial_metadata_chains`] a chain's dependent
+    ///   fetch books when its predecessor completes, so it sees the
+    ///   backlog built up by then and adds its bytes to what later
+    ///   fetches see. Otherwise (index-computable addresses) a whole
+    ///   chain books at `start`.
+    /// - A post-chain read (Plutus's deferred MAC) issues after
+    ///   decryption, but booking it then would drag the monotonic channel
+    ///   clock forward and serialize every later request on the
+    ///   partition. It books at `start` and adds one unloaded round trip
+    ///   to `ready`, weighed to its class.
+    ///
+    /// Each request's wait is weighed into `weights`, and its bytes are
+    /// attributed to the trace root `root`. The crypto time, meaning
+    /// `crypto_latency` plus `post_latency`, is weighed to
+    /// [`StallBucket::MetaMac`] when the plan has any metadata request
+    /// (the MAC check is what serializes), else to
+    /// [`StallBucket::DataFill`].
+    ///
+    /// Returns `(ready, end)`. `ready` is when the data transfer and every
+    /// chain are done, plus crypto and post-chain time: a fill's verified
+    /// plaintext, or a writeback's drained write. `end` (≥ `ready`) also
+    /// covers the async reads and metadata writes, which nothing waits
+    /// on. The horizon advances to `end`.
+    fn book_plan(
         &mut self,
-        start: u64,
         p_idx: usize,
+        start: u64,
         sector: SectorAddr,
-        plan: &FillPlan,
+        reqs: Requests<'_>,
+        root: TraceId,
         weights: &mut LedgerWeights,
     ) -> (u64, u64) {
-        let part = &mut self.partitions[p_idx];
-        // All of a fill's DRAM requests book bus bandwidth at issue time;
-        // dependence chains (counter → tree levels, deferred MAC) extend
-        // the fill's *latency* only. Bandwidth contention stays exact while
-        // latency — which the warp pool hides — is approximated, keeping
-        // the simulator in the paper's bandwidth-bound regime.
-        let rep = part
-            .dram
-            .access_report(start, sector.raw(), SECTOR_SIZE as u32);
-        weigh_breakdown(weights, TrafficClass::Data, &rep);
-        let data_done = rep.done;
-        book_traffic(
-            &mut self.stats,
-            &self.simtel,
-            TrafficClass::Data,
-            SECTOR_SIZE,
-            false,
-            0,
-        );
-
-        let mut ready = data_done;
-        let mut end = data_done;
         let serial = self.cfg.serial_metadata_chains;
-        for chain in &plan.pre_chains {
+        let mut b = Booker {
+            dram: &mut self.partitions[p_idx].dram,
+            stats: &mut self.stats,
+            tel: &self.simtel,
+            weights,
+            root,
+        };
+        let data = DramReq::new(sector.raw(), SECTOR_SIZE as u32, TrafficClass::Data);
+        let mut ready = start;
+        if !reqs.data_write {
+            ready = b.book(start, &data, false);
+        }
+        for chain in reqs.pre_chains {
             let mut t = start;
             for (i, req) in chain.iter().enumerate() {
-                // Serial chains issue each dependent fetch when its
-                // predecessor returns: book it at `t` so it both observes
-                // the backlog that has built up by then and contributes
-                // its own bytes to the backlog later fetches see.
-                // Parallel chains (index-computable addresses) all issue
-                // at `start`.
                 let issue_at = if serial && i > 0 { t } else { start };
-                let rep = part.dram.access_report(issue_at, req.addr, req.bytes);
-                weigh_breakdown(weights, req.class, &rep);
-                t = t.max(rep.done);
-                book_traffic(
-                    &mut self.stats,
-                    &self.simtel,
-                    req.class,
-                    req.bytes as u64,
-                    false,
-                    req.level,
-                );
+                t = t.max(b.book(issue_at, req, false));
             }
             ready = ready.max(t);
         }
-        ready += plan.crypto_latency;
-        if !plan.post_chain.is_empty() || plan.post_latency > 0 {
-            for req in &plan.post_chain {
-                // Post-chain fetches (deferred MAC) issue after the data
-                // returns, but their *bandwidth* is still booked at the
-                // fill's start: the fluid-queue channel clock is
-                // monotonic in event time, and booking at the future
-                // `ready` would drag it forward and serialize every
-                // later fill on this partition. The dependence cost is
-                // charged additively as an unloaded round trip instead
-                // (bandwidth exact, latency approximated — see the
-                // header comment).
-                let rep = part.dram.access_report(start, req.addr, req.bytes);
-                weigh_breakdown(weights, req.class, &rep);
-                let unloaded = part.dram.unloaded_latency(req.bytes);
-                weights.add_class(req.class, unloaded);
-                ready += unloaded;
-                book_traffic(
-                    &mut self.stats,
-                    &self.simtel,
-                    req.class,
-                    req.bytes as u64,
-                    false,
-                    req.level,
-                );
-            }
-            ready += plan.post_latency;
+        // Crypto and each post-chain round trip follow the transfers.
+        let crypto = reqs.crypto_latency + reqs.post_latency;
+        let mut after = crypto;
+        for req in reqs.post_chain {
+            b.book(start, req, false);
+            let unloaded = b.dram.unloaded_latency(req.bytes);
+            b.weights.add_class(req.class, unloaded);
+            after += unloaded;
         }
-        for req in &plan.async_reads {
-            let rep = part.dram.access_report(start, req.addr, req.bytes);
-            weigh_breakdown(weights, req.class, &rep);
-            end = end.max(rep.done);
-            self.horizon = self.horizon.max(rep.done); // DRAM activity retires
-            book_traffic(
-                &mut self.stats,
-                &self.simtel,
-                req.class,
-                req.bytes as u64,
-                false,
-                req.level,
-            );
+        let mut end = start;
+        for req in reqs.async_reads {
+            end = end.max(b.book(start, req, false));
         }
-        for req in &plan.writes {
-            let rep = part.dram.access_report(start, req.addr, req.bytes);
-            weigh_breakdown(weights, req.class, &rep);
-            end = end.max(rep.done);
-            self.horizon = self.horizon.max(rep.done); // DRAM activity retires
-            book_traffic(
-                &mut self.stats,
-                &self.simtel,
-                req.class,
-                req.bytes as u64,
-                true,
-                req.level,
-            );
+        if reqs.data_write {
+            ready = ready.max(b.book(start, &data, true));
         }
-        // Crypto/verification pipeline time: charged to the MAC bucket
-        // when the plan carries security metadata (the hash/MAC check is
-        // what serializes), to the data bucket otherwise.
-        let crypto = plan.crypto_latency + plan.post_latency;
-        if crypto > 0 {
-            let has_meta = !plan.pre_chains.is_empty()
-                || !plan.post_chain.is_empty()
-                || !plan.async_reads.is_empty()
-                || !plan.writes.is_empty();
-            weights.add(
-                if has_meta {
-                    StallBucket::MetaMac
-                } else {
-                    StallBucket::DataFill
-                },
-                crypto,
-            );
+        for req in reqs.writes {
+            end = end.max(b.book(start, req, true));
         }
-        self.horizon = self.horizon.max(ready); // fill readiness retires
-        (ready, end.max(ready))
+        let has_meta = !(reqs.pre_chains.is_empty()
+            && reqs.post_chain.is_empty()
+            && reqs.async_reads.is_empty()
+            && reqs.writes.is_empty());
+        let bucket = if has_meta {
+            StallBucket::MetaMac
+        } else {
+            StallBucket::DataFill
+        };
+        b.weights.add(bucket, crypto);
+        let ready = ready + after;
+        let end = end.max(ready);
+        self.horizon = self.horizon.max(end); // DRAM activity retires
+        (ready, end)
     }
 
     /// Samples the soft-error process for this fill and, if a fault
@@ -1427,7 +1426,6 @@ impl Simulator {
     ) -> (u64, [u8; 32]) {
         self.fill_ordinal += 1;
         let root = self.simtel.tracer.begin("fill", sector.raw());
-        self.simtel.cur_root.set(root);
         let transient = self.begin_transient(now, p_idx, sector);
         let mut transient_active = transient.is_some();
         let mut transient_tripped = false;
@@ -1441,7 +1439,8 @@ impl Simulator {
             if attempt == 0 {
                 weights.add(StallBucket::MshrFull, mshr_wait);
             }
-            let (ready, end) = self.book_fill_plan(start, p_idx, sector, &plan, &mut weights);
+            let (ready, end) =
+                self.book_plan(p_idx, start, sector, (&plan).into(), root, &mut weights);
             if plan.violation.is_some() && attempt < self.retry.limit {
                 // Failed verification with retries remaining: undo any
                 // in-flight transient (a re-fetch observes clean data),
@@ -1536,7 +1535,7 @@ impl Simulator {
             }
             let latency = ready.saturating_sub(now);
             if let Some(v) = plan.violation {
-                self.record_violation(now, v, latency);
+                self.record_violation(now, v, latency, root);
             }
             if !self.armed.is_empty() {
                 self.resolve_armed(sector, |armed| match plan.violation {
@@ -1552,7 +1551,6 @@ impl Simulator {
             self.stats.fill_latency_sum += latency;
             self.stats.fill_count += 1;
             self.simtel.fill_latency.record(latency);
-            self.simtel.cur_root.set(TraceId::NONE);
             commit_ledger(
                 &mut self.ledger,
                 &self.simtel,
@@ -1576,96 +1574,11 @@ impl Simulator {
 
     fn writeback(&mut self, now: u64, p_idx: usize, sector: SectorAddr, data: &[u8; 32]) {
         let root = self.simtel.tracer.begin("writeback", sector.raw());
-        self.simtel.cur_root.set(root);
         let part = &mut self.partitions[p_idx];
         part.engine.begin_access_trace(root);
         let plan = part.engine.on_writeback(sector, data, &mut self.backing);
-        let serial = self.cfg.serial_metadata_chains;
         let mut weights = LedgerWeights::default();
-        let mut meta_ready = now;
-        let mut end = now;
-        for chain in &plan.pre_chains {
-            let mut t = now;
-            for (i, req) in chain.iter().enumerate() {
-                // Same rule as `book_fill_plan`: serial dependent fetches
-                // are booked at the time they actually issue.
-                let issue_at = if serial && i > 0 { t } else { now };
-                let rep = part.dram.access_report(issue_at, req.addr, req.bytes);
-                weigh_breakdown(&mut weights, req.class, &rep);
-                t = t.max(rep.done);
-                book_traffic(
-                    &mut self.stats,
-                    &self.simtel,
-                    req.class,
-                    req.bytes as u64,
-                    false,
-                    req.level,
-                );
-            }
-            meta_ready = meta_ready.max(t);
-        }
-        end = end.max(meta_ready);
-        for req in &plan.async_reads {
-            let rep = part.dram.access_report(now, req.addr, req.bytes);
-            weigh_breakdown(&mut weights, req.class, &rep);
-            end = end.max(rep.done);
-            self.horizon = self.horizon.max(rep.done); // DRAM activity retires
-            book_traffic(
-                &mut self.stats,
-                &self.simtel,
-                req.class,
-                req.bytes as u64,
-                false,
-                req.level,
-            );
-        }
-        // The encrypted data and metadata writes drain from the write
-        // buffer; their bandwidth is booked immediately, and the pipeline
-        // latency (crypto) only extends the horizon.
-        let rep = part
-            .dram
-            .access_report(now, sector.raw(), SECTOR_SIZE as u32);
-        weigh_breakdown(&mut weights, TrafficClass::Data, &rep);
-        let wb_done = rep.done.max(meta_ready) + plan.crypto_latency;
-        end = end.max(wb_done);
-        self.horizon = self.horizon.max(wb_done); // writeback drain retires
-        book_traffic(
-            &mut self.stats,
-            &self.simtel,
-            TrafficClass::Data,
-            SECTOR_SIZE,
-            true,
-            0,
-        );
-        for req in &plan.writes {
-            let rep = part.dram.access_report(now, req.addr, req.bytes);
-            weigh_breakdown(&mut weights, req.class, &rep);
-            end = end.max(rep.done);
-            self.horizon = self.horizon.max(rep.done); // DRAM activity retires
-            book_traffic(
-                &mut self.stats,
-                &self.simtel,
-                req.class,
-                req.bytes as u64,
-                true,
-                req.level,
-            );
-        }
-        // Crypto pipeline time on the writeback path follows the fill
-        // rule: metadata-bearing plans charge the MAC bucket.
-        if plan.crypto_latency > 0 {
-            let has_meta = !plan.pre_chains.is_empty()
-                || !plan.async_reads.is_empty()
-                || !plan.writes.is_empty();
-            weights.add(
-                if has_meta {
-                    StallBucket::MetaMac
-                } else {
-                    StallBucket::DataFill
-                },
-                plan.crypto_latency,
-            );
-        }
+        let (_, end) = self.book_plan(p_idx, now, sector, (&plan).into(), root, &mut weights);
         commit_ledger(
             &mut self.ledger,
             &self.simtel,
@@ -1676,9 +1589,8 @@ impl Simulator {
             StallBucket::DataFill,
         );
         if let Some(v) = plan.violation {
-            self.record_violation(now, v, 0);
+            self.record_violation(now, v, 0, root);
         }
-        self.simtel.cur_root.set(TraceId::NONE);
         if !self.armed.is_empty() {
             // A writeback either trips verification (metadata fetched for
             // the read-modify-write fails) or overwrites the faulted state
@@ -2111,61 +2023,78 @@ mod tests {
 
     #[test]
     fn serial_chain_requests_book_at_dependent_time() {
-        use crate::security::{DramReq, FillPlan};
-        // Book one fill with a serial two-element metadata chain onto a
-        // saturated channel, once with serial chains and once with
-        // parallel ones. `backlog_bytes_at` clamps a past `now` up to the
-        // channel's last issue time, so probing at cycle 100 reads the
-        // queue as of the latest booking: for the serial chain that is
-        // the dependent element's issue time t1 (= its predecessor's
-        // completion, after the burst drained), where only the dependent
-        // element's own bytes remain queued.
-        let book = |serial: bool| {
+        use crate::security::{DramReq, FillPlan, WritePlan};
+        // Book one fill, and one writeback, with a serial two-element
+        // metadata chain onto a saturated channel, once with serial
+        // chains and once with parallel ones. `backlog_bytes_at` clamps a
+        // past `now` up to the channel's last issue time, so probing at
+        // cycle 100 reads the queue as of the latest booking: for the
+        // serial chain that is the dependent element's issue time t1 (=
+        // its predecessor's completion, after the burst drained), where
+        // only the dependent element's own bytes remain queued, plus a
+        // writeback's 32 B data write, which books after the chains.
+        let book = |serial: bool, writeback: bool| {
             let mut cfg = GpuConfig::test_small();
             cfg.serial_metadata_chains = serial;
             let mut sim = Simulator::new(cfg, Trace::new("sat"), &NoSecurityEngine::factory());
             // 24 KiB burst at cycle 0: ~1024 cycles of bus backlog at
             // 24 B/cycle.
             sim.partitions[0].dram.access_report(0, 0, 24 * 1024);
-            let plan = FillPlan {
-                pre_chains: vec![vec![
-                    DramReq::new(0x10_0000, 32, TrafficClass::Counter),
-                    DramReq::new(0x20_0000, 4096, TrafficClass::BmtNode),
-                ]],
+            let pre_chains = vec![vec![
+                DramReq::new(0x10_0000, 32, TrafficClass::Counter),
+                DramReq::new(0x20_0000, 4096, TrafficClass::BmtNode),
+            ]];
+            let fill = FillPlan {
+                pre_chains: pre_chains.clone(),
                 ..FillPlan::default()
             };
+            let write = WritePlan {
+                pre_chains,
+                ..WritePlan::default()
+            };
+            let reqs = if writeback {
+                Requests::from(&write)
+            } else {
+                Requests::from(&fill)
+            };
             let mut w = LedgerWeights::default();
-            let (ready, _end) = sim.book_fill_plan(0, 0, SectorAddr::new(0x40), &plan, &mut w);
+            let (ready, _end) =
+                sim.book_plan(0, 0, SectorAddr::new(0x40), reqs, TraceId::NONE, &mut w);
             let backlog = sim.partitions[0].dram.backlog_bytes_at(100);
             (ready, backlog)
         };
-        let (ready_serial, backlog_serial) = book(true);
-        let (ready_parallel, backlog_parallel) = book(false);
-        // Serial: the dependent 4 KiB element was booked at t1 ≈ 1060,
-        // after the burst drained — it is the only thing in the queue.
-        // Booking it at the fill's start (the old bug) would leave the
-        // channel clock at 0 and the probe would see the whole burst.
-        assert!(
-            backlog_serial <= 4096,
-            "dependent fetch must be booked at its issue time t1, after \
-             the burst drained (backlog {backlog_serial})"
-        );
-        assert!(
-            backlog_serial >= 4000,
-            "dependent fetch's bytes must enter the backlog at t1 \
-             (backlog {backlog_serial})"
-        );
-        // Parallel: everything was booked at cycle 0; mid-drain the burst
-        // still dominates the queue.
-        assert!(
-            backlog_parallel > 20_000,
-            "parallel chains book at fill start (backlog {backlog_parallel})"
-        );
-        assert!(
-            ready_serial >= ready_parallel,
-            "serialized chain cannot be faster than a parallel one \
-             ({ready_serial} vs {ready_parallel})"
-        );
+        for writeback in [false, true] {
+            let (ready_serial, backlog_serial) = book(true, writeback);
+            let (ready_parallel, backlog_parallel) = book(false, writeback);
+            let after_chain = if writeback { 32 } else { 0 };
+            // Serial: the dependent 4 KiB element was booked at t1 ≈ 1060,
+            // after the burst drained — it is the only thing in the queue
+            // but for what books after it. Booking it at the plan's start
+            // (the old bug) would leave the channel clock at 0 and the
+            // probe would see the whole burst.
+            assert!(
+                backlog_serial <= 4096 + after_chain,
+                "dependent fetch must be booked at its issue time t1, after \
+                 the burst drained (writeback {writeback}, backlog {backlog_serial})"
+            );
+            assert!(
+                backlog_serial >= 4000,
+                "dependent fetch's bytes must enter the backlog at t1 \
+                 (writeback {writeback}, backlog {backlog_serial})"
+            );
+            // Parallel: everything was booked at cycle 0; mid-drain the
+            // burst still dominates the queue.
+            assert!(
+                backlog_parallel > 20_000,
+                "parallel chains book at the plan's start \
+                 (writeback {writeback}, backlog {backlog_parallel})"
+            );
+            assert!(
+                ready_serial >= ready_parallel,
+                "serialized chain cannot be faster than a parallel one \
+                 (writeback {writeback}, {ready_serial} vs {ready_parallel})"
+            );
+        }
     }
 
     #[test]

@@ -94,7 +94,8 @@ fn cache_probe_agrees_with_access() {
 }
 
 /// DRAM completions respect arrival time plus minimum service, and a dense
-/// batch never exceeds the configured bandwidth.
+/// batch never exceeds either throughput bound: the bus bandwidth or the
+/// activation rate of its busiest bank.
 #[test]
 fn dram_respects_time_and_bandwidth() {
     for seed in 0..SEEDS {
@@ -102,6 +103,7 @@ fn dram_respects_time_and_bandwidth() {
         let n = rng.gen_range(1..200);
         let cfg = DramConfig::default();
         let bpc = cfg.bytes_per_cycle;
+        let activation = cfg.t_rp + cfg.t_rcd;
         let mut d = DramChannel::new(cfg);
         let mut last_done = 0u64;
         let mut total = 0u64;
@@ -116,6 +118,15 @@ fn dram_respects_time_and_bandwidth() {
         // Bandwidth cap: the whole batch cannot finish faster than the bus
         // can move its bytes.
         assert!((last_done as f64) + 1e-9 >= total as f64 / bpc);
+        // Activation cap: a bank serializes its row activations, so the
+        // batch cannot finish before its busiest bank has opened every
+        // row it missed.
+        let busiest = d.bank_stats().iter().map(|b| b.row_misses).max();
+        let activations = busiest.unwrap_or(0) * activation;
+        assert!(
+            last_done >= activations,
+            "done at {last_done} before {activations} cycles of activations (seed {seed})"
+        );
         assert_eq!(d.bytes_transferred(), total);
     }
 }

@@ -327,14 +327,6 @@ impl EventLog {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// The most events the log ever held at once (a gauge of how close
-    /// the run came to the capacity bound; at least `capacity` when any
-    /// event was dropped, and past it by the markers kept since). The
-    /// log never shrinks, so this is its length.
-    pub fn high_water(&self) -> u64 {
-        self.len() as u64
-    }
-
     /// A copy of the events retained after the first `cursor`, oldest
     /// first (empty when `cursor` is at or past the end).
     pub fn since(&self, cursor: usize) -> Vec<TimedEvent> {
@@ -382,8 +374,6 @@ mod tests {
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
-        // Overflow pins the high-water mark at capacity.
-        assert_eq!(log.high_water(), 2);
     }
 
     #[test]
@@ -424,7 +414,7 @@ mod tests {
             ]
         );
         assert_eq!(log.dropped(), 2);
-        assert_eq!(log.high_water(), 5);
+        assert_eq!(log.len(), 5);
     }
 
     #[test]
@@ -445,28 +435,11 @@ mod tests {
     }
 
     #[test]
-    fn high_water_tracks_peak_occupancy() {
-        let log = EventLog::with_capacity(3);
-        assert_eq!(log.high_water(), 0);
-        log.record(0, checkpoint(0));
-        log.record(1, checkpoint(1));
-        assert_eq!(log.high_water(), 2);
-        log.record(2, checkpoint(2));
-        log.record(3, checkpoint(3));
-        assert_eq!(log.high_water(), 3);
-        assert_eq!(log.dropped(), 1);
-        // A marker kept past the bound raises the peak past capacity.
-        log.record(4, run_start("bfs"));
-        assert_eq!(log.high_water(), 4);
-    }
-
-    #[test]
     fn disabled_log_records_nothing() {
         let log = EventLog::disabled();
         log.record(0, checkpoint(0));
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
-        assert_eq!(log.high_water(), 0);
     }
 
     #[test]

@@ -48,9 +48,6 @@ pub struct Report {
     pub events: Vec<TimedEvent>,
     /// Events dropped because the log was full.
     pub events_dropped: u64,
-    /// Peak event-log occupancy over the run (at least the log capacity
-    /// when any event was dropped).
-    pub events_high_water: u64,
 }
 
 impl From<FieldValue> for Json {
@@ -141,8 +138,7 @@ impl Report {
                     .set("time_unit", self.time_unit)
                     .set("snapshot_time", self.totals.time)
                     .set("epochs", self.epochs.len())
-                    .set("events_dropped", self.events_dropped)
-                    .set("events_high_water", self.events_high_water),
+                    .set("events_dropped", self.events_dropped),
             )
             .set("counters", counters)
             .set("gauges", gauges)
@@ -243,10 +239,9 @@ impl Report {
             .unwrap_or(8)
             .max(8);
         out.push_str(&format!(
-            "telemetry summary ({} epochs, {} events, peak {}{})\n",
+            "telemetry summary ({} epochs, {} events{})\n",
             self.epochs.len(),
             self.events.len(),
-            self.events_high_water,
             if self.events_dropped > 0 {
                 format!(", {} dropped", self.events_dropped)
             } else {
@@ -312,7 +307,6 @@ mod tests {
                 event: Event::Checkpoint { cycle: 42 },
             }],
             events_dropped: 0,
-            events_high_water: 1,
         }
     }
 

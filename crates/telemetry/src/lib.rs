@@ -300,7 +300,6 @@ impl Telemetry {
             epochs: self.epochs(),
             events: self.inner.events.to_vec(),
             events_dropped: self.inner.events.dropped(),
-            events_high_water: self.inner.events.high_water(),
         }
     }
 }
@@ -463,16 +462,5 @@ mod tests {
         let tel = Telemetry::new();
         // Header flush fails already — stream_to surfaces it.
         assert!(tel.stream_to(Box::new(Failing)).is_err());
-    }
-
-    #[test]
-    fn report_surfaces_event_high_water() {
-        let tel = Telemetry::with_event_capacity(Arc::new(NullClock), 2);
-        for cycle in 0..3 {
-            tel.event(Event::Checkpoint { cycle });
-        }
-        let r = tel.report();
-        assert_eq!(r.events_dropped, 1);
-        assert_eq!(r.events_high_water, 2);
     }
 }

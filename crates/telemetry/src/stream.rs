@@ -325,5 +325,7 @@ mod tests {
             .map(|l| l.get("events_dropped").and_then(Json::as_u64).unwrap())
             .collect();
         assert_eq!(dropped, [2, 5]);
+        // The export reports the same cumulative drop count.
+        assert_eq!(tel.report().events_dropped, 5);
     }
 }
