@@ -60,9 +60,9 @@
 //! (per-class traffic counters, cache hit/miss counters, latency
 //! histograms, per-run epoch snapshots, typed events) and writes it to
 //! `<path>` on exit, as CSV when the path ends in `.csv` and as JSON
-//! otherwise. Whenever `--metrics-out`, `--stream-out` or
-//! `--serve-metrics` reads the registry, matrix runs feed it one at a
-//! time, each closing one epoch labelled `workload/scheme`;
+//! otherwise. Whenever `--metrics-out` or `--stream-out` reads the
+//! registry, matrix runs feed it one at a time, each closing one epoch
+//! labelled `workload/scheme`;
 //! `--epoch-cycles N` additionally closes an epoch every N simulated
 //! cycles inside each run.
 //!
@@ -116,11 +116,8 @@
 //! self-describing and diffable. `--stream-out FILE|-` streams one
 //! NDJSON line per closed telemetry epoch (metric deltas + typed
 //! events) the moment the epoch closes; a slow consumer drops lines
-//! instead of stalling the run. `--serve-metrics ADDR` exposes the
-//! live registry at `http://ADDR/metrics` in Prometheus text format.
-//! Storm/soak rows feed per-tenant SLO detectors (EWMA z-scores plus
-//! hard IPC-floor/violation-ceiling checks); `--slo-gate` adds any hard
-//! breach to the storm gate. `experiments obs-diff A B [--tolerance F]`
+//! instead of stalling the run; storm/soak campaigns close one epoch
+//! per row. `experiments obs-diff A B [--tolerance F]`
 //! compares two run directories — manifests first, then every shared
 //! JSON report leaf by leaf — exiting 1 on regressions beyond the
 //! tolerance and 2 when the runs are incompatible or share no report.
@@ -143,8 +140,8 @@ use plutus_recovery::{
     CrashCampaignConfig, StormCampaignConfig, TransientCampaignConfig,
 };
 use plutus_telemetry::{
-    save_report, CycleClock, Event, Gate, GateFailure, Json, MetricsServer, SloPolicy, SloTracker,
-    Telemetry, DEFAULT_TRACE_CAPACITY, MANIFEST_FILE, MANIFEST_SCHEMA,
+    save_report, CycleClock, Event, GateFailure, Json, Telemetry, DEFAULT_TRACE_CAPACITY,
+    MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use secure_mem::SecureMemConfig;
 use std::collections::HashMap;
@@ -217,18 +214,12 @@ const FLAGS: &[Flag] = &[
     takes("--checkpoint-cycles", "a positive integer", positive),
     takes("--tenants", "a positive victim count", positive),
     switch("--inject-breach"),
-    switch("--slo-gate"),
     takes("--tolerance", "a non-negative fraction", |v| {
         v.parse::<f64>().is_ok_and(|t| t >= 0.0 && t.is_finite())
     }),
     takes("--metrics-out", "a path", any),
     takes("--epoch-cycles", "a positive integer", positive),
     takes("--stream-out", "a path (or '-' for stdout)", any),
-    takes(
-        "--serve-metrics",
-        "a bind address (e.g. 127.0.0.1:9184)",
-        any,
-    ),
     takes("--run-dir", "a directory", any),
     takes("--trace-out", "a path", any),
     takes("--trace-sample", "a positive integer", positive),
@@ -430,8 +421,8 @@ struct Args {
     tel: Telemetry,
     exec: Executor,
     /// How matrix runs are observed: they feed the shared registry when
-    /// `--metrics-out`, `--stream-out` or `--serve-metrics` reads it, and
-    /// arm the flight recorder under `--trace-out`.
+    /// `--metrics-out` or `--stream-out` reads it, and arm the flight
+    /// recorder under `--trace-out`.
     observe: Observe,
 }
 
@@ -543,14 +534,6 @@ fn parse_args(tel: &Telemetry) -> Args {
     eprintln!("crypto backend: {active_backend}");
     tel.gauge("crypto.backend_simd")
         .set(u64::from(active_backend == CryptoBackend::AesNi));
-    if flags.on("--slo-gate") && !matches!(flags.get("--campaign"), Some("storm" | "soak")) {
-        fail(
-            tel,
-            "--slo-gate only applies to --campaign storm|soak (the SLO tracker is fed by \
-             storm rows)"
-                .into(),
-        );
-    }
     // Arm the run directory before any writer runs: every report
     // (campaign JSON/CSV, figures, metrics, ledger, trace, bench)
     // routes through `plutus_telemetry::report_dir()`/`in_run_dir`,
@@ -587,12 +570,8 @@ fn parse_args(tel: &Telemetry) -> Args {
     if let Some(secs) = flags.value("--heartbeat") {
         exec.set_heartbeat(std::time::Duration::from_secs(secs));
     }
-    let feeds_registry = ["--metrics-out", "--stream-out", "--serve-metrics"];
     let observe = Observe {
-        registry: feeds_registry
-            .iter()
-            .any(|f| flags.on(f))
-            .then(|| tel.clone()),
+        registry: (flags.on("--metrics-out") || flags.on("--stream-out")).then(|| tel.clone()),
         epoch_cycles: flags.value("--epoch-cycles"),
         trace: flags.on("--trace-out").then(|| {
             let sample = flags.value("--trace-sample").unwrap_or(1);
@@ -796,21 +775,11 @@ fn run_storm_cli(args: &Args, soak: bool) {
     );
     // Every campaign row flows through the observer on this thread, in
     // a fixed phase order regardless of worker count: mirror it into
-    // the live registry (one telemetry epoch per row, so `--stream-out`
-    // and `--serve-metrics` show campaign progress), then feed the SLO
-    // detectors — advisory EWMA z-scores over per-row series plus the
-    // hard per-tenant floors/ceilings `--slo-gate` enforces.
+    // the live registry, one telemetry epoch per row, so `--stream-out`
+    // shows campaign progress.
     let tel = args.tel.clone();
-    let mut slo = SloTracker::new(SloPolicy::default());
-    let ipc_floor = 1.0 - campaign.ipc_tolerance;
     let rows = {
         let mut observe_row = |row: &plutus_recovery::StormRow| {
-            for (t, ipc) in &row.victim_ipc {
-                tel.gauge(&format!("tenant.t{t}.ipc_milli"))
-                    .set((ipc * 1000.0).max(0.0) as u64);
-            }
-            tel.gauge("storm.min_ipc_ratio_milli")
-                .set((row.min_ipc_ratio * 1000.0).max(0.0) as u64);
             tel.counter("storm.victim_violations")
                 .add(row.victim_violations);
             tel.counter("storm.deferred").add(row.storm_deferred);
@@ -821,64 +790,15 @@ fn run_storm_cli(args: &Args, soak: bool) {
                 .add(row.faults_adjudicated);
             tel.counter("storm.transients_escalated")
                 .add(row.transients_escalated);
-            let mut found = Vec::new();
-            for (t, ipc) in &row.victim_ipc {
-                found.extend(slo.observe(&format!("{}.tenant.t{t}.ipc", row.scheme), *ipc));
-            }
-            for (series, value) in [
-                ("victim_violations", row.victim_violations as f64),
-                ("rotated_sectors", row.rotated_sectors as f64),
-                ("transients_escalated", row.transients_escalated as f64),
-                ("storm_deferred", row.storm_deferred as f64),
-            ] {
-                found.extend(slo.observe(&format!("{}.{series}", row.scheme), value));
-            }
-            let key = format!("{}/{}", row.scheme, row.phase);
-            found.extend(slo.check_ceiling(
-                &format!("{key}.victim_violations"),
-                row.victim_violations as f64,
-                0.0,
-            ));
-            found.extend(slo.check_ceiling(
-                &format!("{key}.victim_frozen"),
-                row.victim_frozen as f64,
-                0.0,
-            ));
-            found.extend(slo.check_floor(
-                &format!("{key}.min_ipc_ratio"),
-                row.min_ipc_ratio,
-                ipc_floor,
-            ));
-            for a in found {
-                tel.event(a.to_event());
-            }
-            tel.end_epoch(&key);
+            tel.end_epoch(&format!("{}/{}", row.scheme, row.phase));
         };
         run_storm_campaign_observed(&args.exec, &campaign, &cfg, &mut observe_row)
     };
-    let advisories = slo.anomalies().iter().filter(|a| !a.gating).count();
-    if advisories > 0 {
-        println!("slo: {advisories} advisory anomalies flagged (streamed as anomaly events)");
-    }
-    let breaches: Vec<String> = slo.breaches().iter().map(|a| a.describe()).collect();
-    if slo.breached() && !args.flags.on("--slo-gate") {
-        eprintln!(
-            "warning: SLO breached (run without --slo-gate): {}",
-            breaches.join("; ")
-        );
-    }
-    let mut gate = Gate::new();
-    gate.check(
-        "slo",
-        !(args.flags.on("--slo-gate") && slo.breached()),
-        || format!("SLO gate breached: {}", breaches.join("; ")),
-    );
-    gate.absorb(storm_gate(&rows, &campaign));
     let name = format!("campaign-{name}");
     let report = storm_report(&rows, &campaign);
     let ok = "victims isolated, backpressure held, rotation recovered bit-identical";
-    let saved = report.save(&name);
-    publish(args, &name, &report.to_console(), saved, gate.finish(), ok);
+    let (saved, gate) = (report.save(&name), storm_gate(&rows, &campaign));
+    publish(args, &name, &report.to_console(), saved, gate, ok);
 }
 
 /// Runs the crash-injection campaign, exiting nonzero unless every
@@ -917,17 +837,6 @@ fn main() {
         run_obs_diff(&args);
         return;
     }
-    // Held until main returns: dropping it shuts the scrape endpoint
-    // down. `fail()` exits the process, which closes the socket too.
-    let mut server = args.flags.get("--serve-metrics").map(|addr| {
-        match MetricsServer::serve(args.tel.clone(), addr) {
-            Ok(s) => {
-                eprintln!("serving metrics on http://{}/metrics", s.addr());
-                s
-            }
-            Err(e) => fail(&args.tel, format!("cannot serve metrics on {addr}: {e}")),
-        }
-    });
     let mut cfg = GpuConfig::default();
     // Measure steady-state IPC past the warp-launch ramp: warps launch
     // staggered at one every other cycle, so the pool is fully populated
@@ -948,7 +857,7 @@ fn main() {
         }
         write_sched_stats(&args);
         write_metrics(&args);
-        finish_observability(&args, &mut server);
+        finish_observability(&args);
         return;
     }
     let experiments = match args.experiment.as_str() {
@@ -989,22 +898,18 @@ fn main() {
     write_trace(&args, &traces);
     write_ledger(&args, &rows);
     run_bench_gate(&args, &rows);
-    finish_observability(&args, &mut server);
+    finish_observability(&args);
 }
 
-/// Closes the epoch stream (reporting line/drop counts) and shuts the
-/// metrics endpoint down. Runs on every successful exit path; `fail()`
-/// paths rely on process exit, which the line-buffered stream and the
-/// socket both survive.
-fn finish_observability(args: &Args, server: &mut Option<MetricsServer>) {
+/// Closes the epoch stream, reporting line/drop counts. Runs on every
+/// successful exit path; `fail()` paths rely on process exit, which the
+/// line-buffered stream survives.
+fn finish_observability(args: &Args) {
     if let Some(lines) = args.tel.close_stream() {
         eprintln!(
             "epoch stream closed: {lines} lines, {} dropped",
             args.tel.stream_dropped()
         );
-    }
-    if let Some(s) = server.as_mut() {
-        s.shutdown();
     }
 }
 
@@ -1553,7 +1458,6 @@ mod tests {
             | "a directory"
             | "a baseline snapshot path"
             | "a comma-separated workload list" => ("out.json", "--scale"),
-            _ if what.starts_with("a bind address") => ("127.0.0.1:9184", "--scale"),
             _ => panic!("no sample values for {flag} <{what}>"),
         }
     }

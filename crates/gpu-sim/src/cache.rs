@@ -113,8 +113,8 @@ impl SectoredCache {
 
     /// Mirrors this cache's hit/miss statistics into `tel` under
     /// `<prefix>.hits` / `<prefix>.misses`. Caches attached with the same
-    /// prefix (e.g. every L2 bank, or one metadata cache per partition)
-    /// aggregate into the same counters.
+    /// prefix (e.g. one metadata cache per partition) aggregate into the
+    /// same counters.
     pub fn attach_telemetry(&mut self, tel: &Telemetry, prefix: &str) {
         self.tel_hits = tel.counter(&format!("{prefix}.hits"));
         self.tel_misses = tel.counter(&format!("{prefix}.misses"));

@@ -36,7 +36,7 @@ use crate::stats::{
 use crate::tenant::{TenantMap, TenantStat};
 use crate::trace::{AccessKind, Trace, TraceAccess};
 use crate::transient::{RetryPolicy, TransientConfig, TransientKind, TransientSampler};
-use plutus_telemetry::{Counter, Event as TelEvent, Gauge, Histogram, Telemetry, TraceId, Tracer};
+use plutus_telemetry::{Counter, Event as TelEvent, Histogram, Telemetry, TraceId, Tracer};
 use std::collections::VecDeque;
 
 /// Initial-image sectors buffered per partition before one
@@ -148,10 +148,6 @@ struct SimTelemetry {
     /// Per-bucket cycle-ledger counters (`ledger.<bucket>`), indexed by
     /// [`StallBucket::idx`]; epoch deltas give the CPI-stack time series.
     ledger_ctrs: [Counter; NUM_STALL_BUCKETS],
-    /// Aggregate DRAM bus backlog at the last epoch sample, bytes.
-    backlog_gauge: Gauge,
-    /// Aggregate MSHR occupancy at the last epoch sample.
-    mshr_gauge: Gauge,
     /// Fill latency (arrival at the controller → verified data), cycles.
     fill_latency: Histogram,
     /// The causal flight recorder (disarmed unless the run enabled
@@ -172,8 +168,6 @@ impl SimTelemetry {
             mshr_stalls: tel.counter("mshr.stalls"),
             violations: tel.counter("violations"),
             ledger_ctrs: StallBucket::ALL.map(|b| tel.counter(&format!("ledger.{}", b.label()))),
-            backlog_gauge: tel.gauge("dram.backlog_bytes"),
-            mshr_gauge: tel.gauge("mshr.occupancy"),
             fill_latency: tel.histogram("fill.latency_cycles"),
             tracer: tel.tracer(),
         }
@@ -410,12 +404,7 @@ impl Simulator {
                 let mut dram = DramChannel::new(cfg.dram.clone());
                 dram.attach_telemetry(&tel, "dram");
                 let l2 = (0..cfg.l2_banks_per_partition)
-                    .map(|_| {
-                        let mut bank =
-                            SectoredCache::new(cfg.l2_bank_bytes, cfg.l2_ways, 128, true);
-                        bank.attach_telemetry(&tel, "l2_bank");
-                        bank
-                    })
+                    .map(|_| SectoredCache::new(cfg.l2_bank_bytes, cfg.l2_ways, 128, true))
                     .collect();
                 Partition {
                     l2,
@@ -751,22 +740,14 @@ impl Simulator {
     }
 
     /// Closes every epoch boundary at or before `now` (several may pass at
-    /// once when the event queue jumps across idle time). Utilization
-    /// gauges — aggregate bus backlog and MSHR occupancy — are sampled
-    /// as-of `now` so epoch snapshots carry the DRAM-pressure timeline.
+    /// once when the event queue jumps across idle time). Epochs carry
+    /// counter deltas only: the per-tenant counters are mirrored first,
+    /// and the `ledger.*` deltas give the per-epoch pressure timeline.
     fn roll_epochs(&mut self, now: u64) {
         let Some(interval) = self.epoch_interval else {
             return;
         };
         if now >= self.next_epoch_at {
-            let backlog: u64 = self
-                .partitions
-                .iter()
-                .map(|p| p.dram.backlog_bytes_at(now))
-                .sum();
-            self.simtel.backlog_gauge.set(backlog);
-            let occupancy: u64 = self.partitions.iter().map(|p| p.mshr.len() as u64).sum();
-            self.simtel.mshr_gauge.set(occupancy);
             self.mirror_tenants();
         }
         while now >= self.next_epoch_at {
@@ -1614,22 +1595,6 @@ impl Simulator {
                 self.handle_evictions(now, p_idx, &flushed);
             }
         }
-    }
-}
-
-impl Simulator {
-    /// Aggregate L2 hit/miss counts across all banks and partitions.
-    pub fn l2_hit_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for p in &self.partitions {
-            for bank in &p.l2 {
-                let (h, m) = bank.hit_stats();
-                hits += h;
-                misses += m;
-            }
-        }
-        (hits, misses)
     }
 }
 

@@ -540,7 +540,7 @@ fn apply_ipc_ratio(row: &mut StormRow, baseline: &StormRow) {
 /// parallel round lands (while the crash-audit jobs are still running),
 /// crash rows at final assembly. Observation order is the fixed phase
 /// order, independent of worker count, so observers that mirror rows
-/// into telemetry epochs or feed SLO trackers stay deterministic.
+/// into telemetry epochs stay deterministic.
 ///
 /// # Panics
 ///
@@ -874,6 +874,37 @@ mod tests {
             err.contains("victim violations") || err.contains("frozen"),
             "breach must surface as a victim-isolation failure: {err}"
         );
+    }
+
+    #[test]
+    fn is_clean_rejects_each_victim_isolation_breach() {
+        let clean = StormRow::new("plutus", "storm");
+        let at_floor = StormRow {
+            min_ipc_ratio: 0.75,
+            ..clean.clone()
+        };
+        assert!(at_floor.is_clean(0.25), "the IPC floor is inclusive");
+        let breaches = [
+            StormRow {
+                victim_violations: 1,
+                ..clean.clone()
+            },
+            StormRow {
+                victim_frozen: 1,
+                ..clean.clone()
+            },
+            StormRow {
+                min_ipc_ratio: 0.7499,
+                ..clean.clone()
+            },
+            StormRow {
+                min_ipc_ratio: f64::NAN,
+                ..clean
+            },
+        ];
+        for row in breaches {
+            assert!(!row.is_clean(0.25), "{row:?}");
+        }
     }
 
     #[test]

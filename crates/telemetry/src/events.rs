@@ -112,20 +112,6 @@ pub enum Event {
         /// How long it had been running when flagged, in milliseconds.
         elapsed_ms: u64,
     },
-    /// An SLO detector finding (see [`crate::SloTracker`]). Fractional
-    /// values ride as thousandths so payloads stay integral.
-    Anomaly {
-        /// Series the detector watched, e.g. `"tenant.t2.ipc"`.
-        series: String,
-        /// Which detector fired: `"zscore"`, `"floor"`, `"ceiling"`.
-        detector: String,
-        /// Observed value × 1000.
-        value_milli: u64,
-        /// Expected value (EWMA mean or bound) × 1000.
-        expected_milli: u64,
-        /// Whether this finding fails `--slo-gate`.
-        gating: bool,
-    },
 }
 
 impl Event {
@@ -146,7 +132,6 @@ impl Event {
             Event::CliError { .. } => "cli_error",
             Event::PoolProgress { .. } => "sched_progress",
             Event::JobSlow { .. } => "sched_slow",
-            Event::Anomaly { .. } => "anomaly",
         }
     }
 
@@ -203,19 +188,6 @@ impl Event {
                 ("label", Str(label.clone())),
                 ("elapsed_ms", Num(*elapsed_ms)),
             ],
-            Event::Anomaly {
-                series,
-                detector,
-                value_milli,
-                expected_milli,
-                gating,
-            } => vec![
-                ("series", Str(series.clone())),
-                ("detector", Str(detector.clone())),
-                ("value_milli", Num(*value_milli)),
-                ("expected_milli", Num(*expected_milli)),
-                ("gating", Bool(*gating)),
-            ],
         }
     }
 }
@@ -239,7 +211,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "cli_error",
     "sched_progress",
     "sched_slow",
-    "anomaly",
 ];
 
 /// A typed event payload value.
@@ -249,8 +220,6 @@ pub enum FieldValue {
     Num(u64),
     /// String payload.
     Str(String),
-    /// Boolean payload.
-    Bool(bool),
 }
 
 /// An [`Event`] plus the clock reading when it was recorded.
@@ -536,13 +505,6 @@ mod tests {
                 label: "l".into(),
                 elapsed_ms: 5,
             },
-            Event::Anomaly {
-                series: "s".into(),
-                detector: "floor".into(),
-                value_milli: 1,
-                expected_milli: 2,
-                gating: true,
-            },
         ]
     }
 
@@ -584,14 +546,5 @@ mod tests {
                 ("elapsed_ms", FieldValue::Num(1500)),
             ]
         );
-        let a = Event::Anomaly {
-            series: "tenant.t2.ipc".into(),
-            detector: "zscore".into(),
-            value_milli: 20,
-            expected_milli: 500,
-            gating: false,
-        };
-        assert_eq!(a.kind(), "anomaly");
-        assert_eq!(a.fields().len(), 5);
     }
 }

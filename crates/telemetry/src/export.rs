@@ -55,7 +55,6 @@ impl From<FieldValue> for Json {
         match v {
             FieldValue::Num(n) => Json::U64(n),
             FieldValue::Str(s) => Json::Str(s),
-            FieldValue::Bool(b) => Json::Bool(b),
         }
     }
 }
@@ -207,7 +206,6 @@ impl Report {
                     let v = match v {
                         FieldValue::Num(n) => n.to_string(),
                         FieldValue::Str(s) => s,
-                        FieldValue::Bool(b) => b.to_string(),
                     };
                     format!("{k}={v}")
                 })

@@ -42,12 +42,10 @@
 pub mod clock;
 pub mod events;
 pub mod export;
-pub mod expose;
 pub mod fsio;
 pub mod json;
 pub mod metrics;
 pub mod rundir;
-pub mod slo;
 pub mod stream;
 pub mod table;
 pub mod trace;
@@ -55,7 +53,6 @@ pub mod trace;
 pub use clock::{Clock, CycleClock, NullClock, WallClock};
 pub use events::{Event, EventLog, FieldValue, TimedEvent, DEFAULT_EVENT_CAPACITY, EVENT_KINDS};
 pub use export::{EpochSnapshot, Report};
-pub use expose::{prometheus_text, MetricsServer};
 pub use fsio::atomic_write;
 pub use json::Json;
 pub use metrics::{
@@ -64,7 +61,6 @@ pub use metrics::{
 pub use rundir::{
     clear_run_dir, in_run_dir, report_dir, run_dir, set_run_dir, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
-pub use slo::{Anomaly, SloPolicy, SloTracker};
 pub use stream::{StreamSink, STREAM_SCHEMA};
 pub use table::{save_report, Gate, GateFailure, Table};
 pub use trace::{TraceId, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY};
