@@ -121,11 +121,8 @@ mod tests {
             total_bytes: total,
             metadata_bytes: meta,
             class_bytes: vec![("data".into(), total - meta), ("mac".into(), meta)],
-            engine_stats: Vec::new(),
             avg_fill_latency: 120.0,
-            detection_latency_mean: 0.0,
-            cpi_stack: Vec::new(),
-            ledger_partitions: Vec::new(),
+            ..Measurement::default()
         }
     }
 

@@ -15,7 +15,10 @@
 //! union of the selected experiments' schemes (the plan), so `all` runs
 //! each (workload, scheme) cell once; each experiment then renders its
 //! view, per workload its own schemes in its own order, after the
-//! degenerate gate, and saves it as `<id>.json`.
+//! degenerate gate, and saves it as `<id>.json` and `.csv`.
+//! `ablations` declares its rows as (label, scheme, config tweak) and
+//! makes one `run_matrix` call per distinct configuration, so it too
+//! simulates each cell once on the executor.
 //!
 //! `figrepro` is the normalized-IPC figure-reproduction
 //! report (Figs. 11-14 style): the no-security/PSSM/common-counters/
@@ -25,10 +28,11 @@
 //! functional crypto primitives scalar vs the native SIMD backend
 //! (`--assert-speedup X` gates the batched rows).
 //!
-//! Reports: every result prints as a table and is saved into the report
-//! directory — `target/experiments/`, or the `--run-dir` — as JSON (plus
-//! CSV for the campaign and `cipher_bench` row reports). Reports with a
-//! gate exit nonzero, naming every violated check, when it fails.
+//! Reports: every table prints through `plutus_telemetry::Table`, and
+//! every row report is saved into the report directory —
+//! `target/experiments/`, or the `--run-dir` — as JSON plus a CSV of its
+//! scalar columns. Reports with a gate exit nonzero, naming every
+//! violated check, when it fails.
 //!
 //! Crypto backend: every invocation logs `crypto backend: <name>` and
 //! sets the `crypto.backend_simd` gauge; `--crypto-backend
@@ -123,12 +127,13 @@
 //! tolerance and 2 when the runs are incompatible or share no report.
 
 use gpu_sim::GpuConfig;
+use plutus_bench::ablations::{ablation_report, AblationRow};
 use plutus_bench::{
     attribution_table, bench_snapshot_with, campaign_gate, campaign_report, chrome_trace,
     cipher_bench_gate, cipher_bench_report, collapsed_stack, cpi_stack_table, degenerate_warning,
     diff_documents, diff_run_dirs, eq1_bound, figure_report, geomean, ledger_csv, ledger_folded,
-    ledger_gate, ledger_json, matrix_table, obs_diff_table, read_report, recovery_schemes,
-    run_campaign_on, run_matrix, save_json, BenchProvenance, CampaignConfig, CampaignKind,
+    ledger_gate, ledger_json, matrix_table, measurement_table, obs_diff_table, read_report,
+    recovery_schemes, run_campaign_on, run_matrix, BenchProvenance, CampaignConfig, CampaignKind,
     EnergyModel, Measurement, ObsDiff, Observe, Scheme, TracedRun,
 };
 use plutus_core::value_analysis::analyze_trace;
@@ -140,7 +145,7 @@ use plutus_recovery::{
     CrashCampaignConfig, StormCampaignConfig, TransientCampaignConfig,
 };
 use plutus_telemetry::{
-    save_report, CycleClock, Event, GateFailure, Json, Telemetry, DEFAULT_TRACE_CAPACITY,
+    save_report, CycleClock, Event, GateFailure, Json, Table, Telemetry, DEFAULT_TRACE_CAPACITY,
     MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use secure_mem::SecureMemConfig;
@@ -315,9 +320,7 @@ const EXTRAS: &[Experiment] = &[
     ("cipher_bench", &[], |args, _, _| cipher_bench_cli(args)),
     ("overheads", &[], |_, _, _| overheads()),
     ("workloads", &[], |args, _, _| workload_report(args)),
-    ("ablations", &[], |args, cfg, _| {
-        plutus_bench::ablations::run_all(&args.workloads, args.flags.scale(), cfg);
-    }),
+    ("ablations", &[], |args, cfg, _| ablations(args, cfg)),
 ];
 
 /// The experiment declared under `id`.
@@ -426,12 +429,12 @@ struct Args {
     observe: Observe,
 }
 
-/// Saves a measurement set, routing I/O failure through [`fail`] so the
-/// CLI exits nonzero instead of panicking.
-fn save(args: &Args, name: &str, rows: &[Measurement]) {
-    match save_json(name, rows) {
-        Ok(p) => println!("saved {}", p.display()),
-        Err(e) => fail(&args.tel, format!("cannot write {name} results: {e}")),
+/// Prints where report `name` was saved, or routes the I/O failure
+/// through [`fail`] so the CLI exits nonzero instead of panicking.
+fn report_saved(args: &Args, name: &str, saved: std::io::Result<Vec<PathBuf>>) {
+    match saved {
+        Ok(paths) => println!("saved {paths:?}"),
+        Err(e) => fail(&args.tel, format!("cannot write {name}: {e}")),
     }
 }
 
@@ -660,10 +663,7 @@ fn publish(
     ok: &str,
 ) {
     println!("{console}");
-    match saved {
-        Ok(paths) => println!("saved {paths:?}"),
-        Err(e) => fail(&args.tel, format!("cannot write {name}: {e}")),
-    }
+    report_saved(args, name, saved);
     match gate {
         Ok(()) => println!("gate OK: {ok}"),
         Err(e) => fail(&args.tel, format!("{name} gate failed: {e}")),
@@ -890,7 +890,7 @@ fn main() {
         }
         render(&args, &cfg, &view);
         if !schemes.is_empty() {
-            save(&args, id, &view);
+            report_saved(&args, id, measurement_table(&view).save(id));
         }
     }
     write_sched_stats(&args);
@@ -1102,61 +1102,48 @@ fn run_bench_gate(args: &Args, rows: &[Measurement]) {
 }
 
 fn overheads() {
-    println!("Hardware/storage overheads (paper Section IV-F):");
-    println!(
-        "{:<14}{:>14}{:>12}{:>14}{:>12}{:>12}{:>12}{:>14}",
-        "config", "on-chip/part", "counters", "macs", "bmt", "cmpct-ctr", "cmpct-bmt", "off-chip %"
-    );
-    for r in plutus_core::overheads::section_4f_report() {
-        let protected = plutus_core::PlutusConfig::full().mem.protected_bytes;
-        println!(
-            "{:<14}{:>12} B{:>10} K{:>12} K{:>10} K{:>10} K{:>10} K{:>13.2}%",
-            r.label,
-            r.on_chip.total(),
-            r.off_chip.counters / 1024,
-            r.off_chip.macs / 1024,
-            r.off_chip.bmt / 1024,
-            r.off_chip.compact_counters / 1024,
-            r.off_chip.compact_bmt / 1024,
-            r.off_chip.fraction_of(protected) * 100.0
-        );
-    }
+    println!("Hardware/storage overheads (paper Section IV-F; on-chip B/partition, off-chip KiB):");
+    let protected = plutus_core::PlutusConfig::full().mem.protected_bytes;
+    let reports = plutus_core::overheads::section_4f_report();
+    let kib = |bytes: u64| Json::from(bytes / 1024);
+    let table = Table::new(&reports)
+        .show("config", |r| r.label.as_str().into())
+        .show("on_chip", |r| r.on_chip.total().into())
+        .show("counters", move |r| kib(r.off_chip.counters))
+        .show("macs", move |r| kib(r.off_chip.macs))
+        .show("bmt", move |r| kib(r.off_chip.bmt))
+        .show("cmpct_ctr", move |r| kib(r.off_chip.compact_counters))
+        .show("cmpct_bmt", move |r| kib(r.off_chip.compact_bmt))
+        .show("off_chip_pct", move |r| {
+            (r.off_chip.fraction_of(protected) * 100.0).into()
+        });
+    print!("{}", table.to_console());
 }
 
 fn workload_report(args: &Args) {
-    println!(
-        "Synthetic benchmark characterization at {:?} scale:",
-        args.flags.scale()
-    );
-    println!(
-        "{:<14}{:>10}{:>10}{:>12}{:>8}{:>8}{:>10}{:>12}{:>12}",
-        "workload",
-        "suite",
-        "writes%",
-        "footprint",
-        "seq%",
-        "hot10%",
-        "reuse",
-        "vals-exact",
-        "vals-masked"
-    );
-    for w in &args.workloads {
-        let t = w.trace(args.flags.scale());
-        let s = workloads::characterize(&t);
-        let c = workloads::value_census(&t);
-        println!(
-            "{:<14}{:>10}{:>9.1}%{:>10}KB{:>7.0}%{:>7.0}%{:>10.1}{:>12}{:>12}",
-            w.name,
-            w.suite.to_string(),
-            s.write_fraction * 100.0,
-            s.footprint_bytes / 1024,
-            s.sequential_fraction * 100.0,
-            s.hot_tenth_fraction * 100.0,
-            s.mean_reuse,
-            c.distinct_exact,
-            c.distinct_masked
-        );
-    }
+    let scale = args.flags.scale();
+    println!("Synthetic benchmark characterization at {scale:?} scale:");
+    let traits: Vec<_> = args
+        .workloads
+        .iter()
+        .map(|w| {
+            let t = w.trace(scale);
+            (w, workloads::characterize(&t), workloads::value_census(&t))
+        })
+        .collect();
+    let table = Table::new(&traits)
+        .show("workload", |(w, ..)| w.name.into())
+        .show("suite", |(w, ..)| w.suite.to_string().into())
+        .show("writes", |(_, s, _)| s.write_fraction.into())
+        .show("footprint_kib", |(_, s, _)| {
+            (s.footprint_bytes / 1024).into()
+        })
+        .show("sequential", |(_, s, _)| s.sequential_fraction.into())
+        .show("hot10", |(_, s, _)| s.hot_tenth_fraction.into())
+        .show("reuse", |(_, s, _)| s.mean_reuse.into())
+        .show("vals_exact", |(.., c)| c.distinct_exact.into())
+        .show("vals_masked", |(.., c)| c.distinct_masked.into());
+    print!("{}", table.to_console());
 }
 
 fn table1(cfg: &GpuConfig) {
@@ -1225,11 +1212,7 @@ fn columns(rows: &[Measurement]) -> Vec<String> {
 /// Prints a view's IPC normalized to no security, one column per
 /// secured scheme.
 fn ipc_table(rows: &[Measurement]) {
-    let title = "IPC normalized to no security";
-    println!(
-        "{}",
-        matrix_table(rows, &columns(rows), |m| m.norm_ipc, title)
-    );
+    println!("{}", matrix_table(rows, &columns(rows)));
 }
 
 fn summarize_vs(rows: &[Measurement], scheme: &str, baseline: &str) {
@@ -1281,57 +1264,44 @@ fn fig6(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
 
 fn fig7(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
     println!("DRAM traffic breakdown under PSSM (fraction of total bytes):");
-    println!(
-        "{:<14}{:>10}{:>10}{:>10}{:>10}{:>12}",
-        "workload", "data", "counter", "mac", "bmt", "overhead%"
-    );
-    for r in rows {
-        let total = r.total_bytes.max(1) as f64;
-        let get = |label: &str| {
-            r.class_bytes
-                .iter()
-                .find(|(l, _)| l == label)
-                .map(|(_, b)| *b)
-                .unwrap_or(0) as f64
-        };
-        let data = get("data").max(1.0);
-        println!(
-            "{:<14}{:>10.3}{:>10.3}{:>10.3}{:>10.3}{:>11.1}%",
-            r.workload,
-            data / total,
-            get("counter") / total,
-            get("mac") / total,
-            get("bmt") / total,
-            (total - data) / data * 100.0
-        );
+    let bytes = |r: &Measurement, class: &str| {
+        let found = r.class_bytes.iter().find(|(l, _)| l == class);
+        found.map_or(0, |(_, b)| *b) as f64
+    };
+    let mut table = Table::new(rows).show("workload", |r| r.workload.as_str().into());
+    for class in ["data", "counter", "mac", "bmt"] {
+        table = table.show(class, move |r| {
+            (bytes(r, class) / r.total_bytes.max(1) as f64).into()
+        });
     }
+    let table = table.show("overhead_pct", move |r| {
+        let data = bytes(r, "data").max(1.0);
+        ((r.total_bytes.max(1) as f64 - data) / data * 100.0).into()
+    });
+    print!("{}", table.to_console());
 }
 
 fn fig9(args: &Args) {
-    println!("Value-reuse percentage of reads (paper Fig. 9; 512-entry caches/partition):");
-    println!(
-        "{:<14}{:>12}{:>14}{:>20}",
-        "workload", "all-8/8", "halves-3of4", "halves-3of4-masked"
-    );
-    let mut json_rows = Vec::new();
-    for w in &args.workloads {
-        let trace = w.trace(args.flags.scale());
-        let r = analyze_trace(&trace, 32, 512);
-        println!(
-            "{:<14}{:>11.1}%{:>13.1}%{:>19.1}%",
-            w.name,
-            r.all_eight * 100.0,
-            r.halves * 100.0,
-            r.halves_masked * 100.0
-        );
-        json_rows.push(Measurement {
-            workload: w.name.to_string(),
+    println!("Value reuse as a fraction of reads (paper Fig. 9; 512-entry caches/partition):");
+    let reuse: Vec<_> = args
+        .workloads
+        .iter()
+        .map(|w| (w.name, analyze_trace(&w.trace(args.flags.scale()), 32, 512)))
+        .collect();
+    let table = Table::new(&reuse)
+        .show("workload", |(w, _)| (*w).into())
+        .show("all-8/8", |(_, r)| r.all_eight.into())
+        .show("halves-3of4", |(_, r)| r.halves.into())
+        .show("halves-3of4-masked", |(_, r)| r.halves_masked.into());
+    print!("{}", table.to_console());
+    let json_rows: Vec<Measurement> = reuse
+        .iter()
+        .map(|(w, r)| Measurement {
+            workload: w.to_string(),
             scheme: "value-analysis".into(),
             ipc: r.halves_masked,
             norm_ipc: r.halves_masked,
             cycles: r.reads,
-            total_bytes: 0,
-            metadata_bytes: 0,
             class_bytes: vec![
                 ("all_eight_permille".into(), (r.all_eight * 1000.0) as u64),
                 ("halves_permille".into(), (r.halves * 1000.0) as u64),
@@ -1340,29 +1310,24 @@ fn fig9(args: &Args) {
                     (r.halves_masked * 1000.0) as u64,
                 ),
             ],
-            engine_stats: Vec::new(),
-            avg_fill_latency: 0.0,
-            detection_latency_mean: 0.0,
-            cpi_stack: Vec::new(),
-            ledger_partitions: Vec::new(),
-        });
-    }
-    save(args, "fig9", &json_rows);
+            ..Measurement::default()
+        })
+        .collect();
+    report_saved(args, "fig9", measurement_table(&json_rows).save("fig9"));
 }
 
 fn fig10(args: &Args) {
-    println!("Memory request mix (paper Fig. 10):");
-    println!("{:<14}{:>10}{:>10}", "workload", "reads%", "writes%");
-    for w in &args.workloads {
-        let t = w.trace(args.flags.scale());
-        let wf = t.write_fraction();
-        println!(
-            "{:<14}{:>9.1}%{:>9.1}%",
-            w.name,
-            (1.0 - wf) * 100.0,
-            wf * 100.0
-        );
-    }
+    println!("Memory request mix (paper Fig. 10; fractions of requests):");
+    let mix: Vec<_> = args
+        .workloads
+        .iter()
+        .map(|w| (w.name, w.trace(args.flags.scale()).write_fraction()))
+        .collect();
+    let table = Table::new(&mix)
+        .show("workload", |(w, _)| (*w).into())
+        .show("reads", |(_, wf)| (1.0 - wf).into())
+        .show("writes", |(_, wf)| (*wf).into());
+    print!("{}", table.to_console());
 }
 
 fn fig18(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
@@ -1373,32 +1338,31 @@ fn fig18(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
 
 fn fig19(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
     println!("Security-metadata DRAM traffic (bytes):");
-    println!(
-        "{:<14}{:>16}{:>16}{:>12}",
-        "workload", "pssm", "plutus", "reduction"
-    );
-    let mut ratios = Vec::new();
-    let mut best: (f64, String) = (0.0, String::new());
-    for cells in per_workload(rows) {
-        let [p, q] = cells else {
-            unreachable!("fig19's view holds pssm and plutus per workload")
-        };
-        let reduction = 1.0 - q.metadata_bytes as f64 / p.metadata_bytes.max(1) as f64;
-        if reduction > best.0 {
-            best = (reduction, p.workload.clone());
+    let pairs: Vec<_> = per_workload(rows)
+        .map(|cells| {
+            let [p, q] = cells else {
+                unreachable!("fig19's view holds pssm and plutus per workload")
+            };
+            let reduction = 1.0 - q.metadata_bytes as f64 / p.metadata_bytes.max(1) as f64;
+            (p, q, reduction)
+        })
+        .collect();
+    let table = Table::new(&pairs)
+        .show("workload", |(p, ..)| p.workload.as_str().into())
+        .show("pssm", |(p, ..)| p.metadata_bytes.into())
+        .show("plutus", |(_, q, _)| q.metadata_bytes.into())
+        .show("reduction", |(.., r)| (*r).into());
+    print!("{}", table.to_console());
+    let best = pairs.iter().fold((0.0, ""), |best, (p, _, r)| {
+        if *r > best.0 {
+            (*r, p.workload.as_str())
+        } else {
+            best
         }
-        ratios.push(1.0 - reduction);
-        println!(
-            "{:<14}{:>16}{:>16}{:>11.1}%",
-            p.workload,
-            p.metadata_bytes,
-            q.metadata_bytes,
-            reduction * 100.0
-        );
-    }
+    });
     println!(
         "metadata traffic reduced {:.2}% on geomean (best {:.2}% on {})",
-        (1.0 - geomean(ratios.iter().copied())) * 100.0,
+        (1.0 - geomean(pairs.iter().map(|(.., r)| 1.0 - r))) * 100.0,
         best.0 * 100.0,
         best.1
     );
@@ -1407,24 +1371,38 @@ fn fig19(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
 fn fig22(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
     let model = EnergyModel::default();
     println!("Average power normalized to no security (paper Fig. 22):");
-    println!("{:<14}{:>12}{:>12}", "workload", "pssm", "plutus");
-    let mut pssm_all = Vec::new();
-    let mut plutus_all = Vec::new();
-    for cells in per_workload(rows) {
-        let [base, p, q] = cells else {
-            unreachable!("fig22's view holds no-security, pssm and plutus per workload")
-        };
-        let np = model.normalized_power(p, base);
-        let nq = model.normalized_power(q, base);
-        pssm_all.push(np);
-        plutus_all.push(nq);
-        println!("{:<14}{:>12.3}{:>12.3}", base.workload, np, nq);
-    }
+    let power: Vec<_> = per_workload(rows)
+        .map(|cells| {
+            let [base, p, q] = cells else {
+                unreachable!("fig22's view holds no-security, pssm and plutus per workload")
+            };
+            let np = model.normalized_power(p, base);
+            (base.workload.as_str(), np, model.normalized_power(q, base))
+        })
+        .collect();
+    let table = Table::new(&power)
+        .show("workload", |(w, ..)| (*w).into())
+        .show("pssm", |(_, p, _)| (*p).into())
+        .show("plutus", |(.., q)| (*q).into());
+    print!("{}", table.to_console());
     println!(
         "power overhead: PSSM {:+.1}%, Plutus {:+.1}% (geomean)",
-        (geomean(pssm_all.iter().copied()) - 1.0) * 100.0,
-        (geomean(plutus_all.iter().copied()) - 1.0) * 100.0
+        (geomean(power.iter().map(|(_, p, _)| *p)) - 1.0) * 100.0,
+        (geomean(power.iter().map(|(.., q)| *q)) - 1.0) * 100.0
     );
+}
+
+/// Runs every ablation on the executor, prints each sweep's table and
+/// saves the rows as `ablations.json` and `.csv`.
+fn ablations(args: &Args, cfg: &GpuConfig) {
+    let (exec, workloads, scale) = (&args.exec, &args.workloads, args.flags.scale());
+    let rows = plutus_bench::ablations::run_all(exec, workloads, scale, cfg)
+        .unwrap_or_else(|e| fail(&args.tel, e.to_string()));
+    for sweep in rows.chunk_by(|a: &AblationRow, b| a.sweep == b.sweep) {
+        println!("\n--- {} ---", sweep[0].sweep);
+        print!("{}", ablation_report(sweep).to_console());
+    }
+    report_saved(args, "ablations", ablation_report(&rows).save("ablations"));
 }
 
 #[cfg(test)]

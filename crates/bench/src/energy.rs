@@ -85,13 +85,8 @@ mod tests {
             norm_ipc: 1.0,
             cycles,
             total_bytes: bytes,
-            metadata_bytes: 0,
-            class_bytes: Vec::new(),
             engine_stats: vec![("fills".into(), ops)],
-            avg_fill_latency: 0.0,
-            detection_latency_mean: 0.0,
-            cpi_stack: Vec::new(),
-            ledger_partitions: Vec::new(),
+            ..Measurement::default()
         }
     }
 

@@ -31,10 +31,11 @@ pub use obsdiff::{
 };
 pub use report::{
     cpi_stack_table, degenerate_warning, degenerate_workloads, figure_report, ledger_csv,
-    ledger_folded, ledger_gate, ledger_json, matrix_table, pct_change, save_json, LEDGER_SCHEMA,
+    ledger_folded, ledger_gate, ledger_json, matrix_table, measurement_table, pct_change,
+    LEDGER_SCHEMA,
 };
 pub use runner::{
-    geomean, recovery_schemes, run_matrix, run_one, run_trace, run_with_factory, Measurement,
-    Observe, RunnerError, Scheme, TracedRun,
+    geomean, recovery_schemes, run_matrix, run_one, run_trace, Measurement, Observe, RunnerError,
+    Scheme, TracedRun,
 };
 pub use trace_export::{attribution_table, chrome_trace, collapsed_stack};

@@ -1,92 +1,62 @@
-//! Table formatting and JSON result persistence for the experiments,
-//! including the cycle-ledger consumers: CPI-stack tables, ledger
-//! export documents (JSON / CSV / flamegraph collapsed stacks), the
-//! conservation gate, and the normalized-IPC figure-repro report with
+//! Figure reports for the experiments, as [`Table`] declarations: the
+//! saved measurement report, the normalized-IPC matrix and the CPI
+//! stacks. Also the other cycle-ledger consumers (ledger export
+//! documents as JSON / CSV / flamegraph collapsed stacks, the
+//! conservation gate) and the normalized-IPC figure-repro report with
 //! its degenerate-case detector.
 
 use crate::runner::{geomean, Measurement};
 use gpu_sim::StallBucket;
-use plutus_telemetry::{Gate, GateFailure, Json};
+use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use std::fmt::Write as _;
 
 /// Schema tag stamped into every ledger export document.
 pub const LEDGER_SCHEMA: &str = "plutus-ledger/v1";
 
-/// Renders a per-workload × per-scheme table of one metric.
-///
-/// `metric` extracts the plotted value from each measurement; `fmt` renders
-/// a cell.
-pub fn matrix_table(
-    rows: &[Measurement],
-    schemes: &[String],
-    metric: impl Fn(&Measurement) -> f64,
-    unit: &str,
-) -> String {
-    let mut workloads: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    workloads.sort();
-    workloads.dedup();
-
-    let mut out = String::new();
-    let _ = write!(out, "{:<14}", "workload");
-    for s in schemes {
-        let _ = write!(out, "{s:>18}");
-    }
-    out.push('\n');
-
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for w in &workloads {
-        let _ = write!(out, "{w:<14}");
-        for (i, s) in schemes.iter().enumerate() {
-            match rows.iter().find(|r| &r.workload == w && &r.scheme == s) {
-                Some(r) => {
-                    let v = metric(r);
-                    columns[i].push(v);
-                    let _ = write!(out, "{v:>18.4}");
-                }
-                None => {
-                    let _ = write!(out, "{:>18}", "-");
-                }
-            }
+/// Renders the normalized IPC of each workload, one row each in the
+/// order `rows` lists them, under each of `schemes`, plus a geomean row.
+/// A workload without a row for a scheme leaves that cell empty.
+pub fn matrix_table(rows: &[Measurement], schemes: &[String]) -> String {
+    let mut lines: Vec<(&str, Vec<Option<f64>>)> = Vec::new();
+    for r in rows {
+        if lines.iter().all(|(w, _)| *w != r.workload) {
+            let cell = |s: &String| {
+                let m = rows
+                    .iter()
+                    .find(|m| m.workload == r.workload && &m.scheme == s);
+                m.map(|m| m.norm_ipc)
+            };
+            lines.push((&r.workload, schemes.iter().map(cell).collect()));
         }
-        out.push('\n');
     }
-    let _ = write!(out, "{:<14}", "geomean");
-    for col in &columns {
-        let _ = write!(out, "{:>18.4}", geomean(col.iter().copied()));
+    let geomeans = (0..schemes.len())
+        .map(|i| Some(geomean(lines.iter().filter_map(|(_, cells)| cells[i]))))
+        .collect();
+    lines.push(("geomean", geomeans));
+    let mut table = Table::new(&lines).show("workload", |(w, _)| (*w).into());
+    for (i, s) in schemes.iter().enumerate() {
+        table = table.show(s, move |(_, cells)| cells[i].map_or(Json::Null, Json::from));
     }
-    out.push('\n');
-    if !unit.is_empty() {
-        let _ = writeln!(out, "(values in {unit})");
-    }
-    out
+    table.to_console() + "(values in IPC normalized to no security)\n"
 }
 
-/// Renders one measurement as a JSON object.
-pub fn measurement_json(m: &Measurement) -> Json {
-    let pairs = |kv: &[(String, u64)]| kv.iter().fold(Json::object(), |o, (k, v)| o.set(k, *v));
-    Json::object()
-        .set("workload", m.workload.as_str())
-        .set("scheme", m.scheme.as_str())
-        .set("ipc", m.ipc)
-        .set("norm_ipc", m.norm_ipc)
-        .set("cycles", m.cycles)
-        .set("total_bytes", m.total_bytes)
-        .set("metadata_bytes", m.metadata_bytes)
-        .set("class_bytes", pairs(&m.class_bytes))
-        .set("engine_stats", pairs(&m.engine_stats))
-}
-
-/// Writes measurements as JSON under `<report dir>/<name>.json` (the
-/// `--run-dir` when one is set, `target/experiments/` otherwise).
-///
-/// # Errors
-///
-/// Returns any I/O error.
-pub fn save_json(name: &str, rows: &[Measurement]) -> std::io::Result<std::path::PathBuf> {
-    let path = plutus_telemetry::report_dir().join(format!("{name}.json"));
-    let doc = Json::Array(rows.iter().map(measurement_json).collect());
-    plutus_telemetry::save_report(&path, &doc, &[])?;
-    Ok(path)
+/// The report of a measurement set, as every figure saves it: one
+/// object per (workload, scheme) row with its IPC, cycles, traffic,
+/// per-class bytes and engine counters.
+pub fn measurement_table(rows: &[Measurement]) -> Table<'_, Measurement> {
+    fn pairs(kv: &[(String, u64)]) -> Json {
+        kv.iter().fold(Json::object(), |o, (k, v)| o.set(k, *v))
+    }
+    Table::new(rows)
+        .col("workload", |m| m.workload.as_str().into())
+        .col("scheme", |m| m.scheme.as_str().into())
+        .col("ipc", |m| m.ipc.into())
+        .col("norm_ipc", |m| m.norm_ipc.into())
+        .col("cycles", |m| m.cycles.into())
+        .col("total_bytes", |m| m.total_bytes.into())
+        .col("metadata_bytes", |m| m.metadata_bytes.into())
+        .nest("class_bytes", |m| pairs(&m.class_bytes))
+        .nest("engine_stats", |m| pairs(&m.engine_stats))
 }
 
 /// Sorted, deduplicated workload names of a measurement set.
@@ -102,26 +72,17 @@ fn workload_names(rows: &[Measurement]) -> Vec<String> {
 /// to that bucket (buckets sum to 1.0 under the conservation
 /// invariant). Rows without a recorded ledger are skipped.
 pub fn cpi_stack_table(rows: &[Measurement]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{:<30}", "workload/scheme");
-    for b in StallBucket::ALL {
-        let _ = write!(out, "{:>16}", b.label());
+    let recorded: Vec<&Measurement> = rows.iter().filter(|r| !r.cpi_stack.is_empty()).collect();
+    let mut table = Table::new(&recorded).show("workload/scheme", |r| {
+        format!("{}/{}", r.workload, r.scheme).into()
+    });
+    for (i, bucket) in StallBucket::ALL.iter().enumerate() {
+        table = table.show(bucket.label(), move |r| {
+            let total: u64 = r.cpi_stack.iter().map(|(_, c)| *c).sum();
+            (r.cpi_stack[i].1 as f64 / total.max(1) as f64).into()
+        });
     }
-    out.push('\n');
-    for r in rows {
-        if r.cpi_stack.is_empty() {
-            continue;
-        }
-        let total: u64 = r.cpi_stack.iter().map(|(_, c)| *c).sum();
-        let denom = total.max(1) as f64;
-        let _ = write!(out, "{:<30}", format!("{}/{}", r.workload, r.scheme));
-        for (_, cycles) in &r.cpi_stack {
-            let _ = write!(out, "{:>16.4}", *cycles as f64 / denom);
-        }
-        out.push('\n');
-    }
-    out.push_str("(fractions of total cycles x partitions; rows sum to 1.0)\n");
-    out
+    table.to_console() + "(fractions of total cycles x partitions; rows sum to 1.0)\n"
 }
 
 /// Workloads whose schemes all finished in an identical cycle count —
@@ -170,12 +131,7 @@ pub fn degenerate_warning(rows: &[Measurement]) -> Option<String> {
 pub fn figure_report(rows: &[Measurement], schemes: &[String]) -> String {
     let mut out = String::new();
     out.push_str("Normalized IPC (paper Figs. 11-14 style):\n");
-    out.push_str(&matrix_table(
-        rows,
-        schemes,
-        |m| m.norm_ipc,
-        "IPC normalized to no security",
-    ));
+    out.push_str(&matrix_table(rows, schemes));
     for s in schemes {
         let g = geomean(rows.iter().filter(|r| &r.scheme == s).map(|r| r.norm_ipc));
         let _ = writeln!(out, "{s}: {:.1}% of insecure IPC on geomean", g * 100.0);
@@ -348,41 +304,41 @@ mod tests {
             ipc,
             norm_ipc: ipc,
             cycles,
-            total_bytes: 0,
-            metadata_bytes: 0,
-            class_bytes: Vec::new(),
-            engine_stats: Vec::new(),
-            avg_fill_latency: 0.0,
-            detection_latency_mean: 0.0,
             cpi_stack: StallBucket::ALL
                 .iter()
                 .zip(stack)
                 .map(|(b, c)| (b.label().to_string(), c))
                 .collect(),
             ledger_partitions: ledger,
+            ..Measurement::default()
         }
     }
 
     #[test]
     fn table_contains_workloads_schemes_and_geomean() {
-        let rows = vec![meas("bfs", "pssm", 0.8), meas("bfs", "plutus", 0.95)];
-        let t = matrix_table(
-            &rows,
-            &["pssm".into(), "plutus".into()],
-            |m| m.norm_ipc,
-            "normalized IPC",
+        let rows = vec![
+            meas("lbm", "pssm", 0.5),
+            meas("lbm", "plutus", 0.8),
+            meas("bfs", "pssm", 0.8),
+            meas("bfs", "plutus", 0.8),
+        ];
+        let t = matrix_table(&rows, &["pssm".into(), "plutus".into()]);
+        // Workloads keep the view's order, not the alphabet's.
+        assert_eq!(
+            t,
+            "workload   pssm  plutus\n\
+             lbm       0.500   0.800\n\
+             bfs       0.800   0.800\n\
+             geomean   0.632   0.800\n\
+             (values in IPC normalized to no security)\n"
         );
-        assert!(t.contains("bfs"));
-        assert!(t.contains("pssm"));
-        assert!(t.contains("geomean"));
-        assert!(t.contains("0.9500"));
     }
 
     #[test]
-    fn missing_cells_render_dash() {
+    fn missing_cells_render_empty() {
         let rows = vec![meas("bfs", "pssm", 0.8)];
-        let t = matrix_table(&rows, &["pssm".into(), "plutus".into()], |m| m.norm_ipc, "");
-        assert!(t.contains('-'));
+        let t = matrix_table(&rows, &["pssm".into(), "plutus".into()]);
+        assert_eq!(t.lines().nth(1), Some("bfs       0.800"));
     }
 
     #[test]
@@ -413,7 +369,7 @@ mod tests {
         assert!(t.contains("bfs/pssm"));
         assert!(t.contains("issue"));
         assert!(t.contains("data_fill"));
-        assert!(t.contains("0.5000"));
+        assert!(t.contains("0.500"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Shared experiment runner: schemes × workloads → results.
 
 use gpu_sim::{EngineFactory, GpuConfig, NoSecurityEngine, SimResult, Simulator};
-use plutus_core::{CompactKind, PlutusConfig, PlutusEngine};
+use plutus_core::{CompactConfig, CompactKind, PlutusConfig, PlutusEngine};
 use plutus_exec::{Executor, Job, JobPanic};
 use plutus_telemetry::{CycleClock, Event, Telemetry, TraceRecord};
-use secure_mem::{CommonCountersEngine, PssmEngine, SecureMemConfig};
+use secure_mem::{CipherKind, CommonCountersEngine, PssmEngine, SecureMemConfig};
 use std::sync::Arc;
 use workloads::{Scale, WorkloadSpec};
 
@@ -17,6 +17,11 @@ pub enum Scheme {
     Pssm,
     /// PSSM with the original 4 B MAC.
     PssmMac4,
+    /// PSSM with SGX-style monolithic counters: one 64-bit counter per
+    /// sector instead of split counters.
+    PssmMonolithic,
+    /// PSSM with the AES-XTS data cipher instead of CME.
+    PssmXts,
     /// Common Counters layered on PSSM.
     CommonCounters,
     /// Fig. 14 design ②: 32 B counter/MAC blocks, 128 B BMT nodes.
@@ -39,6 +44,15 @@ pub enum Scheme {
     PssmNoTree,
     /// Full Plutus with a custom value-cache entry count (Fig. 21).
     PlutusValueEntries(usize),
+    /// Full Plutus pinning this many per-mille of its value-cache
+    /// entries (the paper pins 250).
+    PlutusPinnedPermille(u16),
+    /// Full Plutus promoting a value-cache entry to pinned at this use
+    /// count (the paper promotes at 8).
+    PlutusPromoteAt(u8),
+    /// Full Plutus disabling a compact-counter block at this many
+    /// saturated counters (the paper disables at 8).
+    PlutusDisableAt(u8),
 }
 
 impl Scheme {
@@ -48,6 +62,8 @@ impl Scheme {
             Scheme::None => "no-security".into(),
             Scheme::Pssm => "pssm".into(),
             Scheme::PssmMac4 => "pssm-mac4".into(),
+            Scheme::PssmMonolithic => "pssm-monolithic".into(),
+            Scheme::PssmXts => "pssm-xts".into(),
             Scheme::CommonCounters => "common-counters".into(),
             Scheme::FineLeafCoarseTree => "leaf32-tree128".into(),
             Scheme::All32 => "all-32".into(),
@@ -59,6 +75,9 @@ impl Scheme {
             Scheme::PlutusNoTree => "plutus-no-tree".into(),
             Scheme::PssmNoTree => "pssm-no-tree".into(),
             Scheme::PlutusValueEntries(n) => format!("plutus-vc{n}"),
+            Scheme::PlutusPinnedPermille(n) => format!("plutus-pinned-{n}permille"),
+            Scheme::PlutusPromoteAt(n) => format!("plutus-promote-at-{n}"),
+            Scheme::PlutusDisableAt(n) => format!("plutus-disable-at-{n}"),
         }
     }
 
@@ -67,6 +86,10 @@ impl Scheme {
             Scheme::None => Box::new(NoSecurityFactoryShim),
             Scheme::Pssm => Box::new(PssmEngine::factory(SecureMemConfig::pssm())),
             Scheme::PssmMac4 => Box::new(PssmEngine::factory(SecureMemConfig::pssm_mac4())),
+            Scheme::PssmMonolithic => {
+                Box::new(PssmEngine::factory(SecureMemConfig::pssm_monolithic()))
+            }
+            Scheme::PssmXts => pssm_with(|c| c.cipher = CipherKind::Xts),
             Scheme::CommonCounters => {
                 Box::new(CommonCountersEngine::factory(SecureMemConfig::pssm()))
             }
@@ -88,18 +111,36 @@ impl Scheme {
             ))),
             Scheme::Plutus => Box::new(PlutusEngine::factory(PlutusConfig::full())),
             Scheme::PlutusNoTree => Box::new(PlutusEngine::factory(PlutusConfig::full_no_tree())),
-            Scheme::PssmNoTree => {
-                let cfg = SecureMemConfig {
-                    disable_tree: true,
-                    ..SecureMemConfig::pssm()
-                };
-                Box::new(PssmEngine::factory(cfg))
-            }
+            Scheme::PssmNoTree => pssm_with(|c| c.disable_tree = true),
             Scheme::PlutusValueEntries(n) => Box::new(PlutusEngine::factory(
                 PlutusConfig::full_with_value_entries(*n),
             )),
+            Scheme::PlutusPinnedPermille(n) => {
+                plutus_with(|c| c.value_cache.pinned_fraction = f64::from(*n) / 1000.0)
+            }
+            Scheme::PlutusPromoteAt(n) => plutus_with(|c| c.value_cache.promote_threshold = *n),
+            Scheme::PlutusDisableAt(n) => plutus_with(|c| {
+                c.compact = Some(CompactConfig {
+                    disable_threshold: *n,
+                    ..CompactConfig::default()
+                });
+            }),
         }
     }
+}
+
+/// PSSM with one setting changed.
+fn pssm_with(change: impl FnOnce(&mut SecureMemConfig)) -> Box<dyn EngineFactory> {
+    let mut cfg = SecureMemConfig::pssm();
+    change(&mut cfg);
+    Box::new(PssmEngine::factory(cfg))
+}
+
+/// Full Plutus with one setting changed.
+fn plutus_with(change: impl FnOnce(&mut PlutusConfig)) -> Box<dyn EngineFactory> {
+    let mut cfg = PlutusConfig::full();
+    change(&mut cfg);
+    Box::new(PlutusEngine::factory(cfg))
 }
 
 impl plutus_recovery::SchemeProvider for Scheme {
@@ -199,21 +240,8 @@ pub fn run_trace(trace: gpu_sim::Trace, scheme: Scheme, cfg: &GpuConfig) -> SimR
     sim.run()
 }
 
-/// Runs one workload under a custom engine factory (for ablations not
-/// covered by [`Scheme`]).
-pub fn run_with_factory(
-    workload: &WorkloadSpec,
-    factory: &dyn EngineFactory,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> SimResult {
-    let trace = workload.trace(scale);
-    let mut sim = Simulator::new(cfg.clone(), trace, factory);
-    sim.run()
-}
-
 /// One (workload × scheme) measurement with its baseline normalization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Measurement {
     /// Workload name.
     pub workload: String,

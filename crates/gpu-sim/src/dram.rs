@@ -20,7 +20,7 @@
 //! activations).
 
 use crate::config::DramConfig;
-use plutus_telemetry::{Counter, Gauge, Telemetry};
+use plutus_telemetry::{Counter, Telemetry};
 
 #[derive(Debug, Clone, Copy)]
 struct Bank {
@@ -81,7 +81,6 @@ pub struct DramChannel {
     tel_row_hits: Counter,
     tel_row_misses: Counter,
     tel_bank_busy: Counter,
-    tel_backlog_hwm: Gauge,
 }
 
 impl DramChannel {
@@ -108,20 +107,16 @@ impl DramChannel {
             tel_row_hits: Counter::disabled(),
             tel_row_misses: Counter::disabled(),
             tel_bank_busy: Counter::disabled(),
-            tel_backlog_hwm: Gauge::disabled(),
         }
     }
 
     /// Mirrors this channel's statistics into `tel`: `<prefix>.row_hits`,
-    /// `<prefix>.row_misses`, `<prefix>.bank_busy_cycles`, and the
-    /// `<prefix>.backlog_hwm_bytes` high-water gauge. Channels attached
-    /// with the same prefix aggregate into the same counters (the gauge
-    /// keeps the max across channels).
+    /// `<prefix>.row_misses` and `<prefix>.bank_busy_cycles`. Channels
+    /// attached with the same prefix aggregate into the same counters.
     pub fn attach_telemetry(&mut self, tel: &Telemetry, prefix: &str) {
         self.tel_row_hits = tel.counter(&format!("{prefix}.row_hits"));
         self.tel_row_misses = tel.counter(&format!("{prefix}.row_misses"));
         self.tel_bank_busy = tel.counter(&format!("{prefix}.bank_busy_cycles"));
-        self.tel_backlog_hwm = tel.gauge(&format!("{prefix}.backlog_hwm_bytes"));
     }
 
     /// Schedules a `bytes`-byte transfer touching `addr` at time `now`
@@ -176,10 +171,7 @@ impl DramChannel {
         let queue_ready = nowf + self.backlog_bytes / self.cfg.bytes_per_cycle;
         let burst = bytes as f64 / self.cfg.bytes_per_cycle;
         self.backlog_bytes += bytes as f64;
-        if self.backlog_bytes > self.backlog_hwm_bytes {
-            self.backlog_hwm_bytes = self.backlog_bytes;
-            self.tel_backlog_hwm.set_max(self.backlog_hwm_bytes as u64);
-        }
+        self.backlog_hwm_bytes = self.backlog_hwm_bytes.max(self.backlog_bytes);
         self.bytes_transferred += bytes as u64;
 
         let start = act_done.max(queue_ready);

@@ -478,18 +478,6 @@ impl Simulator {
         }
     }
 
-    /// Fallible variant of [`Simulator::with_telemetry`]: returns the
-    /// configuration-validation error as a value instead of panicking.
-    pub fn try_with_telemetry(
-        cfg: GpuConfig,
-        trace: Trace,
-        factory: &dyn EngineFactory,
-        tel: Telemetry,
-    ) -> Result<Self, String> {
-        cfg.validate()?;
-        Ok(Self::with_telemetry(cfg, trace, factory, tel))
-    }
-
     /// Closes a telemetry epoch every `cycles` simulated cycles, labelled
     /// with the cycle boundary. No effect when telemetry is disabled.
     ///

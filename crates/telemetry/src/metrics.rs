@@ -50,7 +50,7 @@ impl Counter {
     }
 }
 
-/// A last-value gauge handle (also tracks via [`Gauge::set_max`]).
+/// A last-value gauge handle.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
     /// `None` when disabled.
@@ -68,14 +68,6 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         if let Some(cell) = &self.cell {
             cell.store(v, REL);
-        }
-    }
-
-    /// Raises the gauge to `v` if larger.
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_max(v, REL);
         }
     }
 
@@ -377,7 +369,6 @@ mod tests {
         assert_eq!(c.get(), 0);
         let g = Gauge::disabled();
         g.set(7);
-        g.set_max(9);
         assert_eq!(g.get(), 0);
         let h = Histogram::disabled();
         h.record(42);
@@ -386,14 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_max() {
+    fn gauge_keeps_the_last_value() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("depth");
         g.set(5);
-        g.set_max(3);
-        assert_eq!(g.get(), 5);
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
+        g.set(3);
+        assert_eq!(g.get(), 3);
+        assert_eq!(reg.gauge("depth").get(), 3, "one name, one cell");
     }
 
     #[test]

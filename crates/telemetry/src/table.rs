@@ -37,7 +37,7 @@ enum Shape {
 }
 
 struct Column<'a, R> {
-    name: &'static str,
+    name: String,
     shape: Shape,
     get: Box<dyn Fn(&R) -> Json + 'a>,
 }
@@ -59,21 +59,21 @@ impl<'a, R> Table<'a, R> {
     }
 
     /// Adds a scalar column written to JSON and CSV.
-    pub fn col(self, name: &'static str, get: impl Fn(&R) -> Json + 'a) -> Self {
-        self.push(name, Shape::Scalar, get)
+    pub fn col(self, name: impl Into<String>, get: impl Fn(&R) -> Json + 'a) -> Self {
+        self.push(name.into(), Shape::Scalar, get)
     }
 
     /// Adds a scalar column the console table shows as well.
-    pub fn show(self, name: &'static str, get: impl Fn(&R) -> Json + 'a) -> Self {
-        self.push(name, Shape::Shown, get)
+    pub fn show(self, name: impl Into<String>, get: impl Fn(&R) -> Json + 'a) -> Self {
+        self.push(name.into(), Shape::Shown, get)
     }
 
     /// Adds a nested column (an object or array) written to JSON only.
-    pub fn nest(self, name: &'static str, get: impl Fn(&R) -> Json + 'a) -> Self {
-        self.push(name, Shape::Nested, get)
+    pub fn nest(self, name: impl Into<String>, get: impl Fn(&R) -> Json + 'a) -> Self {
+        self.push(name.into(), Shape::Nested, get)
     }
 
-    fn push(mut self, name: &'static str, shape: Shape, get: impl Fn(&R) -> Json + 'a) -> Self {
+    fn push(mut self, name: String, shape: Shape, get: impl Fn(&R) -> Json + 'a) -> Self {
         self.columns.push(Column {
             name,
             shape,
@@ -90,10 +90,7 @@ impl<'a, R> Table<'a, R> {
     /// out.
     pub fn to_json(&self) -> Json {
         let object = |r: &R| {
-            let cells = self
-                .columns
-                .iter()
-                .map(|c| (c.name.to_string(), (c.get)(r)));
+            let cells = self.columns.iter().map(|c| (c.name.clone(), (c.get)(r)));
             Json::Object(cells.filter(|(_, v)| *v != Json::Null).collect())
         };
         Json::Array(self.rows.iter().map(object).collect())
@@ -102,7 +99,11 @@ impl<'a, R> Table<'a, R> {
     /// The scalar columns as CSV with a header line, in JSON order.
     pub fn to_csv(&self) -> String {
         let cols = self.columns(|s| s != Shape::Nested);
-        let mut out = cols.iter().map(|c| c.name).collect::<Vec<_>>().join(",");
+        let mut out = cols
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect::<Vec<_>>()
+            .join(",");
         out.push('\n');
         for r in self.rows {
             let cells: Vec<String> = cols
@@ -148,7 +149,7 @@ impl<'a, R> Table<'a, R> {
             }
             format!("{}\n", s.trim_end())
         };
-        let mut out = line(cols.iter().map(|c| c.name).collect());
+        let mut out = line(cols.iter().map(|c| c.name.as_str()).collect());
         for row in &cells {
             out.push_str(&line(row.iter().map(String::as_str).collect()));
         }
@@ -277,7 +278,7 @@ mod tests {
     fn table(rows: &[Row]) -> Table<'_, Row> {
         Table::new(rows)
             .show("name", |r| r.name.into())
-            .show("n", |r| r.n.into())
+            .show(String::from("n"), |r| r.n.into())
             .nest("hist", |r| Json::object().set("a", r.n))
             .col("rate", |r| r.rate.into())
             .show("error", |r| r.error.map_or(Json::Null, Json::from))
