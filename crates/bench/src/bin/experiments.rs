@@ -1215,30 +1215,31 @@ fn ipc_table(rows: &[Measurement]) {
     println!("{}", matrix_table(rows, &columns(rows)));
 }
 
+/// The largest `(value, workload)` of `cells`, the first on ties;
+/// `None` when there are none.
+fn best_of<'a>(cells: impl IntoIterator<Item = (f64, &'a str)>) -> Option<(f64, &'a str)> {
+    cells
+        .into_iter()
+        .reduce(|best, c| if c.0 > best.0 { c } else { best })
+}
+
 fn summarize_vs(rows: &[Measurement], scheme: &str, baseline: &str) {
-    let mut ratios = Vec::new();
-    let mut best: (f64, String) = (0.0, String::new());
-    for r in rows.iter().filter(|r| r.scheme == scheme) {
-        if let Some(b) = rows
-            .iter()
-            .find(|x| x.workload == r.workload && x.scheme == baseline)
-        {
-            if b.norm_ipc > 0.0 {
-                let ratio = r.norm_ipc / b.norm_ipc;
-                if ratio > best.0 {
-                    best = (ratio, r.workload.clone());
-                }
-                ratios.push(ratio);
-            }
-        }
-    }
-    if !ratios.is_empty() {
-        let g = geomean(ratios.iter().copied());
+    let ratios: Vec<(f64, &str)> = rows
+        .iter()
+        .filter(|r| r.scheme == scheme)
+        .filter_map(|r| {
+            let b = rows
+                .iter()
+                .find(|x| x.workload == r.workload && x.scheme == baseline)?;
+            (b.norm_ipc > 0.0).then(|| (r.norm_ipc / b.norm_ipc, r.workload.as_str()))
+        })
+        .collect();
+    if let Some((best, workload)) = best_of(ratios.iter().copied()) {
+        let g = geomean(ratios.iter().map(|(r, _)| *r));
         println!(
-            "{scheme} vs {baseline}: {:+.2}% geomean IPC (best {:+.2}% on {})",
+            "{scheme} vs {baseline}: {:+.2}% geomean IPC (best {:+.2}% on {workload})",
             (g - 1.0) * 100.0,
-            (best.0 - 1.0) * 100.0,
-            best.1
+            (best - 1.0) * 100.0,
         );
     }
 }
@@ -1353,13 +1354,8 @@ fn fig19(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
         .show("plutus", |(_, q, _)| q.metadata_bytes.into())
         .show("reduction", |(.., r)| (*r).into());
     print!("{}", table.to_console());
-    let best = pairs.iter().fold((0.0, ""), |best, (p, _, r)| {
-        if *r > best.0 {
-            (*r, p.workload.as_str())
-        } else {
-            best
-        }
-    });
+    let best = best_of(pairs.iter().map(|(p, _, r)| (*r, p.workload.as_str())));
+    let best = best.unwrap_or((0.0, ""));
     println!(
         "metadata traffic reduced {:.2}% on geomean (best {:.2}% on {})",
         (1.0 - geomean(pairs.iter().map(|(.., r)| 1.0 - r))) * 100.0,
@@ -1409,6 +1405,14 @@ fn ablations(args: &Args, cfg: &GpuConfig) {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    #[test]
+    fn best_of_takes_the_maximum_even_when_every_value_is_negative() {
+        let cells = [(-0.524, "hotspot"), (-0.317, "bfs"), (-0.9, "lbm")];
+        assert_eq!(best_of(cells), Some((-0.317, "bfs")));
+        assert_eq!(best_of([(1.2, "a"), (1.2, "b")]), Some((1.2, "a")));
+        assert_eq!(best_of([]), None);
+    }
 
     fn parse(words: &[&str]) -> Result<(String, Vec<String>, Flags), String> {
         let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();

@@ -83,7 +83,7 @@ impl Scheme {
 
     pub(crate) fn factory(&self) -> Box<dyn EngineFactory> {
         match self {
-            Scheme::None => Box::new(NoSecurityFactoryShim),
+            Scheme::None => Box::new(NoSecurityEngine::factory()),
             Scheme::Pssm => Box::new(PssmEngine::factory(SecureMemConfig::pssm())),
             Scheme::PssmMac4 => Box::new(PssmEngine::factory(SecureMemConfig::pssm_mac4())),
             Scheme::PssmMonolithic => {
@@ -207,18 +207,6 @@ fn values_or_first_panic<T>(results: Vec<Result<T, JobPanic>>) -> Result<Vec<T>,
         .into_iter()
         .map(|r| r.map_err(RunnerError::from))
         .collect()
-}
-
-struct NoSecurityFactoryShim;
-
-impl EngineFactory for NoSecurityFactoryShim {
-    fn build(&self, _partition: usize) -> Box<dyn gpu_sim::SecurityEngine> {
-        Box::new(NoSecurityEngine::new())
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "none"
-    }
 }
 
 /// Runs one workload under one scheme (telemetry disabled).

@@ -31,7 +31,6 @@ use gpu_sim::{
     SECTOR_SIZE,
 };
 use plutus_crypto::Cmac;
-use plutus_telemetry::{Counter, Telemetry};
 use secure_mem::BlockMap;
 
 /// Which compact-counter design is active (the paper's three options).
@@ -149,8 +148,6 @@ pub struct CompactCounters {
     saturations: u64,
     disables: u64,
     tree_fetches: u64,
-    tel_saturations: Counter,
-    tel_disables: Counter,
 }
 
 const TREE_ARITY: u64 = 4;
@@ -214,19 +211,7 @@ impl CompactCounters {
             saturations: 0,
             disables: 0,
             tree_fetches: 0,
-            tel_saturations: Counter::disabled(),
-            tel_disables: Counter::disabled(),
         }
-    }
-
-    /// Mirrors the compact caches into `tel` (`compact_cache.*`,
-    /// `compact_tree_cache.*`) and registers the saturation/disable
-    /// counters.
-    pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.cache.attach_telemetry(tel, "compact_cache");
-        self.tree_cache.attach_telemetry(tel, "compact_tree_cache");
-        self.tel_saturations = tel.counter("compact.saturations");
-        self.tel_disables = tel.counter("compact.block_disables");
     }
 
     fn block_of(&self, sector: SectorAddr) -> u64 {
@@ -430,13 +415,11 @@ impl CompactCounters {
         } else {
             // Saturating write: propagate to the original counters.
             self.saturations += 1;
-            self.tel_saturations.inc();
             out.propagate = Some(sat);
             let count = self.saturated_in_block.entry(block).or_insert(0);
             *count += 1;
             if self.cfg.kind == CompactKind::Adaptive3 && *count >= self.cfg.disable_threshold {
                 self.disables += 1;
-                self.tel_disables.inc();
                 self.disabled_blocks.insert(block);
                 let copies = self
                     .block_values(block)
@@ -500,7 +483,6 @@ impl CompactCounters {
             return Vec::new();
         }
         self.disables += 1;
-        self.tel_disables.inc();
         self.disabled_blocks.insert(block);
         let sat = self.cfg.kind.saturation();
         self.block_values(block)

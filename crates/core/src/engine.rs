@@ -33,7 +33,7 @@ use gpu_sim::{
     BackingMemory, DramReq, EngineFactory, FastHashMap, FillPlan, MetaFault, RecoveryError,
     RecoveryReport, SectorAddr, SecurityEngine, Violation, WritePlan,
 };
-use plutus_telemetry::{Counter, Event, Telemetry, TraceId, Tracer};
+use plutus_telemetry::{Event, Telemetry, TraceId, Tracer};
 use secure_mem::{
     Candidate, CounterAccess, CounterSystem, ProtectedRegion, SecureMemError, Settled, Vouch,
 };
@@ -66,9 +66,6 @@ pub struct PlutusEngine {
     block_failures: FastHashMap<u64, u32>,
     blocks_frozen: u64,
     tel: Telemetry,
-    tel_mac_avoided: Counter,
-    tel_mac_skipped: Counter,
-    tel_compact_fallbacks: Counter,
     tracer: Tracer,
     /// Trace root of the demand access currently being served (set by
     /// the simulator via `begin_access_trace`), so engine-internal
@@ -116,9 +113,6 @@ impl PlutusEngine {
             block_failures: FastHashMap::default(),
             blocks_frozen: 0,
             tel: Telemetry::disabled(),
-            tel_mac_avoided: Counter::disabled(),
-            tel_mac_skipped: Counter::disabled(),
-            tel_compact_fallbacks: Counter::disabled(),
             tracer: Tracer::disabled(),
             cur_trace: TraceId::NONE,
         })
@@ -164,7 +158,6 @@ impl PlutusEngine {
             // Saturated or disabled: the original counter path follows,
             // sequentially (the paper's two-access cost).
             self.compact_fallbacks += 1;
-            self.tel_compact_fallbacks.inc();
             self.tracer
                 .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
         }
@@ -392,7 +385,6 @@ impl SecurityEngine for PlutusEngine {
                 // Integrity assured by value locality: no MAC at all.
                 plan.verified_by_value = true;
                 self.mac_fetches_avoided += 1;
-                self.tel_mac_avoided.inc();
                 self.tracer
                     .mark(self.cur_trace, "value_vouch", addr.raw(), 0);
             }
@@ -478,7 +470,6 @@ impl SecurityEngine for PlutusEngine {
                         self.region.counters.raise_to(addr, sat)
                     } else {
                         self.compact_fallbacks += 1;
-                        self.tel_compact_fallbacks.inc();
                         self.tracer
                             .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
                         self.region.counters.increment(addr)
@@ -522,7 +513,6 @@ impl SecurityEngine for PlutusEngine {
         let skip = match screen {
             Some(WriteScreen::SkipMac) => {
                 self.mac_updates_skipped += 1;
-                self.tel_mac_skipped.inc();
                 self.tracer.mark(self.cur_trace, "mac_skip", addr.raw(), 0);
                 true
             }
@@ -547,16 +537,6 @@ impl SecurityEngine for PlutusEngine {
     }
 
     fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.region.attach_telemetry(tel);
-        if let Some(v) = self.verifier.as_mut() {
-            v.attach_telemetry(tel);
-        }
-        if let Some(c) = self.compact.as_mut() {
-            c.attach_telemetry(tel);
-        }
-        self.tel_mac_avoided = tel.counter("engine.mac_fetches_avoided");
-        self.tel_mac_skipped = tel.counter("engine.mac_updates_skipped");
-        self.tel_compact_fallbacks = tel.counter("engine.compact_fallbacks");
         self.tracer = tel.tracer();
         self.tel = tel.clone();
     }

@@ -19,7 +19,6 @@
 //! and list order decides them.
 
 use gpu_sim::FastHashMap;
-use plutus_telemetry::{Counter, Telemetry};
 
 /// Value-cache configuration (paper Table II: 1 kB, fully associative,
 /// 25% pinned, 256 entries of 28-bit value + 4-bit counter).
@@ -132,9 +131,6 @@ pub struct ValueCache {
     hits: u64,
     misses: u64,
     promotions: u64,
-    tel_hits: Counter,
-    tel_misses: Counter,
-    tel_promotions: Counter,
 }
 
 impl ValueCache {
@@ -155,18 +151,7 @@ impl ValueCache {
             hits: 0,
             misses: 0,
             promotions: 0,
-            tel_hits: Counter::disabled(),
-            tel_misses: Counter::disabled(),
-            tel_promotions: Counter::disabled(),
         }
-    }
-
-    /// Mirrors probe outcomes into `tel` (`value_cache.hits`/`.misses`/
-    /// `.promotions`).
-    pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.tel_hits = tel.counter("value_cache.hits");
-        self.tel_misses = tel.counter("value_cache.misses");
-        self.tel_promotions = tel.counter("value_cache.promotions");
     }
 
     /// The configuration in use.
@@ -176,17 +161,6 @@ impl ValueCache {
 
     fn key_of(&self, value: u32) -> u32 {
         value >> self.cfg.masked_bits
-    }
-
-    /// Probes for `value` without inserting, updating recency and use
-    /// counters on a hit.
-    pub fn probe(&mut self, value: u32) -> ProbeResult {
-        let result = self.probe_inner(value);
-        match result {
-            ProbeResult::Miss => self.tel_misses.inc(),
-            ProbeResult::HitPinned | ProbeResult::HitTransient => self.tel_hits.inc(),
-        }
-        result
     }
 
     /// Removes the transient entry at `pos` by swapping the last entry
@@ -199,7 +173,9 @@ impl ValueCache {
         }
     }
 
-    fn probe_inner(&mut self, value: u32) -> ProbeResult {
+    /// Probes for `value` without inserting, updating recency and use
+    /// counters on a hit.
+    pub fn probe(&mut self, value: u32) -> ProbeResult {
         self.tick += 1;
         let key = self.key_of(value);
         let pos = match self.index.get(&key) {
@@ -221,7 +197,6 @@ impl ValueCache {
             self.remove_transient(pos);
             self.pin(key);
             self.promotions += 1;
-            self.tel_promotions.inc();
             return ProbeResult::HitPinned;
         }
         ProbeResult::HitTransient

@@ -65,12 +65,6 @@ impl ValueVerifier {
         self.min_hits
     }
 
-    /// Mirrors the underlying value cache into `tel` (see
-    /// [`ValueCache::attach_telemetry`]).
-    pub fn attach_telemetry(&mut self, tel: &plutus_telemetry::Telemetry) {
-        self.cache.attach_telemetry(tel);
-    }
-
     /// The underlying value cache.
     pub fn cache(&self) -> &ValueCache {
         &self.cache

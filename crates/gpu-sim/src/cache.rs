@@ -13,7 +13,6 @@
 //! fine-grain metadata designs.
 
 use crate::address::SECTOR_SIZE;
-use plutus_telemetry::{Counter, Telemetry};
 
 /// Maximum sectors per line supported (128 B line / 32 B sector).
 const MAX_SECTORS: usize = 4;
@@ -69,8 +68,6 @@ pub struct SectoredCache {
     lru_tick: u64,
     hits: u64,
     misses: u64,
-    tel_hits: Counter,
-    tel_misses: Counter,
 }
 
 impl SectoredCache {
@@ -106,18 +103,7 @@ impl SectoredCache {
             lru_tick: 0,
             hits: 0,
             misses: 0,
-            tel_hits: Counter::disabled(),
-            tel_misses: Counter::disabled(),
         }
-    }
-
-    /// Mirrors this cache's hit/miss statistics into `tel` under
-    /// `<prefix>.hits` / `<prefix>.misses`. Caches attached with the same
-    /// prefix (e.g. one metadata cache per partition) aggregate into the
-    /// same counters.
-    pub fn attach_telemetry(&mut self, tel: &Telemetry, prefix: &str) {
-        self.tel_hits = tel.counter(&format!("{prefix}.hits"));
-        self.tel_misses = tel.counter(&format!("{prefix}.misses"));
     }
 
     fn set_of(&self, addr: u64) -> usize {
@@ -182,7 +168,6 @@ impl SectoredCache {
             }
             if was_valid {
                 self.hits += 1;
-                self.tel_hits.inc();
                 return AccessOutcome {
                     hit: true,
                     evicted: Vec::new(),
@@ -190,7 +175,6 @@ impl SectoredCache {
             }
             // Sector miss within a present line: no eviction needed.
             self.misses += 1;
-            self.tel_misses.inc();
             return AccessOutcome {
                 hit: false,
                 evicted: Vec::new(),
@@ -199,7 +183,6 @@ impl SectoredCache {
 
         // Allocate: pick invalid way or LRU victim.
         self.misses += 1;
-        self.tel_misses.inc();
         let lines = self.set_lines(set);
         let victim_way = lines
             .iter()

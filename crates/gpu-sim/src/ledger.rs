@@ -249,8 +249,7 @@ impl CycleLedger {
     /// since the frontier goes to [`StallBucket::Issue`], the newly
     /// visible part of the span is split across `weights` (falling back
     /// to `fallback` when all weights are zero), and the frontier
-    /// advances to `end`. Returns the per-bucket cycles added, for
-    /// telemetry mirroring.
+    /// advances to `end`.
     pub fn commit(
         &mut self,
         p: usize,
@@ -258,25 +257,20 @@ impl CycleLedger {
         end: u64,
         weights: &LedgerWeights,
         fallback: StallBucket,
-    ) -> [u64; NUM_STALL_BUCKETS] {
+    ) {
         let cur = &mut self.cursors[p];
-        let mut delta = [0u64; NUM_STALL_BUCKETS];
         if start > cur.frontier {
-            delta[StallBucket::Issue.idx()] += start - cur.frontier;
+            cur.ledger.buckets[StallBucket::Issue.idx()] += start - cur.frontier;
             cur.frontier = start;
         }
         let visible = end.saturating_sub(cur.frontier);
         if visible > 0 {
             let parts = split_span(visible, &weights.w, fallback);
-            for (d, p) in delta.iter_mut().zip(parts.iter()) {
-                *d += p;
+            for (b, p) in cur.ledger.buckets.iter_mut().zip(parts.iter()) {
+                *b += p;
             }
             cur.frontier = end;
         }
-        for (b, d) in cur.ledger.buckets.iter_mut().zip(delta.iter()) {
-            *b += d;
-        }
-        delta
     }
 
     /// Closes the ledger at `horizon`: remaining unattributed time on each
@@ -284,16 +278,10 @@ impl CycleLedger {
     /// ran past the horizon (early-halted runs with in-flight activity)
     /// are trimmed back deterministically, walking buckets in reverse
     /// order. After this, every partition's total equals `horizon`.
-    /// Returns the total `Issue` cycles added across partitions (for
-    /// telemetry mirroring; trims are not mirrored, so telemetry ledger
-    /// counters may over-report on crashed runs).
-    pub fn close(&mut self, horizon: u64) -> u64 {
-        let mut issue_added = 0u64;
+    pub fn close(&mut self, horizon: u64) {
         for cur in &mut self.cursors {
             if horizon >= cur.frontier {
-                let gap = horizon - cur.frontier;
-                cur.ledger.buckets[StallBucket::Issue.idx()] += gap;
-                issue_added += gap;
+                cur.ledger.buckets[StallBucket::Issue.idx()] += horizon - cur.frontier;
             } else {
                 let mut trim = cur.frontier - horizon;
                 for b in cur.ledger.buckets.iter_mut().rev() {
@@ -307,12 +295,23 @@ impl CycleLedger {
             }
             cur.frontier = horizon;
         }
-        issue_added
     }
 
     /// Snapshot of every partition's ledger, in partition order.
     pub fn ledgers(&self) -> Vec<PartitionLedger> {
         self.cursors.iter().map(|c| c.ledger.clone()).collect()
+    }
+
+    /// Cycles attributed so far per bucket, summed over partitions and
+    /// indexed by [`StallBucket::idx`]: the CPI stack once closed.
+    pub fn totals(&self) -> [u64; NUM_STALL_BUCKETS] {
+        let mut out = [0; NUM_STALL_BUCKETS];
+        for cur in &self.cursors {
+            for (o, b) in out.iter_mut().zip(cur.ledger.buckets) {
+                *o += b;
+            }
+        }
+        out
     }
 }
 
@@ -358,9 +357,9 @@ mod tests {
         let mut l = CycleLedger::new(1);
         let mut w = LedgerWeights::default();
         w.add(StallBucket::DataFill, 10);
-        let delta = l.commit(0, 100, 150, &w, StallBucket::DataFill);
-        assert_eq!(delta[StallBucket::Issue.idx()], 100);
-        assert_eq!(delta[StallBucket::DataFill.idx()], 50);
+        l.commit(0, 100, 150, &w, StallBucket::DataFill);
+        assert_eq!(l.totals()[StallBucket::Issue.idx()], 100);
+        assert_eq!(l.totals()[StallBucket::DataFill.idx()], 50);
         l.close(150);
         let ledgers = l.ledgers();
         assert_eq!(ledgers[0].total(), 150);
@@ -373,8 +372,8 @@ mod tests {
         w.add(StallBucket::DataFill, 1);
         l.commit(0, 0, 100, &w, StallBucket::DataFill);
         // Second span overlaps [50, 100): only [100, 120) is new.
-        let delta = l.commit(0, 50, 120, &w, StallBucket::DataFill);
-        assert_eq!(delta.iter().sum::<u64>(), 20);
+        l.commit(0, 50, 120, &w, StallBucket::DataFill);
+        assert_eq!(l.totals().iter().sum::<u64>(), 120);
         l.close(120);
         assert_eq!(l.ledgers()[0].total(), 120);
     }
@@ -399,8 +398,8 @@ mod tests {
         w.add(StallBucket::BankConflict, 5);
         w.collapse_into(StallBucket::TransientRetry);
         let mut l = CycleLedger::new(1);
-        let delta = l.commit(0, 0, 30, &w, StallBucket::Issue);
-        assert_eq!(delta[StallBucket::TransientRetry.idx()], 30);
+        l.commit(0, 0, 30, &w, StallBucket::Issue);
+        assert_eq!(l.totals()[StallBucket::TransientRetry.idx()], 30);
     }
 
     #[test]

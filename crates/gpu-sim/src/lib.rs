@@ -43,6 +43,7 @@ pub mod fault;
 pub mod hash;
 pub mod ledger;
 pub mod mem;
+mod publish;
 mod queue;
 pub mod security;
 pub mod sim;

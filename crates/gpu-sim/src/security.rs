@@ -363,17 +363,18 @@ pub trait SecurityEngine {
         mem: &mut BackingMemory,
     ) -> WritePlan;
 
-    /// Engine-specific statistic counters folded into [`crate::stats::SimStats::engine`].
+    /// Engine-specific statistic counters, summed across partitions into
+    /// [`crate::stats::SimStats::engine`]. A registry-fed run publishes
+    /// each key once, at the end, as counter `engine.<key>`.
     fn extra_stats(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
 
-    /// Hands the engine a telemetry handle so it can register metrics
-    /// (value-cache hits, MAC fetches, BMT walk depths, …), emit run-level
-    /// events such as degradation steps, and mark flight-recorder
-    /// records. Called once per engine, right after construction and
-    /// before any traffic.
-    /// The default implementation ignores it.
+    /// Hands the engine a telemetry handle so it can emit run-level
+    /// events such as degradation steps and mark flight-recorder
+    /// records. Engine counts go through [`SecurityEngine::extra_stats`]
+    /// instead. Called once per engine, right after construction and
+    /// before any traffic. The default implementation ignores it.
     fn attach_telemetry(&mut self, _tel: &plutus_telemetry::Telemetry) {}
 
     /// Applies a mid-run metadata fault from a [`crate::FaultSchedule`]

@@ -228,7 +228,7 @@ pub struct SimStats {
     pub l2_misses: u64,
     /// Accesses merged into an in-flight MSHR entry.
     pub mshr_merges: u64,
-    /// Retries due to MSHR exhaustion.
+    /// Read misses queued because the MSHR file was full.
     pub mshr_stalls: u64,
     /// Per-class DRAM traffic, indexed by [`TrafficClass::idx`].
     pub traffic: [ClassTraffic; 6],

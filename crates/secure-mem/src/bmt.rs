@@ -25,7 +25,6 @@ use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::{DramReq, FastHashMap, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
 use plutus_crypto::Cmac;
-use plutus_telemetry::{Histogram, Telemetry};
 
 /// Counter groups under one leaf: a 128 B counter fetch unit.
 const MAX_GROUPS_PER_LEAF: usize = 4;
@@ -72,7 +71,6 @@ pub struct Bmt {
     node_fetches: u64,
     node_hits: u64,
     traffic_class: TrafficClass,
-    walk_depth: Histogram,
 }
 
 impl Bmt {
@@ -100,16 +98,7 @@ impl Bmt {
             node_fetches: 0,
             node_hits: 0,
             traffic_class: class,
-            walk_depth: Histogram::disabled(),
         }
-    }
-
-    /// Mirrors the node cache into `tel` (`<prefix>.cache.hits`/`.misses`)
-    /// and records every verification walk's depth into the
-    /// `<prefix>.walk_depth` histogram.
-    pub fn attach_telemetry(&mut self, tel: &Telemetry, prefix: &str) {
-        self.cache.attach_telemetry(tel, &format!("{prefix}.cache"));
-        self.walk_depth = tel.histogram(&format!("{prefix}.walk_depth"));
     }
 
     /// Writes `leaf`'s hash input (leaf id, then its counter groups) into
@@ -222,8 +211,6 @@ impl Bmt {
             level += 1;
             idx = self.layout.parent_index(idx);
         }
-        let depth = level - 1; // levels fetched before a cached node / root
-        self.walk_depth.record(u64::from(depth));
         walk
     }
 

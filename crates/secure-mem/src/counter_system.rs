@@ -7,7 +7,6 @@ use crate::counter_store::{CounterStore, IncrementOutcome};
 use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::{DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
-use plutus_telemetry::Telemetry;
 
 /// Everything an engine needs from one counter operation.
 #[derive(Debug, Clone, Default)]
@@ -69,13 +68,6 @@ impl CounterSystem {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Mirrors the counter cache into `tel` (`ctr_cache.hits`/`.misses`)
-    /// and forwards to the BMT.
-    pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.cache.attach_telemetry(tel, "ctr_cache");
-        self.bmt.attach_telemetry(tel, "bmt");
     }
 
     /// The metadata layout in use.

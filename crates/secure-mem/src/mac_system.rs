@@ -10,7 +10,6 @@ use crate::layout::Layout;
 use crate::mac_store::MacStore;
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::{DramReq, SectorAddr, TrafficClass, SECTOR_SIZE};
-use plutus_telemetry::Telemetry;
 
 /// Timing products of one MAC-cache operation.
 #[derive(Debug, Clone, Default)]
@@ -54,11 +53,6 @@ impl MacSystem {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Mirrors the MAC cache into `tel` (`mac_cache.hits`/`.misses`).
-    pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.cache.attach_telemetry(tel, "mac_cache");
     }
 
     fn mac_piece(&self, sector: SectorAddr) -> u64 {

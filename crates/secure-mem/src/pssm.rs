@@ -211,10 +211,6 @@ impl SecurityEngine for PssmEngine {
         self.region.rotation_active()
     }
 
-    fn attach_telemetry(&mut self, tel: &plutus_telemetry::Telemetry) {
-        self.region.attach_telemetry(tel);
-    }
-
     fn inject_fault(&mut self, addr: SectorAddr, fault: MetaFault) -> bool {
         match fault {
             MetaFault::RollbackCounter { value } => self.region.counters.tamper_minor(addr, value),

@@ -528,12 +528,6 @@ impl ProtectedRegion {
         self.tenancy.as_ref().is_some_and(|tc| tc.rotation_active())
     }
 
-    /// Binds the counter and MAC systems to `tel`.
-    pub fn attach_telemetry(&mut self, tel: &plutus_telemetry::Telemetry) {
-        self.counters.attach_telemetry(tel);
-        self.macs.attach_telemetry(tel);
-    }
-
     /// The statistics every engine reports first, in this order: fills,
     /// writebacks, counter-cache and BMT stats, MAC-cache stats.
     pub fn stats_prefix(&self) -> Vec<(String, u64)> {

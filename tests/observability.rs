@@ -1,8 +1,9 @@
 //! The live observability plane, end to end: epoch-stream delta
 //! conservation under concurrent counter updates, byte-identity of the
 //! stream across worker counts, run-directory report routing, an honest
-//! run logging only its lifecycle events, and the METRICS.md reference
-//! staying in sync with the registry and the typed-event catalog.
+//! run logging only its lifecycle events, the registry agreeing with the
+//! run reports, and the METRICS.md reference staying in sync with the
+//! registry and the typed-event catalog.
 
 use plutus_exec::{Executor, Job};
 use plutus_telemetry::{CycleClock, Json, Telemetry, EVENT_KINDS};
@@ -146,6 +147,56 @@ fn run_dir_routes_reports_into_one_directory() {
 }
 
 #[test]
+fn registry_epochs_equal_the_run_reports() {
+    // The registry reads the simulator's own records, so a run's one
+    // epoch carries exactly its engine statistics and its CPI stack.
+    let tel = Telemetry::with_clock(Arc::new(CycleClock::new()));
+    let observe = plutus_bench::Observe {
+        registry: Some(tel.clone()),
+        epoch_cycles: None,
+        trace: None,
+    };
+    let schemes = [
+        plutus_bench::Scheme::Pssm,
+        plutus_bench::Scheme::CommonCounters,
+        plutus_bench::Scheme::Plutus,
+    ];
+    let (rows, _) = plutus_bench::run_matrix(
+        &Executor::sequential(),
+        &[workloads::by_name("bfs").unwrap()],
+        &schemes,
+        workloads::Scale::Test,
+        &gpu_sim::GpuConfig::test_small(),
+        &observe,
+    )
+    .expect("registry-fed matrix must succeed");
+    let epochs = tel.epochs();
+    assert_eq!(rows.len(), schemes.len());
+    for row in &rows {
+        let label = format!("{}/{}", row.workload, row.scheme);
+        let epoch = epochs
+            .iter()
+            .find(|e| e.label == label)
+            .unwrap_or_else(|| panic!("no epoch labelled {label}"));
+        assert!(!row.engine_stats.is_empty(), "{label}: no engine stats");
+        for (key, value) in &row.engine_stats {
+            assert_eq!(
+                epoch.delta(&format!("engine.{key}")),
+                *value,
+                "{label}: engine.{key}"
+            );
+        }
+        for (bucket, cycles) in &row.cpi_stack {
+            assert_eq!(
+                epoch.delta(&format!("ledger.{bucket}")),
+                *cycles,
+                "{label}: ledger.{bucket}"
+            );
+        }
+    }
+}
+
+#[test]
 fn metrics_doc_covers_registry_and_event_catalog() {
     let doc = include_str!("../METRICS.md");
     // Populate a registry the way real runs do: an executor plus a
@@ -270,13 +321,20 @@ fn metric_names(tel: &Telemetry) -> Vec<String> {
         .collect()
 }
 
-/// `tenant.t7.instructions` -> `tenant.t<id>.instructions`.
+/// `tenant.t7.instructions` -> `tenant.t<id>.instructions`, and
+/// `engine.ladder_frozen_t7` -> `engine.ladder_frozen_t<id>`.
 fn normalize(name: &str) -> String {
+    let is_id = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_digit());
     if let Some(rest) = name.strip_prefix("tenant.t") {
         if let Some(dot) = rest.find('.') {
-            if rest[..dot].chars().all(|c| c.is_ascii_digit()) {
+            if is_id(&rest[..dot]) {
                 return format!("tenant.t<id>{}", &rest[dot..]);
             }
+        }
+    }
+    if let Some((stem, id)) = name.rsplit_once("_t") {
+        if name.starts_with("engine.") && is_id(id) {
+            return format!("{stem}_t<id>");
         }
     }
     name.to_string()
