@@ -130,20 +130,18 @@ use gpu_sim::GpuConfig;
 use plutus_bench::ablations::{ablation_report, AblationRow};
 use plutus_bench::{
     attribution_table, bench_snapshot_with, campaign_gate, campaign_report, chrome_trace,
-    cipher_bench_gate, cipher_bench_report, collapsed_stack, cpi_stack_table, degenerate_warning,
-    diff_documents, diff_run_dirs, eq1_bound, figure_report, geomean, ledger_csv, ledger_folded,
-    ledger_gate, ledger_json, matrix_table, measurement_table, obs_diff_table, read_report,
-    recovery_schemes, run_campaign_on, run_matrix, BenchProvenance, CampaignConfig, CampaignKind,
-    EnergyModel, Measurement, ObsDiff, Observe, Scheme, TracedRun,
+    cipher_bench_gate, cipher_bench_report, collapsed_stack, cpi_stack_table, crash_gate,
+    crash_report, degenerate_warning, diff_documents, diff_run_dirs, eq1_bound, figure_report,
+    geomean, ledger_csv, ledger_folded, ledger_gate, ledger_json, matrix_table, measurement_table,
+    obs_diff_table, read_report, run_campaign_on, run_crash_campaign_on, run_matrix,
+    run_storm_campaign_observed, run_transient_campaign_on, storm_gate, storm_report,
+    transient_gate, transient_report, BenchProvenance, CampaignConfig, CampaignKind,
+    CrashCampaignConfig, EnergyModel, Measurement, ObsDiff, Observe, Scheme, StormCampaignConfig,
+    StormRow, TracedRun, TransientCampaignConfig,
 };
 use plutus_core::value_analysis::analyze_trace;
 use plutus_crypto::CryptoBackend;
 use plutus_exec::Executor;
-use plutus_recovery::{
-    crash_gate, crash_report, run_crash_campaign_on, run_storm_campaign_observed,
-    run_transient_campaign_on, storm_gate, storm_report, transient_gate, transient_report,
-    CrashCampaignConfig, StormCampaignConfig, TransientCampaignConfig,
-};
 use plutus_telemetry::{
     save_report, CycleClock, Event, GateFailure, Json, Table, Telemetry, DEFAULT_TRACE_CAPACITY,
     MANIFEST_FILE, MANIFEST_SCHEMA,
@@ -691,13 +689,7 @@ fn run_transient_cli(args: &Args, cfg: &GpuConfig) {
         campaign.seed,
         campaign.scale
     );
-    let rows = run_transient_campaign_on(
-        &args.exec,
-        &args.workloads,
-        &recovery_schemes(),
-        &campaign,
-        cfg,
-    );
+    let rows = run_transient_campaign_on(&args.exec, &args.workloads, &campaign, cfg);
     let (name, report) = ("campaign-transient", transient_report(&rows));
     let ok = format!(
         "every detected transient recovered within {} retries",
@@ -779,7 +771,7 @@ fn run_storm_cli(args: &Args, soak: bool) {
     // shows campaign progress.
     let tel = args.tel.clone();
     let rows = {
-        let mut observe_row = |row: &plutus_recovery::StormRow| {
+        let mut observe_row = |row: &StormRow| {
             tel.counter("storm.victim_violations")
                 .add(row.victim_violations);
             tel.counter("storm.deferred").add(row.storm_deferred);
@@ -816,14 +808,8 @@ fn run_crash_cli(args: &Args, cfg: &GpuConfig) {
         "=== campaign crash (checkpoint every {} cycles, {} crash points, {:?} scale) ===",
         campaign.checkpoint_cycles, campaign.crash_points, campaign.scale
     );
-    let rows = run_crash_campaign_on(
-        &args.exec,
-        &args.workloads,
-        &recovery_schemes(),
-        &campaign,
-        cfg,
-    );
-    let audited: u64 = rows.iter().map(|r| r.audited).sum();
+    let rows = run_crash_campaign_on(&args.exec, &args.workloads, &campaign, cfg);
+    let audited: u64 = rows.iter().map(|r| r.audit.audited).sum();
     let ok = format!("{audited} post-recovery reads bit-identical, no spurious violations");
     let (name, report) = ("campaign-crash", crash_report(&rows));
     let (saved, gate) = (report.save(name), crash_gate(&rows));

@@ -12,20 +12,60 @@
 //!
 //! Engines continue-and-count: a run does not stop at its first
 //! violation, so one run adjudicates every fault it was given.
+//!
+//! This module also holds what every campaign shares: the engines they
+//! attack ([`CAMPAIGN_ENGINES`]), the Eq. 1 bound, the fault tally of
+//! [`CampaignRow`] and the trace-driven job rounds. The other campaigns
+//! sit beside it: transient retry ([`crate::transient`]), crash restore
+//! ([`crate::crash`]) and the multi-tenant storm and soak
+//! ([`crate::storm`]).
 
 use crate::runner::Scheme;
 use gpu_sim::{
     FaultKind, FaultOutcome, FaultRecord, FaultSchedule, FaultTrigger, GpuConfig, MetaFault,
     ScheduledFault, SectorAddr, Simulator, Trace,
 };
-use plutus_exec::{expect_all, Executor, Job};
-pub use plutus_recovery::eq1_bound;
-use plutus_recovery::randomizes_plaintext;
+use plutus_core::binomial::{
+    binomial_tail, plutus_min_hits, tamper_hit_probability, VALUES_PER_UNIT,
+};
+use plutus_core::ValueCacheConfig;
+use plutus_exec::{derive_seed, expect_all, Executor, Job};
 use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use workloads::{Scale, WorkloadSpec};
+
+/// The engines every campaign attacks. The order is part of each
+/// report: [`derive_seed`] takes an engine's index here.
+pub const CAMPAIGN_ENGINES: [Scheme; 3] = [Scheme::Pssm, Scheme::CommonCounters, Scheme::Plutus];
+
+/// The analytic Eq. 1 forgery bound at the default value-cache design
+/// point: `P(X ≥ x)` for one 128-bit unit under a tampered decrypt.
+/// Every campaign that counts value-verification forgeries gates on it.
+pub fn eq1_bound() -> f64 {
+    let vc = ValueCacheConfig::default();
+    let p = tamper_hit_probability(vc.entries, vc.effective_bits());
+    binomial_tail(
+        VALUES_PER_UNIT,
+        plutus_min_hits(vc.entries, vc.effective_bits()),
+        p,
+    )
+}
+
+/// Fault kinds whose applied effect changes the plaintext served to the
+/// core — the only kinds whose value-verified escapes count as forgery
+/// acceptances under Eq. 1. A tampered MAC or BMT node leaves the data
+/// path honest (the tampered structure simply goes unconsulted on a
+/// value-verified read), so such escapes are expected behaviour, not
+/// forgeries: Eq. 1 bounds the chance that *non-authentic* plaintext
+/// clears the 3-of-4 value screen.
+pub fn randomizes_plaintext(kind: &str) -> bool {
+    matches!(
+        kind,
+        "corrupt_data" | "replay_data" | "rollback_counter" | "rollback_compact"
+    )
+}
 
 /// Which fault family a campaign injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +129,6 @@ impl CampaignConfig {
     }
 }
 
-/// The engines every campaign attacks.
-pub fn campaign_schemes() -> [Scheme; 3] {
-    [Scheme::Pssm, Scheme::CommonCounters, Scheme::Plutus]
-}
-
 /// Aggregated campaign outcome for one (workload, engine) pair.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignRow {
@@ -121,7 +156,7 @@ pub struct CampaignRow {
     /// scheme does not keep, or a rollback to the current value).
     pub not_applied: u64,
     /// Detections per verification layer, stable label → count.
-    pub layer_hist: Vec<(String, u64)>,
+    pub layer_hist: BTreeMap<&'static str, u64>,
     /// Injection-to-detection latency of every detected fault, cycles.
     pub latencies: Vec<u64>,
 }
@@ -173,11 +208,9 @@ impl CampaignRow {
         )
     }
 
-    fn absorb(
-        &mut self,
-        records: &[gpu_sim::FaultRecord],
-        layer_counts: &mut HashMap<String, u64>,
-    ) {
+    /// Tallies one run's fault records: how each fault resolved, which
+    /// layer caught it, and which value-verified escapes were forgeries.
+    pub(crate) fn absorb(&mut self, records: &[FaultRecord]) {
         for r in records {
             self.injected += 1;
             match r.outcome {
@@ -185,7 +218,7 @@ impl CampaignRow {
                     self.applied += 1;
                     self.detected += 1;
                     self.latencies.push(latency);
-                    *layer_counts.entry(layer.label().to_string()).or_insert(0) += 1;
+                    *self.layer_hist.entry(layer.label()).or_insert(0) += 1;
                 }
                 FaultOutcome::Escaped { value_verified } => {
                     self.applied += 1;
@@ -366,12 +399,92 @@ fn build_schedule(
     (schedule, injected)
 }
 
+/// One trial of a trace-driven campaign: a (workload, engine, trial)
+/// coordinate and what [`prepare`] built from the workload's trace.
+pub(crate) struct Trial<'a, P> {
+    wi: usize,
+    si: usize,
+    /// Workload name.
+    pub workload: &'a str,
+    /// The engine under test.
+    pub scheme: Scheme,
+    /// Trial index within its (workload, engine) pair.
+    pub index: usize,
+    /// The workload's prepared input.
+    pub prep: &'a P,
+}
+
+impl<P> Trial<'_, P> {
+    /// The trial's seed, a pure function of its coordinates.
+    pub fn seed(&self, base: u64) -> u64 {
+        derive_seed(base, self.wi, self.si, self.index)
+    }
+
+    /// Index of the trial's (workload, engine) pair in [`run_trials`]'
+    /// output.
+    pub fn pair(&self) -> usize {
+        self.wi * CAMPAIGN_ENGINES.len() + self.si
+    }
+}
+
+/// Builds every workload's trace and turns it into what the campaign's
+/// jobs read, one job per workload in one parallel round.
+pub(crate) fn prepare<P: Send>(
+    exec: &Executor,
+    workloads: &[WorkloadSpec],
+    scale: Scale,
+    build: impl Fn(Trace) -> P + Sync,
+) -> Vec<P> {
+    let build = &build;
+    let jobs: Vec<Job<'_, P>> = workloads
+        .iter()
+        .map(|w| Job::new(w.name, move || build(w.trace(scale))))
+        .collect();
+    expect_all(exec.run(jobs), "campaign trace preparation")
+}
+
+/// Runs `trial` for every workload × [`CAMPAIGN_ENGINES`] × `trials`, one
+/// job each in one parallel round. Returns every (workload, engine)
+/// pair's results in trial order, pairs workload-major: the order of
+/// every campaign's rows, for any worker count.
+pub(crate) fn run_trials<'a, P: Sync, T: Send>(
+    exec: &Executor,
+    workloads: &'a [WorkloadSpec],
+    prepped: &'a [P],
+    trials: usize,
+    trial: impl Fn(&Trial<'a, P>) -> T + Sync,
+) -> Vec<(&'a str, Scheme, Vec<T>)> {
+    let trial = &trial;
+    let mut jobs: Vec<Job<'_, T>> = Vec::new();
+    for (wi, (w, prep)) in workloads.iter().zip(prepped).enumerate() {
+        for (si, &scheme) in CAMPAIGN_ENGINES.iter().enumerate() {
+            for index in 0..trials {
+                let label = format!("{}/{}/run{index}", w.name, scheme.label());
+                let t = Trial {
+                    wi,
+                    si,
+                    workload: w.name,
+                    scheme,
+                    index,
+                    prep,
+                };
+                jobs.push(Job::new(label, move || trial(&t)));
+            }
+        }
+    }
+    let mut results = expect_all(exec.run(jobs), "campaign trial").into_iter();
+    let pairs = workloads
+        .iter()
+        .flat_map(|w| CAMPAIGN_ENGINES.map(|scheme| (w.name, scheme)));
+    pairs
+        .map(|(w, scheme)| (w, scheme, results.by_ref().take(trials).collect()))
+        .collect()
+}
+
 /// Runs the campaign on `exec`: every workload × every security engine
-/// × `runs` seeded runs. Traces are prepared
-/// once per workload (phase 1), then every (workload, engine, run)
-/// triple becomes one independent job (phase 2) whose randomized
-/// schedule derives from [`plutus_exec::derive_seed`] — so rows
-/// aggregate identically for any worker count.
+/// × `runs` seeded runs. Traces and target pools are prepared once per
+/// workload, then every (workload, engine, run) triple is one job whose
+/// randomized schedule derives from [`derive_seed`].
 ///
 /// # Panics
 ///
@@ -382,87 +495,43 @@ pub fn run_campaign_on(
     campaign: &CampaignConfig,
     cfg: &GpuConfig,
 ) -> Vec<CampaignRow> {
-    let schemes = campaign_schemes();
-
-    // Phase 1: trace + target-pool extraction, once per workload.
-    let prep_jobs: Vec<Job<'_, (Trace, TargetPools)>> = workloads
-        .iter()
-        .map(|w| {
-            Job::new(w.name, move || {
-                let trace = w.trace(campaign.scale);
-                let pools = TargetPools::of(&trace);
-                (trace, pools)
-            })
+    let prepped = prepare(exec, workloads, campaign.scale, |trace| {
+        let pools = TargetPools::of(&trace);
+        (trace, pools)
+    });
+    let runs = run_trials(exec, workloads, &prepped, campaign.runs, |t| {
+        let (trace, pools) = t.prep;
+        let mut rng = StdRng::seed_from_u64(t.seed(campaign.seed));
+        let (schedule, _) = build_schedule(campaign.kind, pools, campaign.faults_per_run, &mut rng);
+        if schedule.is_empty() {
+            return Vec::new();
+        }
+        let mut sim = Simulator::new(cfg.clone(), trace.clone(), t.scheme.factory().as_ref());
+        sim.set_fault_schedule(schedule);
+        sim.run().stats.fault_records
+    });
+    runs.into_iter()
+        .map(|(workload, scheme, runs)| {
+            let mut row = CampaignRow::new(workload, &scheme);
+            for records in &runs {
+                row.absorb(records);
+            }
+            row
         })
-        .collect();
-    let prepped = expect_all(exec.run(prep_jobs), "campaign trace preparation");
-
-    // Phase 2: one job per (workload, engine, run); each returns the
-    // run's fault records for submission-order aggregation below.
-    let mut run_jobs: Vec<Job<'_, Vec<FaultRecord>>> = Vec::new();
-    for (wi, w) in workloads.iter().enumerate() {
-        let (trace, pools) = &prepped[wi];
-        for (si, scheme) in schemes.iter().enumerate() {
-            for run in 0..campaign.runs {
-                run_jobs.push(Job::new(
-                    format!("{}/{}/run{run}", w.name, scheme.label()),
-                    move || {
-                        let mut rng = StdRng::seed_from_u64(plutus_exec::derive_seed(
-                            campaign.seed,
-                            wi,
-                            si,
-                            run,
-                        ));
-                        let (schedule, _) =
-                            build_schedule(campaign.kind, pools, campaign.faults_per_run, &mut rng);
-                        if schedule.is_empty() {
-                            return Vec::new();
-                        }
-                        let factory = scheme.factory();
-                        let mut sim = Simulator::new(cfg.clone(), trace.clone(), factory.as_ref());
-                        sim.set_fault_schedule(schedule);
-                        sim.run().stats.fault_records
-                    },
-                ));
-            }
-        }
-    }
-    let mut records = expect_all(exec.run(run_jobs), "campaign run").into_iter();
-
-    // Deterministic submission-order assembly: the same loop nest the
-    // jobs were pushed in.
-    let mut out = Vec::new();
-    for w in workloads {
-        for scheme in &schemes {
-            let mut row = CampaignRow::new(w.name, scheme);
-            let mut layer_counts: HashMap<String, u64> = HashMap::new();
-            for _ in 0..campaign.runs {
-                let recs = records
-                    .next()
-                    .expect("one record set per submitted run job");
-                row.absorb(&recs, &mut layer_counts);
-            }
-            let mut hist: Vec<(String, u64)> = layer_counts.into_iter().collect();
-            hist.sort();
-            row.layer_hist = hist;
-            out.push(row);
-        }
-    }
-    out
+        .collect()
 }
 
-/// The campaign gate (paper Section IV-C): on every value-verifying
-/// engine, the measured forgery-acceptance rate stays at or below the
-/// analytic Eq. 1 bound.
+/// The campaign gate (paper Section IV-C): on every row, the measured
+/// forgery-acceptance rate stays at or below the analytic Eq. 1 bound.
+/// Only a value-verifying engine can forge, so the other rows read 0.
 ///
 /// # Errors
 ///
 /// Returns the failure naming every row over the bound.
 pub fn campaign_gate(rows: &[CampaignRow]) -> Result<(), GateFailure> {
     let bound = eq1_bound();
-    let value_verifying = [Scheme::Plutus.label(), Scheme::ValueVerifyOnly.label()];
     let mut gate = Gate::new();
-    for r in rows.iter().filter(|r| value_verifying.contains(&r.scheme)) {
+    for r in rows {
         gate.check("eq1", r.forgery_rate() <= bound, || {
             format!(
                 "{}/{}: {} forgeries / {} adjudicated = {:.3e} exceeds the bound {bound:.3e}",
@@ -496,7 +565,7 @@ pub fn campaign_report(rows: &[CampaignRow]) -> Table<'_, CampaignRow> {
         .nest("layer_histogram", |r| {
             r.layer_hist
                 .iter()
-                .fold(Json::object(), |o, (k, v)| o.set(k, *v))
+                .fold(Json::object(), |o, (&k, &v)| o.set(k, v))
         })
         .col("latency_min", |r| r.latency_summary().0.into())
         .col("latency_mean", |r| r.latency_summary().1.into())
@@ -542,13 +611,13 @@ mod tests {
         let w = [by_name("bfs").unwrap()];
         let (exec, cfg) = (Executor::new(None), GpuConfig::test_small());
         let rows = run_campaign_on(&exec, &w, &tiny_campaign(CampaignKind::Sweep), &cfg);
-        assert_eq!(rows.len(), campaign_schemes().len());
+        assert_eq!(rows.len(), CAMPAIGN_ENGINES.len());
         let total_detected: u64 = rows.iter().map(|r| r.detected).sum();
         assert!(total_detected > 0, "campaign must catch something");
         campaign_gate(&rows).expect("value-verification forgeries stay within Eq. 1");
         // Detected faults carry the detecting layer and a latency sample.
         for r in &rows {
-            let hist_total: u64 = r.layer_hist.iter().map(|(_, v)| v).sum();
+            let hist_total: u64 = r.layer_hist.values().sum();
             assert_eq!(hist_total, r.detected, "{}: histogram mismatch", r.scheme);
             assert_eq!(r.latencies.len() as u64, r.detected);
         }
@@ -557,7 +626,7 @@ mod tests {
     #[test]
     fn reports_serialize() {
         let rows = vec![CampaignRow {
-            layer_hist: vec![("mac".into(), 2)],
+            layer_hist: BTreeMap::from([("mac", 2)]),
             latencies: vec![10, 30],
             injected: 4,
             applied: 3,

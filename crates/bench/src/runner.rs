@@ -4,7 +4,7 @@ use gpu_sim::{EngineFactory, GpuConfig, NoSecurityEngine, SimResult, Simulator};
 use plutus_core::{CompactConfig, CompactKind, PlutusConfig, PlutusEngine};
 use plutus_exec::{Executor, Job, JobPanic};
 use plutus_telemetry::{CycleClock, Event, Telemetry, TraceRecord};
-use secure_mem::{CipherKind, CommonCountersEngine, PssmEngine, SecureMemConfig};
+use secure_mem::{CipherKind, CommonCountersEngine, PssmEngine, SecureMemConfig, TenancyConfig};
 use std::sync::Arc;
 use workloads::{Scale, WorkloadSpec};
 
@@ -81,7 +81,8 @@ impl Scheme {
         }
     }
 
-    pub(crate) fn factory(&self) -> Box<dyn EngineFactory> {
+    /// A fresh engine factory for one simulator.
+    pub fn factory(&self) -> Box<dyn EngineFactory> {
         match self {
             Scheme::None => Box::new(NoSecurityEngine::factory()),
             Scheme::Pssm => Box::new(PssmEngine::factory(SecureMemConfig::pssm())),
@@ -143,24 +144,22 @@ fn plutus_with(change: impl FnOnce(&mut PlutusConfig)) -> Box<dyn EngineFactory>
     Box::new(PlutusEngine::factory(cfg))
 }
 
-impl plutus_recovery::SchemeProvider for Scheme {
-    fn scheme_label(&self) -> String {
-        self.label()
+/// `scheme` with per-tenant keys: the engines of the multi-tenant storm
+/// campaign.
+///
+/// # Panics
+///
+/// Panics for a scheme outside [`crate::CAMPAIGN_ENGINES`], which has
+/// no tenant-keyed form.
+pub(crate) fn tenant_keyed(scheme: Scheme, tenancy: TenancyConfig) -> Box<dyn EngineFactory> {
+    let mut cfg = SecureMemConfig::pssm();
+    cfg.tenancy = Some(tenancy);
+    match scheme {
+        Scheme::Pssm => Box::new(PssmEngine::factory(cfg)),
+        Scheme::CommonCounters => Box::new(CommonCountersEngine::factory(cfg)),
+        Scheme::Plutus => plutus_with(|c| c.mem.tenancy = cfg.tenancy),
+        other => panic!("{} has no tenant-keyed engine", other.label()),
     }
-
-    fn make_factory(&self) -> Box<dyn EngineFactory> {
-        self.factory()
-    }
-}
-
-/// Schemes the fail-operational campaigns exercise: the three
-/// checkpoint-capable engines.
-pub fn recovery_schemes() -> Vec<Box<dyn plutus_recovery::SchemeProvider>> {
-    vec![
-        Box::new(Scheme::Pssm),
-        Box::new(Scheme::CommonCounters),
-        Box::new(Scheme::Plutus),
-    ]
 }
 
 /// Error raised by the fallible experiment runner.

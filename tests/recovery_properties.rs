@@ -6,12 +6,11 @@ use gpu_sim::{
     BackingMemory, FaultKind, FaultOutcome, FaultSchedule, FaultTrigger, GpuConfig, RetryPolicy,
     ScheduledFault, SectorAddr, Simulator, TransientConfig, SECTOR_SIZE,
 };
-use plutus_bench::{recovery_schemes, Scheme};
-use plutus_exec::Executor;
-use plutus_recovery::{
+use plutus_bench::{
     crash_gate, run_crash_campaign_on, run_transient_campaign_on, transient_gate,
-    CrashCampaignConfig, SchemeProvider, TransientCampaignConfig,
+    CrashCampaignConfig, Scheme, TransientCampaignConfig,
 };
+use plutus_exec::Executor;
 use workloads::{by_name, Scale};
 
 /// Every scheme whose engine supports checkpoint/restore — all of them
@@ -40,7 +39,7 @@ fn checkpointable_schemes() -> Vec<Scheme> {
 fn crash_restore_is_bit_identical_for_every_scheme() {
     let w = by_name("bfs").unwrap();
     for scheme in checkpointable_schemes() {
-        let factory = scheme.make_factory();
+        let factory = scheme.factory();
         let mut sim = Simulator::new(
             GpuConfig::test_small(),
             w.trace(Scale::Test),
@@ -73,7 +72,7 @@ fn crash_restore_is_bit_identical_for_every_scheme() {
 fn retry_never_charges_fewer_cycles_than_clean() {
     let w = by_name("histo").unwrap();
     let run = |rate: f64| {
-        let factory = Scheme::Pssm.make_factory();
+        let factory = Scheme::Pssm.factory();
         let mut sim = Simulator::new(
             GpuConfig::test_small(),
             w.trace(Scale::Test),
@@ -128,7 +127,7 @@ fn degraded_plutus_still_detects_tampering() {
             kind: FaultKind::CorruptData { mask: [0xA5; 32] },
         });
     }
-    let factory = Scheme::Plutus.make_factory();
+    let factory = Scheme::Plutus.factory();
     let mut sim = Simulator::new(GpuConfig::test_small(), trace, factory.as_ref());
     sim.set_transient_faults(TransientConfig::new(0.2, 5));
     sim.set_retry_policy(RetryPolicy::with_limit(2));
@@ -172,7 +171,7 @@ fn overflow_between_checkpoint_and_crash_recovers_bit_identical() {
     for scheme in [Scheme::Pssm, Scheme::CommonCounters] {
         for seed in [1u64, 7, 23] {
             let label = format!("{} seed {seed}", scheme.label());
-            let factory = scheme.make_factory();
+            let factory = scheme.factory();
             let mut e = factory.build(0);
             let mut mem = BackingMemory::new();
             let s = |i: u64| SectorAddr::new(i * SECTOR_SIZE);
@@ -249,13 +248,13 @@ fn recovery_campaigns_gate_clean_through_bench_schemes() {
         scale: Scale::Test,
     };
     let exec = Executor::new(None);
-    let rows = run_transient_campaign_on(&exec, &w, &recovery_schemes(), &tc, &cfg);
+    let rows = run_transient_campaign_on(&exec, &w, &tc, &cfg);
     transient_gate(&rows).expect("no transient may be misclassified as an attack");
     let cc = CrashCampaignConfig {
         checkpoint_cycles: 600,
         crash_points: 2,
         scale: Scale::Test,
     };
-    let crows = run_crash_campaign_on(&exec, &w, &recovery_schemes(), &cc, &cfg);
+    let crows = run_crash_campaign_on(&exec, &w, &cc, &cfg);
     crash_gate(&crows).expect("every crash audit must be bit-identical");
 }

@@ -12,15 +12,12 @@
 
 use gpu_sim::GpuConfig;
 use plutus_bench::{
-    campaign_report, recovery_schemes, run_campaign_on, run_matrix, CampaignConfig, CampaignKind,
-    Observe, Scheme,
-};
-use plutus_exec::Executor;
-use plutus_recovery::{
-    crash_report, run_crash_campaign_on, run_storm_campaign_observed, run_transient_campaign_on,
-    storm_report, transient_report, CrashCampaignConfig, StormCampaignConfig,
+    campaign_report, crash_report, run_campaign_on, run_crash_campaign_on, run_matrix,
+    run_storm_campaign_observed, run_transient_campaign_on, storm_report, transient_report,
+    CampaignConfig, CampaignKind, CrashCampaignConfig, Observe, Scheme, StormCampaignConfig,
     TransientCampaignConfig,
 };
+use plutus_exec::Executor;
 use plutus_telemetry::{CycleClock, Table, Telemetry};
 use std::sync::Arc;
 use workloads::{by_name, Scale, WorkloadSpec};
@@ -113,8 +110,8 @@ fn transient_reports_are_byte_identical_across_worker_counts() {
         scale: Scale::Test,
     };
     let cfg = GpuConfig::test_small();
-    let a = run_transient_campaign_on(&serial, &w, &recovery_schemes(), &campaign, &cfg);
-    let b = run_transient_campaign_on(&wide, &w, &recovery_schemes(), &campaign, &cfg);
+    let a = run_transient_campaign_on(&serial, &w, &campaign, &cfg);
+    let b = run_transient_campaign_on(&wide, &w, &campaign, &cfg);
     assert_same(transient_report(&a), transient_report(&b));
 }
 
@@ -143,7 +140,7 @@ fn crash_reports_are_byte_identical_across_worker_counts() {
         scale: Scale::Test,
     };
     let cfg = GpuConfig::test_small();
-    let a = run_crash_campaign_on(&serial, &w, &recovery_schemes(), &campaign, &cfg);
-    let b = run_crash_campaign_on(&wide, &w, &recovery_schemes(), &campaign, &cfg);
+    let a = run_crash_campaign_on(&serial, &w, &campaign, &cfg);
+    let b = run_crash_campaign_on(&wide, &w, &campaign, &cfg);
     assert_same(crash_report(&a), crash_report(&b));
 }
