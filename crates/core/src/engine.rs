@@ -54,8 +54,6 @@ pub struct PlutusEngine {
     region: ProtectedRegion,
     verifier: Option<ValueVerifier>,
     compact: Option<CompactCounters>,
-    mac_fetches_avoided: u64,
-    mac_updates_skipped: u64,
     compact_fallbacks: u64,
     fill_failures: u64,
     verifier_frozen: bool,
@@ -103,8 +101,6 @@ impl PlutusEngine {
                 )
             }),
             cfg,
-            mac_fetches_avoided: 0,
-            mac_updates_skipped: 0,
             compact_fallbacks: 0,
             fill_failures: 0,
             verifier_frozen: false,
@@ -384,7 +380,6 @@ impl SecurityEngine for PlutusEngine {
             Some(Verdict::Verified) => {
                 // Integrity assured by value locality: no MAC at all.
                 plan.verified_by_value = true;
-                self.mac_fetches_avoided += 1;
                 self.tracer
                     .mark(self.cur_trace, "value_vouch", addr.raw(), 0);
             }
@@ -512,7 +507,6 @@ impl SecurityEngine for PlutusEngine {
         };
         let skip = match screen {
             Some(WriteScreen::SkipMac) => {
-                self.mac_updates_skipped += 1;
                 self.tracer.mark(self.cur_trace, "mac_skip", addr.raw(), 0);
                 true
             }
@@ -547,8 +541,6 @@ impl SecurityEngine for PlutusEngine {
 
     fn extra_stats(&self) -> Vec<(String, u64)> {
         let mut out = self.region.stats_prefix();
-        out.push(("mac_fetches_avoided".into(), self.mac_fetches_avoided));
-        out.push(("mac_updates_skipped".into(), self.mac_updates_skipped));
         out.push(("compact_fallbacks".into(), self.compact_fallbacks));
         if let Some(v) = &self.verifier {
             let (ok, need, wskip, wmac) = v.stats();
@@ -755,6 +747,12 @@ mod tests {
         SectorAddr::new(i * 32)
     }
 
+    /// `(reads verified, reads needing MAC, writes skipping MAC, writes
+    /// updating MAC)` of the engine's value verifier.
+    fn verifier_stats(e: &PlutusEngine) -> (u64, u64, u64, u64) {
+        e.verifier.as_ref().expect("value verification on").stats()
+    }
+
     #[test]
     fn write_then_read_roundtrips() {
         let (mut e, mut mem) = engine();
@@ -804,7 +802,10 @@ mod tests {
         assert!(second.post_chain.is_empty());
         assert_eq!(second.post_latency, 0);
         assert!(second.violation.is_none());
-        assert!(e.mac_fetches_avoided >= 1);
+        assert!(
+            verifier_stats(&e).0 >= 1,
+            "the second fill verifies by value"
+        );
     }
 
     #[test]
@@ -814,7 +815,7 @@ mod tests {
             e.on_writeback(sector(i), &[0x77; 32], &mut mem);
         }
         assert!(
-            e.mac_updates_skipped > 0,
+            verifier_stats(&e).2 > 0,
             "hot constant writes must skip MAC updates"
         );
         // And the skipped sectors still read back clean (value-verified).
@@ -962,7 +963,7 @@ mod tests {
         for i in 0..30u64 {
             e.on_writeback(sector(i), &[0x77; 32], &mut mem);
         }
-        assert!(e.mac_updates_skipped > 0, "test needs skip-MAC sectors");
+        assert!(verifier_stats(&e).2 > 0, "test needs skip-MAC sectors");
         for _ in 0..VERIFIER_FREEZE_FAILURES {
             e.note_fill_failure(sector(0), true);
         }
@@ -1042,7 +1043,7 @@ mod tests {
         for i in 0..30u64 {
             e.on_writeback(sector(i), &[0x77; 32], &mut mem);
         }
-        assert!(e.mac_updates_skipped > 0);
+        assert!(verifier_stats(&e).2 > 0);
         let ck = e.checkpoint().unwrap();
         e.on_writeback(sector(40), &[0x77; 32], &mut mem); // skip-MAC, post-ck
         assert!(e.crash_revert(ck.as_ref()));
@@ -1074,7 +1075,7 @@ mod tests {
         e.on_fill(sector(0), &mut mem);
         let stats = e.extra_stats();
         for key in [
-            "mac_fetches_avoided",
+            "vv_reads_verified",
             "compact_cache_misses",
             "vv_reads_need_mac",
         ] {

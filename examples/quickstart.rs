@@ -59,7 +59,7 @@ fn main() {
     let saved =
         (1.0 - plutus.stats.metadata_bytes() as f64 / pssm.stats.metadata_bytes() as f64) * 100.0;
     println!("\nPlutus vs PSSM: {speedup:+.1}% IPC, {saved:.1}% less metadata traffic");
-    if let Some(avoided) = plutus.stats.engine_counter("mac_fetches_avoided") {
+    if let Some(avoided) = plutus.stats.engine_counter("vv_reads_verified") {
         let fills = plutus.stats.engine_counter("fills").unwrap_or(1).max(1);
         println!(
             "value verification authenticated {:.1}% of fills without a MAC fetch",
