@@ -115,8 +115,8 @@ pub fn run_crash_campaign_on(
 }
 
 /// The crash-consistency gate: every audit must be clean (bit-identical
-/// re-reads, no spurious violations, nothing unrecoverable) and must
-/// actually have audited sectors.
+/// re-reads, no spurious violations, nothing unrecoverable), and every
+/// audit that ran must actually have audited sectors.
 ///
 /// # Errors
 ///
@@ -126,11 +126,15 @@ pub fn crash_gate(rows: &[CrashRow]) -> Result<(), GateFailure> {
     gate.check("rows", !rows.is_empty(), || {
         "crash campaign produced no rows".into()
     });
-    let audited: u64 = rows.iter().map(|r| r.audit.audited).sum();
-    gate.check("audited", audited > 0, || {
-        "crash campaign audited no sectors".into()
-    });
     for r in rows {
+        // An errored audit records nothing; its `clean` check names it.
+        let blind = r.error.is_none() && r.audit.audited == 0;
+        gate.check("audited", !blind, || {
+            format!(
+                "{}/{} @{}: audited no sectors",
+                r.workload, r.scheme, r.audit.crash_cycle
+            )
+        });
         gate.check("clean", r.is_clean(), || {
             let (a, at) = (&r.audit, format!("{}/{}", r.workload, r.scheme));
             match &r.error {
@@ -250,5 +254,23 @@ mod tests {
         assert_eq!(err.violations[0].0, "clean");
         assert!(err.to_string().contains("1 mismatches"));
         assert!(crash_gate(&[]).is_err());
+        // A row that audited does not cover for one that audited nothing.
+        let exercised = CrashRow {
+            audit: CrashAudit {
+                mismatches: 0,
+                ..dirty.audit.clone()
+            },
+            ..dirty.clone()
+        };
+        let idle = CrashRow {
+            workload: "histo".into(),
+            scheme: "plutus".into(),
+            ..CrashRow::default()
+        };
+        let err = crash_gate(&[exercised, idle]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "audited: histo/plutus @0: audited no sectors"
+        );
     }
 }

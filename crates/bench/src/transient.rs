@@ -149,8 +149,8 @@ pub fn run_transient_campaign_on(
 }
 
 /// The fail-operational gate: no transient fault may be misclassified
-/// as an attack, and the campaign must actually have exercised the
-/// fault path.
+/// as an attack, and every row must actually have exercised the fault
+/// path.
 ///
 /// # Errors
 ///
@@ -160,11 +160,13 @@ pub fn transient_gate(rows: &[TransientRow]) -> Result<(), GateFailure> {
     gate.check("rows", !rows.is_empty(), || {
         "transient campaign produced no rows".into()
     });
-    let injected: u64 = rows.iter().map(|r| r.injected).sum();
-    gate.check("injected", injected > 0, || {
-        "transient campaign injected no faults (rate too low for scale?)".into()
-    });
     for r in rows {
+        gate.check("injected", r.injected > 0, || {
+            format!(
+                "{}/{}: injected no soft error (rate too low for scale?)",
+                r.workload, r.scheme
+            )
+        });
         gate.check("escalated", r.escalated == 0, || {
             format!(
                 "{}/{}: {} transient fault(s) escalated to violations",
@@ -278,5 +280,17 @@ mod tests {
         assert!(transient_gate(&[]).is_err());
         let row = TransientRow::new("bfs", "plutus".into());
         assert!(transient_gate(&[row]).is_err(), "zero injected is vacuous");
+        // A row that injected does not cover for one that injected nothing.
+        let exercised = TransientRow {
+            injected: 3,
+            recovered: 3,
+            ..TransientRow::new("bfs", "plutus".into())
+        };
+        let idle = TransientRow::new("histo", "plutus".into());
+        let err = transient_gate(&[exercised, idle]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "injected: histo/plutus: injected no soft error (rate too low for scale?)"
+        );
     }
 }
