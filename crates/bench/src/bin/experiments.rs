@@ -62,7 +62,7 @@
 //!
 //! Telemetry: `--metrics-out <path>` captures the full metrics registry
 //! (per-class traffic counters, cache hit/miss counters, latency
-//! histograms, per-run epoch snapshots, typed events) and writes it to
+//! histograms, per-run epoch snapshots) and writes it to
 //! `<path>` on exit, as CSV when the path ends in `.csv` and as JSON
 //! otherwise. Whenever `--metrics-out` or `--stream-out` reads the
 //! registry, matrix runs feed it one at a time, each closing one epoch
@@ -118,8 +118,8 @@
 //! one directory and stamps a `manifest.json` (cmdline, seed, scale,
 //! workloads, crypto backend, workspace version) so runs are
 //! self-describing and diffable. `--stream-out FILE|-` streams one
-//! NDJSON line per closed telemetry epoch (metric deltas + typed
-//! events) the moment the epoch closes; a slow consumer drops lines
+//! NDJSON line per closed telemetry epoch (its counter deltas) the
+//! moment the epoch closes; a slow consumer drops lines
 //! instead of stalling the run; storm/soak campaigns close one epoch
 //! per row. `experiments obs-diff A B [--tolerance F]`
 //! compares two run directories — manifests first, then every shared
@@ -143,7 +143,7 @@ use plutus_core::value_analysis::analyze_trace;
 use plutus_crypto::CryptoBackend;
 use plutus_exec::Executor;
 use plutus_telemetry::{
-    save_report, CycleClock, Event, GateFailure, Json, Table, Telemetry, DEFAULT_TRACE_CAPACITY,
+    save_report, CycleClock, GateFailure, Json, Table, Telemetry, DEFAULT_TRACE_CAPACITY,
     MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 use secure_mem::SecureMemConfig;
@@ -429,19 +429,15 @@ struct Args {
 
 /// Prints where report `name` was saved, or routes the I/O failure
 /// through [`fail`] so the CLI exits nonzero instead of panicking.
-fn report_saved(args: &Args, name: &str, saved: std::io::Result<Vec<PathBuf>>) {
+fn report_saved(name: &str, saved: std::io::Result<Vec<PathBuf>>) {
     match saved {
         Ok(paths) => println!("saved {paths:?}"),
-        Err(e) => fail(&args.tel, format!("cannot write {name}: {e}")),
+        Err(e) => fail(format!("cannot write {name}: {e}")),
     }
 }
 
-/// Logs the error to the telemetry event log, prints it, and exits
-/// nonzero.
-fn fail(tel: &Telemetry, message: String) -> ! {
-    tel.event(Event::CliError {
-        message: message.clone(),
-    });
+/// Prints the error and exits nonzero.
+fn fail(message: String) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
 }
@@ -495,7 +491,7 @@ fn parse_command_line(argv: &[String]) -> Result<(String, Vec<String>, Flags), S
 /// and the executor.
 fn parse_args(tel: &Telemetry) -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (experiment, obs_args, flags) = parse_command_line(&argv).unwrap_or_else(|e| fail(tel, e));
+    let (experiment, obs_args, flags) = parse_command_line(&argv).unwrap_or_else(|e| fail(e));
     if flags.on("--help") {
         print!("{}", usage());
         std::process::exit(0);
@@ -507,10 +503,10 @@ fn parse_args(tel: &Telemetry) -> Args {
             let names: Vec<&str> = list.split(',').collect();
             let known: Vec<&str> = all.iter().map(|w| w.name).collect();
             if let Some(bad) = names.iter().find(|n| !known.contains(n)) {
-                fail(
-                    tel,
-                    format!("unknown workload {bad:?}; known: {}", known.join(", ")),
-                );
+                fail(format!(
+                    "unknown workload {bad:?}; known: {}",
+                    known.join(", ")
+                ));
             }
             all.into_iter()
                 .filter(|w| names.contains(&w.name))
@@ -523,7 +519,6 @@ fn parse_args(tel: &Telemetry) -> Args {
     if let Some(backend) = flags.value::<CryptoBackend>("--crypto-backend") {
         if backend == CryptoBackend::AesNi && plutus_crypto::backend::detect() != backend {
             fail(
-                tel,
                 "--crypto-backend simd requested, but this host has no \
                  AES-NI/PCLMULQDQ support"
                     .into(),
@@ -541,13 +536,13 @@ fn parse_args(tel: &Telemetry) -> Args {
     // and the manifest makes the directory self-describing.
     if let Some(dir) = flags.get("--run-dir") {
         if let Err(e) = plutus_telemetry::set_run_dir(dir) {
-            fail(tel, format!("cannot create run dir {dir}: {e}"));
+            fail(format!("cannot create run dir {dir}: {e}"));
         }
         let backend = active_backend.to_string();
         let manifest = build_manifest(&argv, &experiment, &flags, &workloads, &backend);
         let path = Path::new(dir).join(MANIFEST_FILE);
         if let Err(e) = plutus_telemetry::atomic_write(path, manifest.to_string_pretty()) {
-            fail(tel, format!("cannot write manifest: {e}"));
+            fail(format!("cannot write manifest: {e}"));
         }
         eprintln!("run dir: {dir}");
     }
@@ -560,11 +555,11 @@ fn parse_args(tel: &Telemetry) -> Args {
             let path = plutus_telemetry::in_run_dir(spec);
             match std::fs::File::create(&path) {
                 Ok(f) => Box::new(f),
-                Err(e) => fail(tel, format!("cannot open stream {}: {e}", path.display())),
+                Err(e) => fail(format!("cannot open stream {}: {e}", path.display())),
             }
         };
         if let Err(e) = tel.stream_to(sink) {
-            fail(tel, format!("cannot start epoch stream: {e}"));
+            fail(format!("cannot start epoch stream: {e}"));
         }
     }
     let mut exec = Executor::with_telemetry(flags.value("--jobs"), tel.clone());
@@ -646,14 +641,13 @@ fn run_campaign_cli(args: &Args, cfg: &GpuConfig, kind: CampaignKind) {
     let (name, report) = (format!("campaign-{}", kind.label()), campaign_report(&rows));
     let ok = format!("forgery rates within the Eq. 1 bound {:.3e}", eq1_bound());
     let (saved, gate) = (report.save(&name), campaign_gate(&rows));
-    publish(args, &name, &report.to_console(), saved, gate, &ok);
+    publish(&name, &report.to_console(), saved, gate, &ok);
 }
 
 /// The one reporting tail: prints a report's console table, saves it,
 /// and runs its gate, exiting nonzero through [`fail`] when the save or
 /// any gate check fails.
 fn publish(
-    args: &Args,
     name: &str,
     console: &str,
     saved: std::io::Result<Vec<PathBuf>>,
@@ -661,10 +655,10 @@ fn publish(
     ok: &str,
 ) {
     println!("{console}");
-    report_saved(args, name, saved);
+    report_saved(name, saved);
     match gate {
         Ok(()) => println!("gate OK: {ok}"),
-        Err(e) => fail(&args.tel, format!("{name} gate failed: {e}")),
+        Err(e) => fail(format!("{name} gate failed: {e}")),
     }
 }
 
@@ -696,7 +690,7 @@ fn run_transient_cli(args: &Args, cfg: &GpuConfig) {
         campaign.retry_limit
     );
     let (saved, gate) = (report.save(name), transient_gate(&rows));
-    publish(args, name, &report.to_console(), saved, gate, &ok);
+    publish(name, &report.to_console(), saved, gate, &ok);
 }
 
 /// Runs the multi-tenant overflow-storm (or soak) chaos campaign,
@@ -790,7 +784,7 @@ fn run_storm_cli(args: &Args, soak: bool) {
     let report = storm_report(&rows, &campaign);
     let ok = "victims isolated, backpressure held, rotation recovered bit-identical";
     let (saved, gate) = (report.save(&name), storm_gate(&rows, &campaign));
-    publish(args, &name, &report.to_console(), saved, gate, ok);
+    publish(&name, &report.to_console(), saved, gate, ok);
 }
 
 /// Runs the crash-injection campaign, exiting nonzero unless every
@@ -813,7 +807,7 @@ fn run_crash_cli(args: &Args, cfg: &GpuConfig) {
     let ok = format!("{audited} post-recovery reads bit-identical, no spurious violations");
     let (name, report) = ("campaign-crash", crash_report(&rows));
     let (saved, gate) = (report.save(name), crash_gate(&rows));
-    publish(args, name, &report.to_console(), saved, gate, &ok);
+    publish(name, &report.to_console(), saved, gate, &ok);
 }
 
 fn main() {
@@ -854,7 +848,7 @@ fn main() {
     let (rows, traces) = match plan(experiments).as_slice() {
         [] => Default::default(),
         schemes => run_matrix(exec, &args.workloads, schemes, scale, &cfg, observe)
-            .unwrap_or_else(|e| fail(&args.tel, e.to_string())),
+            .unwrap_or_else(|e| fail(e.to_string())),
     };
     for &(id, schemes, render) in experiments {
         println!("\n=== {id} ===");
@@ -867,7 +861,6 @@ fn main() {
         if let Some(warning) = degenerate_warning(&view) {
             eprint!("{warning}");
             fail(
-                &args.tel,
                 "degenerate matrix: normalized IPC is 1.0 for every scheme; \
                  increase --scale (or the workload set) until the run is \
                  bandwidth-bound"
@@ -876,7 +869,7 @@ fn main() {
         }
         render(&args, &cfg, &view);
         if !schemes.is_empty() {
-            report_saved(&args, id, measurement_table(&view).save(id));
+            report_saved(id, measurement_table(&view).save(id));
         }
     }
     write_sched_stats(&args);
@@ -905,7 +898,7 @@ fn finish_observability(args: &Args) {
 fn run_obs_diff(args: &Args) {
     let (a, b) = (&args.obs_args[0], &args.obs_args[1]);
     let diff = diff_run_dirs(Path::new(a), Path::new(b))
-        .unwrap_or_else(|e| fail(&args.tel, format!("obs-diff: {e}")));
+        .unwrap_or_else(|e| fail(format!("obs-diff: {e}")));
     gate_diff(
         "obs-diff",
         &diff,
@@ -956,7 +949,7 @@ fn cipher_bench_cli(args: &Args) {
     };
     let report = cipher_bench_report(native, &rows);
     let saved = report.save("cipher_bench");
-    publish(args, "cipher_bench", &report.to_console(), saved, gate, &ok);
+    publish("cipher_bench", &report.to_console(), saved, gate, &ok);
 }
 
 /// Writes the cycle-ledger exports (`--ledger-out`): the JSON document,
@@ -969,16 +962,13 @@ fn write_ledger(args: &Args, rows: &[Measurement]) {
         return;
     };
     if rows.is_empty() {
-        fail(
-            &args.tel,
-            "--ledger-out needs at least one matrix experiment (e.g. fig6 or figrepro)".into(),
-        );
+        fail("--ledger-out needs at least one matrix experiment (e.g. fig6 or figrepro)".into());
     }
     let siblings = [("csv", ledger_csv(rows)), ("folded", ledger_folded(rows))];
     let saved = save_report(&path, &ledger_json(rows), &siblings);
     let ok = format!("{} runs conservation-exact", rows.len());
     let (table, gate) = (cpi_stack_table(rows), ledger_gate(rows));
-    publish(args, "cycle ledger", &table, saved, gate, &ok);
+    publish("cycle ledger", &table, saved, gate, &ok);
 }
 
 /// Prints the cumulative scheduler dump when `--sched-stats` is active.
@@ -999,10 +989,7 @@ fn write_metrics(args: &Args) {
             report.to_json().to_string_pretty()
         };
         if let Err(e) = plutus_telemetry::atomic_write(&path, text) {
-            fail(
-                &args.tel,
-                format!("cannot write metrics to {}: {e}", path.display()),
-            );
+            fail(format!("cannot write metrics to {}: {e}", path.display()));
         }
         println!("\n{}", report.summary_table());
         println!("metrics written to {}", path.display());
@@ -1019,17 +1006,11 @@ fn write_trace(args: &Args, traces: &[TracedRun]) {
     let sched = args.exec.stats();
     let doc = chrome_trace(traces, Some(&sched));
     if let Err(e) = plutus_telemetry::atomic_write(&path, doc.to_string_compact()) {
-        fail(
-            &args.tel,
-            format!("cannot write trace to {}: {e}", path.display()),
-        );
+        fail(format!("cannot write trace to {}: {e}", path.display()));
     }
     let folded = path.with_extension("folded");
     if let Err(e) = plutus_telemetry::atomic_write(&folded, collapsed_stack(traces)) {
-        fail(
-            &args.tel,
-            format!("cannot write stacks to {}: {e}", folded.display()),
-        );
+        fail(format!("cannot write stacks to {}: {e}", folded.display()));
     }
     println!("\n{}", attribution_table(traces));
     let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
@@ -1055,10 +1036,7 @@ fn run_bench_gate(args: &Args, rows: &[Measurement]) {
         return;
     }
     if rows.is_empty() {
-        fail(
-            &args.tel,
-            "--bench-out/--compare need at least one matrix experiment (e.g. fig6)".into(),
-        );
+        fail("--bench-out/--compare need at least one matrix experiment (e.g. fig6)".into());
     }
     let provenance = BenchProvenance {
         seed: args.flags.seed(),
@@ -1068,17 +1046,17 @@ fn run_bench_gate(args: &Args, rows: &[Measurement]) {
     let snapshot = bench_snapshot_with(rows, &provenance);
     if let Some(path) = args.flags.out("--bench-out") {
         if let Err(e) = save_report(&path, &snapshot, &[]) {
-            fail(
-                &args.tel,
-                format!("cannot write bench snapshot to {}: {e}", path.display()),
-            );
+            fail(format!(
+                "cannot write bench snapshot to {}: {e}",
+                path.display()
+            ));
         }
         println!("bench snapshot written to {}", path.display());
     }
     if let Some(base) = args.flags.get("--compare").map(Path::new) {
         let diff = read_report(base)
             .and_then(|b| diff_documents(&base.display().to_string(), &b, &snapshot))
-            .unwrap_or_else(|e| fail(&args.tel, format!("regression comparison failed: {e}")));
+            .unwrap_or_else(|e| fail(format!("regression comparison failed: {e}")));
         gate_diff(
             "regression gate",
             &diff,
@@ -1300,7 +1278,7 @@ fn fig9(args: &Args) {
             ..Measurement::default()
         })
         .collect();
-    report_saved(args, "fig9", measurement_table(&json_rows).save("fig9"));
+    report_saved("fig9", measurement_table(&json_rows).save("fig9"));
 }
 
 fn fig10(args: &Args) {
@@ -1379,12 +1357,12 @@ fn fig22(_: &Args, _: &GpuConfig, rows: &[Measurement]) {
 fn ablations(args: &Args, cfg: &GpuConfig) {
     let (exec, workloads, scale) = (&args.exec, &args.workloads, args.flags.scale());
     let rows = plutus_bench::ablations::run_all(exec, workloads, scale, cfg)
-        .unwrap_or_else(|e| fail(&args.tel, e.to_string()));
+        .unwrap_or_else(|e| fail(e.to_string()));
     for sweep in rows.chunk_by(|a: &AblationRow, b| a.sweep == b.sweep) {
         println!("\n--- {} ---", sweep[0].sweep);
         print!("{}", ablation_report(sweep).to_console());
     }
-    report_saved(args, "ablations", ablation_report(&rows).save("ablations"));
+    report_saved("ablations", ablation_report(&rows).save("ablations"));
 }
 
 #[cfg(test)]

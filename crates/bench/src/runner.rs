@@ -3,7 +3,7 @@
 use gpu_sim::{EngineFactory, GpuConfig, NoSecurityEngine, SimResult, Simulator};
 use plutus_core::{CompactConfig, CompactKind, PlutusConfig, PlutusEngine};
 use plutus_exec::{Executor, Job, JobPanic};
-use plutus_telemetry::{CycleClock, Event, Telemetry, TraceRecord};
+use plutus_telemetry::{CycleClock, Telemetry, TraceRecord};
 use secure_mem::{CipherKind, CommonCountersEngine, PssmEngine, SecureMemConfig, TenancyConfig};
 use std::sync::Arc;
 use workloads::{Scale, WorkloadSpec};
@@ -346,8 +346,7 @@ impl TracedRun {
 /// nothing; the two parts combine freely.
 #[derive(Debug, Clone, Default)]
 pub struct Observe {
-    /// Feed this shared registry: every run brackets itself with
-    /// `RunStart`/`RunEnd` events and closes one epoch labelled
+    /// Feed this shared registry: every run closes one epoch labelled
     /// `workload/scheme`. Registry-fed runs execute one at a time, so
     /// each epoch belongs to exactly one run.
     pub registry: Option<Telemetry>,
@@ -390,15 +389,7 @@ impl Observe {
             sim.set_epoch_interval(cycles);
         }
         let (name, label) = (workload.name.to_string(), scheme.label());
-        tel.event(Event::RunStart {
-            workload: name.clone(),
-            scheme: label.clone(),
-        });
         let result = sim.run();
-        tel.event(Event::RunEnd {
-            workload: name.clone(),
-            scheme: label.clone(),
-        });
         tel.end_epoch(&format!("{name}/{label}"));
         let traced = self.trace.map(|_| TracedRun {
             workload: name,

@@ -33,7 +33,7 @@ use gpu_sim::{
     BackingMemory, DramReq, EngineFactory, FastHashMap, FillPlan, MetaFault, RecoveryError,
     RecoveryReport, SectorAddr, SecurityEngine, Violation, WritePlan,
 };
-use plutus_telemetry::{Event, Telemetry, TraceId, Tracer};
+use plutus_telemetry::{Telemetry, TraceId, Tracer};
 use secure_mem::{
     Candidate, CounterAccess, CounterSystem, ProtectedRegion, SecureMemError, Settled, Vouch,
 };
@@ -63,7 +63,6 @@ pub struct PlutusEngine {
     frozen_tenants: BTreeSet<u32>,
     block_failures: FastHashMap<u64, u32>,
     blocks_frozen: u64,
-    tel: Telemetry,
     tracer: Tracer,
     /// Trace root of the demand access currently being served (set by
     /// the simulator via `begin_access_trace`), so engine-internal
@@ -108,7 +107,6 @@ impl PlutusEngine {
             frozen_tenants: BTreeSet::new(),
             block_failures: FastHashMap::default(),
             blocks_frozen: 0,
-            tel: Telemetry::disabled(),
             tracer: Tracer::disabled(),
             cur_trace: TraceId::NONE,
         })
@@ -532,7 +530,6 @@ impl SecurityEngine for PlutusEngine {
 
     fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.tracer = tel.tracer();
-        self.tel = tel.clone();
     }
 
     fn begin_access_trace(&mut self, id: TraceId) {
@@ -625,12 +622,6 @@ impl SecurityEngine for PlutusEngine {
                 && self.verifier.is_some()
                 && self.frozen_tenants.insert(tenant)
             {
-                if self.tel.enabled() {
-                    self.tel.event(Event::Degraded {
-                        mode: format!("value_cache_disabled_t{tenant}"),
-                        addr: addr.raw(),
-                    });
-                }
                 self.tracer.mark(self.cur_trace, "degrade", addr.raw(), 1);
             }
         } else if !self.verifier_frozen
@@ -638,12 +629,6 @@ impl SecurityEngine for PlutusEngine {
             && self.fill_failures >= VERIFIER_FREEZE_FAILURES
         {
             self.verifier_frozen = true;
-            if self.tel.enabled() {
-                self.tel.event(Event::Degraded {
-                    mode: "value_cache_disabled".into(),
-                    addr: addr.raw(),
-                });
-            }
             self.tracer.mark(self.cur_trace, "degrade", addr.raw(), 1);
         }
         if let Some(compact) = self.compact.as_mut() {
@@ -659,12 +644,6 @@ impl SecurityEngine for PlutusEngine {
                     let _ = self.region.counters.raise_to(s, v);
                 }
                 self.blocks_frozen += 1;
-                if self.tel.enabled() {
-                    self.tel.event(Event::Degraded {
-                        mode: "compact_block_frozen".into(),
-                        addr: addr.raw(),
-                    });
-                }
                 self.tracer.mark(self.cur_trace, "degrade", addr.raw(), 2);
             }
         }

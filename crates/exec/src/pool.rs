@@ -1,7 +1,7 @@
 //! The bounded job-stack pool.
 
 use crate::stats::{JobSpan, SchedStats, StatsAcc, WorkerLocal};
-use plutus_telemetry::{Counter, Event, Histogram, Telemetry};
+use plutus_telemetry::{Counter, Histogram, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -158,7 +158,6 @@ impl HeartbeatState {
 /// submitted it, independent of which worker ran what.
 pub struct Executor {
     workers: usize,
-    tel: Telemetry,
     queue_ns: Histogram,
     exec_ns: Histogram,
     jobs_ctr: Counter,
@@ -203,7 +202,6 @@ impl Executor {
             jobs_ctr: tel.counter("sched.jobs"),
             panics_ctr: tel.counter("sched.panics"),
             watchdog_ctr: tel.counter("sched.watchdog"),
-            tel,
             stats: Mutex::new(StatsAcc::default()),
             heartbeat: None,
         }
@@ -234,11 +232,6 @@ impl Executor {
     /// The configured worker cap.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The telemetry sink `sched.*` metrics flow into.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
     }
 
     /// Cumulative scheduler statistics over every `run` call so far.
@@ -377,12 +370,11 @@ impl Executor {
         }
     }
 
-    /// One heartbeat: the progress line on stderr and its typed twins
-    /// in the event log, flagging jobs past the watchdog threshold.
+    /// One heartbeat: the progress line on stderr, flagging jobs past
+    /// the watchdog threshold.
     fn tick(&self, hb: &HeartbeatState) {
         let threshold = hb.watchdog_threshold_ns();
         let mut running = lock(&hb.running);
-        let mut slow: Vec<(String, u64)> = Vec::new();
         let labels: Vec<String> = running
             .iter_mut()
             .flatten()
@@ -393,7 +385,6 @@ impl Executor {
                         if !job.flagged {
                             job.flagged = true;
                             self.watchdog_ctr.inc();
-                            slow.push((job.label.clone(), elapsed.as_millis() as u64));
                         }
                         format!("{} [SLOW {:.1}s]", job.label, elapsed.as_secs_f64())
                     }
@@ -402,22 +393,9 @@ impl Executor {
             })
             .collect();
         drop(running);
-        // Typed twins of the stderr line: a progress tick per heartbeat
-        // and one slow event per freshly flagged straggler, so pool
-        // health reaches the stream and run artifacts, not just the
-        // terminal scrollback.
-        let done = hb.done.load(Ordering::SeqCst);
-        self.tel.event(Event::PoolProgress {
-            done: done as u64,
-            total: hb.total as u64,
-            running: labels.len() as u64,
-        });
-        for (label, elapsed_ms) in slow {
-            self.tel.event(Event::JobSlow { label, elapsed_ms });
-        }
         eprintln!(
             "[plutus-exec] {}/{} jobs done, elapsed {:.0}s, running: [{}]",
-            done,
+            hb.done.load(Ordering::SeqCst),
             hb.total,
             hb.start.elapsed().as_secs_f64(),
             labels.join(", "),
@@ -610,25 +588,6 @@ mod tests {
             Some(1),
             "the straggler must be counted once, not per tick"
         );
-        // The stderr lines have typed twins in the event log: progress
-        // ticks, and exactly one slow event naming the straggler.
-        let events = tel.report().events;
-        assert!(
-            events.iter().any(|te| te.event.kind() == "sched_progress"),
-            "heartbeat ticks must emit typed progress events"
-        );
-        let slow: Vec<_> = events
-            .iter()
-            .filter(|te| te.event.kind() == "sched_slow")
-            .collect();
-        assert_eq!(slow.len(), 1, "one slow event per straggler");
-        match &slow[0].event {
-            Event::JobSlow { label, elapsed_ms } => {
-                assert_eq!(label, "wd8");
-                assert!(*elapsed_ms > 0);
-            }
-            other => panic!("wrong event: {other:?}"),
-        }
     }
 
     #[test]

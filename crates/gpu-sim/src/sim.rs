@@ -37,7 +37,7 @@ use crate::stats::{
 use crate::tenant::{TenantMap, TenantStat};
 use crate::trace::{AccessKind, Trace, TraceAccess};
 use crate::transient::{RetryPolicy, TransientConfig, TransientKind, TransientSampler};
-use plutus_telemetry::{Event as TelEvent, Telemetry, TraceId, Tracer};
+use plutus_telemetry::{Telemetry, TraceId, Tracer};
 use std::collections::VecDeque;
 
 /// Initial-image sectors buffered per partition before one
@@ -690,9 +690,6 @@ impl Simulator {
             engines,
         });
         self.stats.checkpoints += 1;
-        if self.tel.enabled() {
-            self.tel.event(TelEvent::Checkpoint { cycle: now });
-        }
         true
     }
 
@@ -711,11 +708,6 @@ impl Simulator {
                     engine: p.engine.name(),
                 });
             }
-        }
-        if self.tel.enabled() {
-            self.tel.event(TelEvent::CrashRestore {
-                checkpoint_cycle: ck.cycle,
-            });
         }
         Ok(ck.cycle)
     }
@@ -817,12 +809,6 @@ impl Simulator {
         };
         let kind = f.kind.label();
         if applied {
-            if self.tel.enabled() {
-                self.tel.event(TelEvent::FaultInjected {
-                    addr: f.addr.raw(),
-                    kind: kind.to_string(),
-                });
-            }
             let armed = ArmedFault { cycle: now, kind };
             // A second fault on an already-armed sector takes over the
             // arming; the first can no longer be told apart and resolves
@@ -848,7 +834,7 @@ impl Simulator {
         }
     }
 
-    /// Books a detected violation into stats and telemetry, marking it
+    /// Books a detected violation into stats, marking it
     /// under the trace root `root` of the detecting access. `latency` is
     /// the verification latency of the detecting request (0 on the
     /// writeback path, which nothing waits on).
@@ -867,13 +853,6 @@ impl Simulator {
             layer: v.layer(),
             latency,
         });
-        if self.tel.enabled() {
-            self.tel.event(TelEvent::Violation {
-                kind: v.to_string(),
-                layer: v.layer().label().to_string(),
-                latency,
-            });
-        }
         self.tracer.mark(root, "violation", v.addr().raw(), latency);
     }
 
@@ -1235,12 +1214,6 @@ impl Simulator {
             });
             return None;
         }
-        if self.tel.enabled() {
-            self.tel.event(TelEvent::TransientFault {
-                addr: sector.raw(),
-                kind: kind.label().to_string(),
-            });
-        }
         Some(PendingTransient { kind, mask })
     }
 
@@ -1321,12 +1294,6 @@ impl Simulator {
                         transient_active = false;
                     }
                 }
-                if self.tel.enabled() {
-                    self.tel.event(TelEvent::FillRetry {
-                        addr: sector.raw(),
-                        attempt,
-                    });
-                }
                 self.tracer
                     .mark(root, "retry", sector.raw(), u64::from(attempt));
                 start = ready + backoff;
@@ -1355,14 +1322,6 @@ impl Simulator {
                     cycle: now,
                     outcome,
                 });
-                if self.tel.enabled() {
-                    if let TransientOutcome::Recovered { retries } = outcome {
-                        self.tel.event(TelEvent::TransientRecovered {
-                            addr: sector.raw(),
-                            retries,
-                        });
-                    }
-                }
             }
             if self.retry.limit > 0 && (transient_tripped || plan.violation.is_some()) {
                 // Degradation hook: the engine learns this fill needed

@@ -1,10 +1,9 @@
 //! Exporters: JSON, CSV, and a human-readable summary table.
 //!
 //! All three render a [`Report`] — an immutable bundle of the cumulative
-//! registry snapshot, the per-epoch time series, and the event log — so
-//! a single run can be exported to multiple sinks consistently.
+//! registry snapshot and the per-epoch time series — so a single run can
+//! be exported to multiple sinks consistently.
 
-use crate::events::{FieldValue, TimedEvent};
 use crate::json::Json;
 use crate::metrics::Snapshot;
 
@@ -44,19 +43,6 @@ pub struct Report {
     pub totals: Snapshot,
     /// Closed epochs, oldest first.
     pub epochs: Vec<EpochSnapshot>,
-    /// Retained events, oldest first.
-    pub events: Vec<TimedEvent>,
-    /// Events dropped because the log was full.
-    pub events_dropped: u64,
-}
-
-impl From<FieldValue> for Json {
-    fn from(v: FieldValue) -> Json {
-        match v {
-            FieldValue::Num(n) => Json::U64(n),
-            FieldValue::Str(s) => Json::Str(s),
-        }
-    }
 }
 
 impl Report {
@@ -117,18 +103,6 @@ impl Report {
                     .set("deltas", deltas)
             })
             .collect::<Vec<_>>();
-        let events = self
-            .events
-            .iter()
-            .map(|te| {
-                te.event.fields().into_iter().fold(
-                    Json::object()
-                        .set("t", te.time)
-                        .set("kind", te.event.kind()),
-                    |o, (k, v)| o.set(k, v),
-                )
-            })
-            .collect::<Vec<_>>();
         Json::object()
             .set(
                 "meta",
@@ -136,14 +110,12 @@ impl Report {
                     .set("tool", "plutus-telemetry")
                     .set("time_unit", self.time_unit)
                     .set("snapshot_time", self.totals.time)
-                    .set("epochs", self.epochs.len())
-                    .set("events_dropped", self.events_dropped),
+                    .set("epochs", self.epochs.len()),
             )
             .set("counters", counters)
             .set("gauges", gauges)
             .set("histograms", histograms)
             .set("epochs", epochs)
-            .set("events", events)
     }
 
     /// The full report as flat CSV with header
@@ -153,7 +125,7 @@ impl Report {
     /// `histogram` (one row per summary stat), `histogram_bucket`
     /// (field = bucket lower bound), `epoch` (one row per nonzero
     /// counter delta; `epoch` column = index, `name` = epoch label,
-    /// `field` = counter name), and `event`.
+    /// `field` = counter name).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("record,epoch,name,field,value\n");
         let mut row = |record: &str, epoch: &str, name: &str, field: &str, value: String| {
@@ -197,28 +169,6 @@ impl Report {
                 }
             }
         }
-        for te in &self.events {
-            let fields = te
-                .event
-                .fields()
-                .into_iter()
-                .map(|(k, v)| {
-                    let v = match v {
-                        FieldValue::Num(n) => n.to_string(),
-                        FieldValue::Str(s) => s,
-                    };
-                    format!("{k}={v}")
-                })
-                .collect::<Vec<_>>()
-                .join(";");
-            row(
-                "event",
-                &te.time.to_string(),
-                te.event.kind(),
-                &fields,
-                String::new(),
-            );
-        }
         out
     }
 
@@ -237,14 +187,8 @@ impl Report {
             .unwrap_or(8)
             .max(8);
         out.push_str(&format!(
-            "telemetry summary ({} epochs, {} events{})\n",
-            self.epochs.len(),
-            self.events.len(),
-            if self.events_dropped > 0 {
-                format!(", {} dropped", self.events_dropped)
-            } else {
-                String::new()
-            }
+            "telemetry summary ({} epochs)\n",
+            self.epochs.len()
         ));
         for (n, v) in &self.totals.counters {
             out.push_str(&format!("  {n:width$}  {v:>14}\n"));
@@ -278,7 +222,6 @@ pub(crate) fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::Event;
     use crate::metrics::MetricsRegistry;
 
     fn sample_report() -> Report {
@@ -300,11 +243,6 @@ mod tests {
             time_unit: "cycles",
             totals,
             epochs: vec![epoch],
-            events: vec![TimedEvent {
-                time: 42,
-                event: Event::Checkpoint { cycle: 42 },
-            }],
-            events_dropped: 0,
         }
     }
 
@@ -328,12 +266,6 @@ mod tests {
             .and_then(|h| h.get("bmt.walk_depth"))
             .unwrap();
         assert_eq!(h.get("count").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            doc.get("events")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(1)
-        );
         // Must parse as a self-consistent document string.
         let s = doc.to_string_pretty();
         assert!(s.starts_with('{') && s.ends_with('}'));

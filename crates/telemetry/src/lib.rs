@@ -1,4 +1,4 @@
-//! **plutus-telemetry** — a workspace-wide metrics, event-tracing, and
+//! **plutus-telemetry** — a workspace-wide metrics, tracing, and
 //! profiling layer for the Plutus secure-memory pipeline.
 //!
 //! The paper's whole argument is quantitative: Plutus wins by cutting
@@ -8,12 +8,10 @@
 //! * a [`MetricsRegistry`] of named [`Counter`]s, [`Gauge`]s, and
 //!   log-scale [`Histogram`]s with cheap `Arc`-shared handles and
 //!   atomic updates;
-//! * a bounded [`Event`] log of run-level happenings (lifecycle
-//!   markers, injected faults, violations, recovery steps, scheduler
-//!   ticks), timestamped by a pluggable [`Clock`] (simulated cycles or
-//!   nanoseconds);
 //! * per-epoch snapshot/delta support ([`Telemetry::end_epoch`]) so
-//!   long simulations can emit time-series;
+//!   long simulations can emit time-series, timestamped by a pluggable
+//!   [`Clock`] (simulated cycles or nanoseconds);
+//! * a causal flight recorder ([`Tracer`]) of per-access records;
 //! * JSON and CSV exporters and a human-readable summary table
 //!   ([`Report`]);
 //! * row reports whose columns are declared once ([`Table`]), written
@@ -24,12 +22,11 @@
 //! branch and no atomic operation.
 //!
 //! ```
-//! use plutus_telemetry::{Event, Telemetry};
+//! use plutus_telemetry::Telemetry;
 //!
 //! let tel = Telemetry::new();
 //! let bytes = tel.counter("traffic.data.read_bytes");
 //! bytes.add(4096);
-//! tel.event(Event::Checkpoint { cycle: 100 });
 //! tel.end_epoch("warmup");
 //! let report = tel.report();
 //! assert_eq!(report.totals.counter("traffic.data.read_bytes"), Some(4096));
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod events;
 pub mod export;
 pub mod fsio;
 pub mod json;
@@ -51,7 +47,6 @@ pub mod table;
 pub mod trace;
 
 pub use clock::{Clock, CycleClock, NullClock, WallClock};
-pub use events::{Event, EventLog, FieldValue, TimedEvent, DEFAULT_EVENT_CAPACITY, EVENT_KINDS};
 pub use export::{EpochSnapshot, Report};
 pub use fsio::atomic_write;
 pub use json::Json;
@@ -73,7 +68,6 @@ struct Inner {
     enabled: bool,
     clock: Arc<dyn Clock>,
     registry: MetricsRegistry,
-    events: EventLog,
     tracer: Tracer,
     epochs: Mutex<EpochState>,
     /// The live NDJSON sink, when `--stream-out` armed one.
@@ -90,7 +84,7 @@ struct EpochState {
 }
 
 /// The shared telemetry handle: clones are cheap and point at the same
-/// registry, event log, and epoch series.
+/// registry, flight recorder, and epoch series.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
@@ -102,24 +96,19 @@ impl Telemetry {
         Self::with_clock(Arc::new(WallClock::new()))
     }
 
-    /// An enabled instance timestamping events with `clock`.
+    /// An enabled instance timestamping epochs and trace records with
+    /// `clock`.
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        Self::build(true, clock, DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// An enabled instance with a bounded event log of `capacity`.
-    pub fn with_event_capacity(clock: Arc<dyn Clock>, capacity: usize) -> Self {
-        Self::build(true, clock, capacity)
+        Self::build(true, clock)
     }
 
     /// A disabled instance: every handle it hands out holds no cell and
-    /// returns before any atomic operation; events and epochs are
-    /// discarded.
+    /// returns before any atomic operation; epochs are discarded.
     pub fn disabled() -> Self {
-        Self::build(false, Arc::new(NullClock), 0)
+        Self::build(false, Arc::new(NullClock))
     }
 
-    fn build(enabled: bool, clock: Arc<dyn Clock>, capacity: usize) -> Self {
+    fn build(enabled: bool, clock: Arc<dyn Clock>) -> Self {
         let tracer = if enabled {
             Tracer::new(clock.clone())
         } else {
@@ -130,7 +119,6 @@ impl Telemetry {
                 enabled,
                 clock,
                 registry: MetricsRegistry::new(),
-                events: EventLog::with_capacity(capacity),
                 tracer,
                 epochs: Mutex::new(EpochState::default()),
                 stream: Mutex::new(None),
@@ -144,7 +132,7 @@ impl Telemetry {
         self.inner.enabled
     }
 
-    /// The event-timestamp clock.
+    /// The clock that timestamps epochs and trace records.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.inner.clock
     }
@@ -181,11 +169,6 @@ impl Telemetry {
         }
     }
 
-    /// Records `event` at the current clock reading.
-    pub fn event(&self, event: Event) {
-        self.inner.events.record(self.inner.clock.now(), event);
-    }
-
     /// The causal flight recorder sharing this instance's clock. Clones
     /// are cheap and point at the same ring buffer; the tracer stays
     /// disarmed until [`Telemetry::enable_tracing`].
@@ -208,8 +191,8 @@ impl Telemetry {
     }
 
     /// Closes the current epoch: snapshots the registry, computes
-    /// counter deltas since the previous epoch boundary, and records an
-    /// [`Event::EpochEnd`]. Returns the closed epoch (None when
+    /// counter deltas since the previous epoch boundary, and streams the
+    /// epoch when a sink is armed. Returns the closed epoch (None when
     /// disabled).
     pub fn end_epoch(&self, label: &str) -> Option<EpochSnapshot> {
         if !self.inner.enabled {
@@ -227,15 +210,12 @@ impl Telemetry {
         state.last = now;
         state.closed.push(epoch.clone());
         drop(state);
-        self.event(Event::EpochEnd {
-            label: label.to_string(),
-        });
         self.stream_emit(&epoch);
         Some(epoch)
     }
 
     /// Arms the live NDJSON stream: every subsequently closed epoch is
-    /// flushed to `out` as one `plutus-stream/v1` line. No-op on a
+    /// flushed to `out` as one [`STREAM_SCHEMA`] line. No-op on a
     /// disabled instance. Replaces any previous sink.
     pub fn stream_to(&self, out: Box<dyn std::io::Write + Send>) -> std::io::Result<()> {
         if !self.inner.enabled {
@@ -272,12 +252,8 @@ impl Telemetry {
         let Some(sink) = guard.as_mut() else {
             return;
         };
-        let fresh = self.inner.events.since(sink.events_seen());
         let dropped = self.inner.stream_dropped.load(Ordering::Relaxed);
-        if sink
-            .emit(epoch, &fresh, dropped, self.inner.events.dropped())
-            .is_err()
-        {
+        if sink.emit(epoch, dropped).is_err() {
             self.inner.stream_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -287,15 +263,13 @@ impl Telemetry {
         self.inner.epochs.lock().unwrap().closed.clone()
     }
 
-    /// Builds the immutable export bundle (cumulative totals, epochs,
-    /// events).
+    /// Builds the immutable export bundle (cumulative totals and
+    /// epochs).
     pub fn report(&self) -> Report {
         Report {
             time_unit: self.inner.clock.unit(),
             totals: self.snapshot(),
             epochs: self.epochs(),
-            events: self.inner.events.to_vec(),
-            events_dropped: self.inner.events.dropped(),
         }
     }
 }
@@ -317,10 +291,8 @@ mod tests {
         tel.counter("c").add(2);
         tel.gauge("g").set(5);
         tel.histogram("h").record(9);
-        tel.event(Event::Checkpoint { cycle: 1 });
         let r = tel.report();
         assert_eq!(r.totals.counter("c"), Some(2));
-        assert_eq!(r.events.len(), 1);
         assert_eq!(r.time_unit, "ns");
     }
 
@@ -329,11 +301,9 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.enabled());
         tel.counter("c").add(2);
-        tel.event(Event::Checkpoint { cycle: 1 });
         assert!(tel.end_epoch("e").is_none());
         let r = tel.report();
         assert!(r.totals.counters.is_empty());
-        assert!(r.events.is_empty());
         assert!(r.epochs.is_empty());
     }
 
@@ -420,11 +390,6 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(64)
         );
-        // The epoch's own epoch_end event rides the line.
-        let events = first.get("events").and_then(Json::as_array).unwrap();
-        assert!(events
-            .iter()
-            .any(|e| e.get("kind").and_then(Json::as_str) == Some("epoch_end")));
         let second = Json::parse(lines[2]).unwrap();
         assert_eq!(
             second

@@ -14,7 +14,7 @@
 //! [`crate::Telemetry::disabled`], so the simulator's hot paths carry no
 //! cost when tracing is off.
 //!
-//! The buffer is bounded like the event log: once full, new records are
+//! The buffer is bounded: once full, new records are
 //! counted as dropped rather than evicting history, and consumers must
 //! check [`Tracer::dropped`] before treating a trace as complete (the
 //! bandwidth-attribution conservation property only holds for a trace

@@ -6,7 +6,7 @@
 //! Deterministic seeded loops stand in for a property-testing framework
 //! (the build environment resolves no external crates).
 
-use plutus_telemetry::{Event, Snapshot, Telemetry};
+use plutus_telemetry::{Snapshot, Telemetry};
 
 /// SplitMix64 — deterministic pseudo-random stream for case generation.
 struct Mix(u64);
@@ -106,10 +106,7 @@ fn report_export_roundtrips_counter_values() {
     for (i, name) in ["x.bytes", "y.bytes", "z, with comma"].iter().enumerate() {
         tel.counter(name).add((i as u64 + 1) * 7);
     }
-    tel.event(Event::CliError {
-        message: "bad, \"flag\"".into(),
-    });
-    tel.end_epoch("only");
+    tel.end_epoch("bad, \"flag\"");
     let report = tel.report();
 
     let json = report.to_json().to_string_pretty();
