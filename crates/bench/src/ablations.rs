@@ -6,9 +6,9 @@
 //! runs the paper's scheme, so [`run_all`] simulates each distinct
 //! (configuration, scheme) cell once.
 
-use crate::runner::{geomean, run_matrix, Observe, RunnerError, Scheme};
+use crate::runner::{geomean, run_matrix, Observe, Scheme};
 use gpu_sim::GpuConfig;
-use plutus_exec::Executor;
+use plutus_exec::{Executor, JobPanic};
 use plutus_telemetry::Table;
 use workloads::{Scale, WorkloadSpec};
 
@@ -103,7 +103,7 @@ pub fn run_all(
     workloads: &[WorkloadSpec],
     scale: Scale,
     cfg: &GpuConfig,
-) -> Result<Vec<AblationRow>, RunnerError> {
+) -> Result<Vec<AblationRow>, JobPanic> {
     // Each distinct configuration with the schemes its rows run, and
     // per row the index of its configuration.
     let mut plans: Vec<(GpuConfig, Vec<Scheme>)> = Vec::new();

@@ -65,8 +65,9 @@
 //! histograms, per-run epoch snapshots) and writes it to
 //! `<path>` on exit, as CSV when the path ends in `.csv` and as JSON
 //! otherwise. Whenever `--metrics-out` or `--stream-out` reads the
-//! registry, matrix runs feed it one at a time, each closing one epoch
-//! labelled `workload/scheme`;
+//! registry, every matrix run closes one epoch labelled
+//! `workload/scheme` in a telemetry instance of its own, appended to the
+//! registry in submission order once its phase has finished;
 //! `--epoch-cycles N` additionally closes an epoch every N simulated
 //! cycles inside each run.
 //!

@@ -28,7 +28,7 @@ use gpu_sim::{
 use plutus_core::binomial::{
     binomial_tail, plutus_min_hits, tamper_hit_probability, VALUES_PER_UNIT,
 };
-use plutus_core::ValueCacheConfig;
+use plutus_core::{CompactKind, ValueCacheConfig};
 use plutus_exec::{derive_seed, expect_all, Executor, Job};
 use plutus_telemetry::{Gate, GateFailure, Json, Table};
 use rand::rngs::StdRng;
@@ -382,8 +382,12 @@ fn build_schedule(
                         value: rng.gen_range(0..=255u32) as u8,
                     })
                 } else {
+                    // Below saturation: the saturated value hands the
+                    // read to the untouched split counter, so it would
+                    // leave the counter the compact layer serves intact.
+                    let saturation = CompactKind::Adaptive3.saturation();
                     FaultKind::Metadata(MetaFault::RollbackCompact {
-                        value: rng.gen_range(0..8u32) as u8,
+                        value: rng.gen_range(0..u32::from(saturation)) as u8,
                     })
                 };
                 schedule.push(ScheduledFault {
@@ -648,6 +652,26 @@ mod tests {
             ..rows[0].clone()
         }];
         assert_eq!(campaign_gate(&forged).unwrap_err().violations[0].0, "eq1");
+    }
+
+    #[test]
+    fn compact_rollbacks_draw_below_saturation() {
+        // The schedule keeps its faults private; its Debug rendering
+        // spells each compact rollback's value.
+        let pools = TargetPools::of(&by_name("bfs").unwrap().trace(Scale::Test));
+        let mut values = Vec::new();
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (schedule, _) = build_schedule(CampaignKind::Rollback, &pools, 64, &mut rng);
+            let text = format!("{schedule:?}");
+            for rest in text.split("RollbackCompact { value: ").skip(1) {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                values.push(digits.parse::<u8>().unwrap());
+            }
+        }
+        assert!(!values.is_empty(), "no compact rollback drawn");
+        let saturation = CompactKind::Adaptive3.saturation();
+        assert!(values.iter().all(|&v| v < saturation), "{values:?}");
     }
 
     #[test]

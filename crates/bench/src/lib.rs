@@ -56,7 +56,7 @@ pub use report::{
     LEDGER_SCHEMA,
 };
 pub use runner::{
-    geomean, run_matrix, run_one, run_trace, Measurement, Observe, RunnerError, Scheme, TracedRun,
+    geomean, run_matrix, run_one, run_trace, Measurement, Observe, Scheme, TracedRun,
 };
 pub use storm::{
     run_storm_campaign_observed, storm_gate, storm_report, StormCampaignConfig, StormRow,

@@ -162,52 +162,6 @@ pub(crate) fn tenant_keyed(scheme: Scheme, tenancy: TenancyConfig) -> Box<dyn En
     }
 }
 
-/// Error raised by the fallible experiment runner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunnerError {
-    /// A workload's worker thread panicked; the message carries
-    /// whatever payload the panic unwound with.
-    WorkerPanicked {
-        /// Job label of the thread that died (matrix jobs are labelled
-        /// `workload/scheme`).
-        workload: String,
-        /// Stringified panic payload.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for RunnerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunnerError::WorkerPanicked { workload, message } => {
-                write!(f, "workload {workload:?} worker thread panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RunnerError {}
-
-impl From<JobPanic> for RunnerError {
-    fn from(p: JobPanic) -> Self {
-        RunnerError::WorkerPanicked {
-            workload: p.label,
-            message: p.message,
-        }
-    }
-}
-
-/// Converts a pool result batch into values, surfacing the first
-/// panicked job (in submission order) as a [`RunnerError`]. Every job
-/// has already run to completion by the time this is called — the pool
-/// joins all workers before returning.
-fn values_or_first_panic<T>(results: Vec<Result<T, JobPanic>>) -> Result<Vec<T>, RunnerError> {
-    results
-        .into_iter()
-        .map(|r| r.map_err(RunnerError::from))
-        .collect()
-}
-
 /// Runs one workload under one scheme (telemetry disabled).
 pub fn run_one(
     workload: &WorkloadSpec,
@@ -343,45 +297,40 @@ impl TracedRun {
 }
 
 /// How each run of a [`run_matrix`] is observed. The default observes
-/// nothing; the two parts combine freely.
+/// nothing; the two parts combine freely. An observed run records into
+/// a cycle-clocked telemetry instance of its own.
 #[derive(Debug, Clone, Default)]
 pub struct Observe {
     /// Feed this shared registry: every run closes one epoch labelled
-    /// `workload/scheme`. Registry-fed runs execute one at a time, so
-    /// each epoch belongs to exactly one run.
+    /// `workload/scheme` in its own instance, and [`run_matrix`] appends
+    /// each phase's runs to this one in submission order once the phase
+    /// has finished ([`Telemetry::absorb`]).
     pub registry: Option<Telemetry>,
     /// With a registry, also close an epoch every N simulated cycles
     /// inside each run.
     pub epoch_cycles: Option<u64>,
     /// Arm the causal flight recorder on every run, as
     /// `(sample, capacity)`: keep one demand access in every `sample`
-    /// into a ring of `capacity` records. Without a registry each run
-    /// records into its own cycle-clocked telemetry instance; with one,
-    /// the shared recorder is drained after each run, so trace ids keep
-    /// counting across runs.
+    /// into a ring of `capacity` records. Trace ids restart in each run.
     pub trace: Option<(u64, usize)>,
 }
+
+/// One finished matrix run: its result, its trace when the recorder is
+/// armed, and its own telemetry instance.
+type Run = (SimResult, Option<TracedRun>, Telemetry);
 
 impl Observe {
     /// Runs one workload under one scheme, observed as configured; the
     /// trace is `Some` exactly when the recorder is armed.
-    fn run(
-        &self,
-        workload: &WorkloadSpec,
-        scheme: Scheme,
-        scale: Scale,
-        cfg: &GpuConfig,
-    ) -> (SimResult, Option<TracedRun>) {
-        let tel = match &self.registry {
-            Some(tel) => tel.clone(),
-            None if self.trace.is_some() => Telemetry::with_clock(Arc::new(CycleClock::new())),
-            None => Telemetry::disabled(),
+    fn run(&self, workload: &WorkloadSpec, scheme: Scheme, scale: Scale, cfg: &GpuConfig) -> Run {
+        let tel = if self.registry.is_some() || self.trace.is_some() {
+            Telemetry::with_clock(Arc::new(CycleClock::new()))
+        } else {
+            Telemetry::disabled()
         };
         if let Some((sample, capacity)) = self.trace {
             tel.enable_tracing(sample, capacity);
         }
-        let tracer = tel.tracer();
-        let dropped_before = tracer.dropped();
         let trace = workload.trace(scale);
         let factory = scheme.factory();
         let mut sim = Simulator::with_telemetry(cfg.clone(), trace, factory.as_ref(), tel.clone());
@@ -396,27 +345,10 @@ impl Observe {
             scheme: label,
             cycles: result.stats.cycles,
             class_bytes: class_bytes(&result),
-            records: tracer.drain(),
-            dropped: tracer.dropped() - dropped_before,
+            records: tel.tracer().drain(),
+            dropped: tel.tracer().dropped(),
         });
-        (result, traced)
-    }
-
-    /// Runs a batch of jobs on `exec`: all at once, or one pool call per
-    /// job when the runs feed the shared registry.
-    fn execute<T: Send>(
-        &self,
-        exec: &Executor,
-        jobs: Vec<Job<'_, T>>,
-    ) -> Result<Vec<T>, RunnerError> {
-        let results = if self.registry.is_some() {
-            jobs.into_iter()
-                .flat_map(|job| exec.run(vec![job]))
-                .collect()
-        } else {
-            exec.run(jobs)
-        };
-        values_or_first_panic(results)
+        (result, traced, tel)
     }
 }
 
@@ -425,12 +357,14 @@ impl Observe {
 /// run as `observe` says. One job per (workload, scheme) pair — every
 /// workload's no-security baseline first, then every secured scheme —
 /// assembled in submission order, so the result is byte-identical for
-/// any worker count. Returns one measurement per matrix row, plus one
-/// [`TracedRun`] per row when the recorder is armed (none otherwise).
+/// any worker count. A registry receives each phase's runs in that
+/// order once the phase has finished. Returns one measurement per
+/// matrix row, plus one [`TracedRun`] per row when the recorder is armed
+/// (none otherwise).
 ///
-/// A panicking job is returned as a [`RunnerError`] value (after every
-/// job has finished) rather than propagated, so CLI paths can log the
-/// failure and exit nonzero instead of aborting mid-report.
+/// A panicking job is returned as a [`JobPanic`] value (after every job
+/// of its phase has finished) rather than propagated, so CLI paths can
+/// log the failure and exit nonzero instead of aborting mid-report.
 ///
 /// # Errors
 ///
@@ -443,16 +377,29 @@ pub fn run_matrix(
     scale: Scale,
     cfg: &GpuConfig,
     observe: &Observe,
-) -> Result<(Vec<Measurement>, Vec<TracedRun>), RunnerError> {
+) -> Result<(Vec<Measurement>, Vec<TracedRun>), JobPanic> {
     let job = |w: WorkloadSpec, scheme: Scheme| {
         Job::new(format!("{}/{}", w.name, scheme.label()), move || {
             observe.run(&w, scheme, scale, cfg)
         })
     };
+    // Runs one phase, then appends its runs to the shared registry in
+    // submission order, dropping each run's own instance.
+    let phase = |jobs: Vec<Job<'_, Run>>| {
+        exec.run(jobs)
+            .into_iter()
+            .map(|run| {
+                let (result, traced, tel) = run?;
+                if let Some(shared) = &observe.registry {
+                    shared.absorb(&tel);
+                }
+                Ok((result, traced))
+            })
+            .collect::<Result<Vec<_>, JobPanic>>()
+    };
     // Phase 1: the no-security baseline of every workload — the
     // normalization denominator every other job of that workload needs.
-    let baseline_jobs = workloads.iter().map(|&w| job(w, Scheme::None)).collect();
-    let mut baselines = observe.execute(exec, baseline_jobs)?;
+    let mut baselines = phase(workloads.iter().map(|&w| job(w, Scheme::None)).collect())?;
 
     // Phase 2: one job per (workload, secured scheme); `Scheme::None`
     // rows reuse the phase-1 result.
@@ -462,7 +409,7 @@ pub fn run_matrix(
         .filter(|&(_, s)| s != Scheme::None)
         .map(|(w, s)| job(w, s))
         .collect();
-    let mut runs = observe.execute(exec, scheme_jobs)?.into_iter();
+    let mut runs = phase(scheme_jobs)?.into_iter();
 
     // Deterministic submission-order assembly: walk the same loop nest
     // the jobs were submitted in.
@@ -569,30 +516,6 @@ mod tests {
         let w = [by_name("histo").unwrap()];
         let rows = matrix(&w, &[Scheme::None, Scheme::Pssm]);
         assert_eq!(rows.len(), 2);
-        let err = RunnerError::WorkerPanicked {
-            workload: "histo".into(),
-            message: "boom".into(),
-        };
-        assert!(err.to_string().contains("histo"));
-        let _: &dyn std::error::Error = &err;
-    }
-
-    #[test]
-    fn pool_panics_surface_as_runner_errors() {
-        let exec = Executor::new(Some(2));
-        let jobs = vec![
-            Job::new("healthy", || 1u32),
-            Job::new("histo", || panic!("boom")),
-            Job::new("also-healthy", || 3u32),
-        ];
-        let err = values_or_first_panic(exec.run(jobs)).unwrap_err();
-        assert_eq!(
-            err,
-            RunnerError::WorkerPanicked {
-                workload: "histo".into(),
-                message: "boom".into(),
-            }
-        );
     }
 
     #[test]
@@ -663,6 +586,9 @@ mod tests {
         assert_eq!(labels, SUBMISSION_ORDER);
         assert_eq!(rows.len(), 4);
         assert!(traces.is_empty(), "no recorder was armed");
+        // Every run counts its own cycles from 0.
+        let starts: Vec<u64> = tel.epochs().iter().map(|e| e.start_time).collect();
+        assert_eq!(starts, [0; 4]);
         // Each epoch carries exactly its own run's DRAM traffic.
         for epoch in tel.epochs() {
             let (workload, scheme) = epoch.label.split_once('/').unwrap();

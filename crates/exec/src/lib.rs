@@ -59,9 +59,9 @@ pub use stats::{JobSpan, SchedStats};
 /// random stream a job consumes is independent of worker count,
 /// scheduling order, and every other job.
 ///
-/// This is the single derivation both campaign crates use; detection
-/// and escape rates measured under any `--jobs N` are bit-identical
-/// because of it.
+/// This is the single derivation every campaign uses; detection and
+/// escape rates measured under any `--jobs N` are bit-identical because
+/// of it.
 pub fn derive_seed(base: u64, workload: usize, scheme: usize, trial: usize) -> u64 {
     base.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(((workload as u64) << 40) | ((scheme as u64) << 32) | trial as u64)

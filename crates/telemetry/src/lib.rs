@@ -214,6 +214,39 @@ impl Telemetry {
         Some(epoch)
     }
 
+    /// Appends `run`, the instance of one finished run, to this one: adds
+    /// its counter and histogram totals, then appends its closed epochs,
+    /// renumbered after this instance's, streaming each when a sink is
+    /// armed. The epoch boundary moves past the absorbed totals, so a
+    /// later [`Telemetry::end_epoch`] here does not count them again.
+    /// No-op on a disabled instance.
+    pub fn absorb(&self, run: &Telemetry) {
+        if !self.inner.enabled {
+            return;
+        }
+        let totals = run.snapshot();
+        let mut state = self.inner.epochs.lock().unwrap();
+        let before = self.snapshot();
+        for (name, value) in &totals.counters {
+            self.inner.registry.counter(name).add(*value);
+        }
+        for (name, h) in &totals.histograms {
+            self.inner.registry.histogram(name).merge(h);
+        }
+        let absorbed = self.snapshot().counter_deltas(&before);
+        for (i, (name, delta)) in absorbed.into_iter().enumerate() {
+            match state.last.counters.get_mut(i) {
+                Some((_, last)) => *last += delta,
+                None => state.last.counters.push((name, delta)),
+            }
+        }
+        for mut epoch in run.epochs() {
+            epoch.index = state.closed.len();
+            self.stream_emit(&epoch);
+            state.closed.push(epoch);
+        }
+    }
+
     /// Arms the live NDJSON stream: every subsequently closed epoch is
     /// flushed to `out` as one [`STREAM_SCHEMA`] line. No-op on a
     /// disabled instance. Replaces any previous sink.
@@ -320,6 +353,41 @@ mod tests {
         assert_eq!(e1.index, 1);
         let total: u64 = tel.epochs().iter().map(|e| e.delta("x")).sum();
         assert_eq!(total, tel.snapshot().counter("x").unwrap());
+    }
+
+    #[test]
+    fn absorb_appends_a_runs_totals_and_epochs_once() {
+        let shared = Telemetry::with_clock(Arc::new(CycleClock::new()));
+        shared.stream_to(Box::new(std::io::sink())).unwrap();
+        shared.counter("own").add(5);
+        shared.end_epoch("warmup");
+        shared.counter("late").inc();
+        let run = Telemetry::with_clock(Arc::new(CycleClock::new()));
+        run.counter("x").add(3);
+        run.histogram("h").record(9);
+        run.advance_clock(40);
+        run.end_epoch("cycle-40");
+        run.counter("x").add(4);
+        run.advance_clock(70);
+        run.end_epoch("bfs/pssm");
+        shared.absorb(&run);
+        let totals = shared.snapshot();
+        assert_eq!(totals.counter("x"), Some(7));
+        assert_eq!(totals.histograms[0].1.count, 1);
+        let epochs = shared.epochs();
+        let spans: Vec<_> = epochs
+            .iter()
+            .map(|e| (e.index, e.label.as_str(), e.start_time, e.delta("x")))
+            .collect();
+        let want = [(1, "cycle-40", 0, 3), (2, "bfs/pssm", 40, 4)];
+        assert_eq!(spans[1..], want);
+        // A later epoch counts this instance's own growth, not the
+        // absorbed totals.
+        shared.counter("own").add(2);
+        let later = shared.end_epoch("later").unwrap();
+        assert_eq!((later.delta("own"), later.delta("late")), (2, 1));
+        assert_eq!(later.delta("x"), 0);
+        assert_eq!(shared.close_stream(), Some(5));
     }
 
     #[test]

@@ -163,6 +163,23 @@ impl Histogram {
         core.max.fetch_max(v, REL);
     }
 
+    /// Records every observation of `other`, a snapshot of another
+    /// histogram (no-op when disabled).
+    pub fn merge(&self, other: &HistogramSnapshot) {
+        let Some(core) = &self.core else {
+            return;
+        };
+        for b in &other.buckets {
+            core.buckets[bucket_index(b.lo)].fetch_add(b.count, REL);
+        }
+        core.count.fetch_add(other.count, REL);
+        core.sum.fetch_add(other.sum, REL);
+        if other.count > 0 {
+            core.min.fetch_min(other.min, REL);
+            core.max.fetch_max(other.max, REL);
+        }
+    }
+
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.core.as_ref().map_or(0, |c| c.count.load(REL))
@@ -424,6 +441,25 @@ mod tests {
         assert_eq!(s.quantile(0.5), 15); // bucket [8,15]
         assert_eq!(s.quantile(1.0), 100_000);
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
+    }
+
+    #[test]
+    fn merge_records_another_histograms_observations() {
+        let reg = MetricsRegistry::new();
+        let (a, b, both) = (reg.histogram("a"), reg.histogram("b"), reg.histogram("c"));
+        for v in [3, 900] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [1, 3, 5000] {
+            b.record(v);
+            both.record(v);
+        }
+        b.merge(&a.snapshot());
+        assert_eq!(b.snapshot(), both.snapshot());
+        // An empty snapshot leaves the minimum and maximum alone.
+        b.merge(&HistogramSnapshot::default());
+        assert_eq!(b.snapshot(), both.snapshot());
     }
 
     #[test]

@@ -50,23 +50,32 @@ fn matrix_is_identical_across_worker_counts() {
     let schemes = [Scheme::None, Scheme::Pssm, Scheme::Plutus];
     let cfg = GpuConfig::test_small();
     let run = |exec: &Executor, observe: &Observe| {
-        run_matrix(exec, &w, &schemes, Scale::Test, &cfg, observe)
-            .unwrap()
-            .0
+        run_matrix(exec, &w, &schemes, Scale::Test, &cfg, observe).unwrap()
     };
-    let a = run(&serial, &Observe::default());
-    let b = run(&wide, &Observe::default());
+    let (a, _) = run(&serial, &Observe::default());
+    let (b, _) = run(&wide, &Observe::default());
     // Measurement carries floats; the Debug rendering is bit-faithful,
     // so string equality here is value equality.
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     // Observation never perturbs a measurement: feeding a registry and
     // arming the recorder on the wide pool yields the same rows.
+    let traced = Observe {
+        trace: Some((4, 1 << 16)),
+        ..Observe::default()
+    };
     let observed = Observe {
         registry: Some(Telemetry::with_clock(Arc::new(CycleClock::new()))),
         epoch_cycles: Some(2000),
-        trace: Some((4, 1 << 16)),
+        ..traced.clone()
     };
-    assert_eq!(format!("{a:?}"), format!("{:?}", run(&wide, &observed)));
+    let (rows, traces) = run(&wide, &observed);
+    assert_eq!(format!("{a:?}"), format!("{rows:?}"));
+    // Nor does the registry change what the recorder keeps: the traces
+    // equal those of the serial pool's runs without one.
+    assert_eq!(
+        format!("{traces:?}"),
+        format!("{:?}", run(&serial, &traced).1)
+    );
     // Row order is the submission order: workload-major, scheme-minor.
     let order: Vec<(String, String)> = a
         .iter()
